@@ -102,13 +102,15 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
             = sum_nu N_nu w_nu prod_{j=0}^{t-1} (r_nu - j)/(n - j).
 
     Returns (True, None) or (False, first failing t-subset); the shell
-    precondition failing returns (False, None).
+    precondition failing returns (False, None).  A shell with r < t-1 is a
+    (t-1)-design only as a multiple of its complete shell: balance at r.
     """
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")
     n = cand.n
-    for _, design, _ in cand.shells():
-        ok, _ = is_t_design(design, t - 1) if t >= 2 else (True, None)
+    for r, design, _ in cand.shells():
+        j = min(t - 1, r)
+        ok, _ = is_t_design(design, j) if j >= 1 else (True, None)
         if not ok:
             return False, None
     rhs = Fraction(0)

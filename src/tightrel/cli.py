@@ -9,7 +9,6 @@ verdicts (so shell scripts can branch on the result), 2 for usage errors,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -82,7 +81,8 @@ def _cmd_check_relative(args) -> int:
         )
     code = 0 if ok else 1
     if args.tight:
-        tight = is_tight(cand, t)
+        # a candidate that is not a relative t-design is never tight, whatever t
+        tight = ok and is_tight(cand, t)
         print(f"tight: {'true' if tight else 'false'}")
         if not tight:
             code = 1
@@ -98,7 +98,7 @@ def _cmd_lambda_seq(args) -> int:
 
 def _cmd_scan3(args) -> int:
     cases = frozenset(int(tok) for tok in args.cases.split(","))
-    rows = scan_relative3(args.max_n, cases, threads=args.threads)
+    rows = scan_relative3(args.max_n, cases)
     if args.annotate:
         rows = annotate_existence(rows)
     _emit(rows_to_tsv(rows), args.out)
@@ -106,7 +106,7 @@ def _cmd_scan3(args) -> int:
 
 
 def _cmd_scan4(args) -> int:
-    rows = scan_relative4(args.max_n, threads=args.threads)
+    rows = scan_relative4(args.max_n)
     if args.annotate:
         rows = annotate_existence(rows)
     _emit(rows_to_tsv(rows), args.out)
@@ -205,19 +205,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_lambda_seq)
 
-    threads_default = os.cpu_count() or 1
+    threads_help = "accepted for compatibility; scans run in one process"
     p = sub.add_parser("scan-3", help="feasible strength-3 parameter rows as TSV")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--cases", default="1,2,3,4", help="comma list from {1,2,3,4}")
     p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, metavar="K", help=threads_help)
     _add_out(p)
     p.set_defaults(func=_cmd_scan3)
 
     p = sub.add_parser("scan-4", help="feasible strength-4 parameter rows as TSV")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, metavar="K", help=threads_help)
     _add_out(p)
     p.set_defaults(func=_cmd_scan4)
 

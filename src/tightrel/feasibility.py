@@ -20,19 +20,21 @@ Weight ratios are enumerated in lowest terms d1/d2 with 1 <= d1 <= lam1,
 (a symmetric design cannot be a 3-design, nor can these 3-design shells
 be 4-designs when a single point would force constancy), so steps larger
 than the coverage bounds or lines carrying fewer than two points are
-ruled out.  The equal-weight case additionally demands an integral line
-constant; for strength 4 the split is attached as an annotation and the
-row is kept whenever the divisibility conditions hold, since the weighted
-split is part of the later existence analysis rather than the search.
+ruled out.  Nothing is searched: the y of the lattice points on a line
+form one residue class clipped to the coverage box, and for each d1 the
+d2 whose line constant is integral form one residue class, so both are
+enumerated directly.  The equal-weight case additionally demands an
+integral line constant; for strength 4 the split is attached as an
+annotation and the row is kept whenever the divisibility conditions hold,
+since the weighted split is part of the later existence analysis rather
+than the search.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 from .designs import DesignParams
 
@@ -278,27 +280,34 @@ def driessen_test(p: DesignParams) -> NonexistenceVerdict:
 
 def _line_points(base: int, den: int, step: int, lam1: int, lam2: int) -> tuple:
     """Integer points (x, y) with den*x = base - step*y, 0<=x<=lam1, 0<=y<=lam2,
-    returned with x ascending."""
-    pts = []
-    for y in range(lam2 + 1):
-        num = base - step * y
-        if num < 0:
-            break
-        if num % den == 0:
-            x = num // den
-            if x <= lam1:
-                pts.append((x, y))
-    pts.sort()
-    return tuple(pts)
+    returned with x ascending (den, step >= 1): the y form one residue class
+    modulo den/gcd(den, step), clipped to the box and walked downward."""
+    g = math.gcd(den, step)
+    if base % g:
+        return ()
+    mod = den // g
+    y0 = base // g * pow(step // g, -1, mod) % mod
+    y_lo = max(0, -((den * lam1 - base) // step))
+    y_hi = min(lam2, base // step)
+    y_top = y_hi - (y_hi - y0) % mod
+    return tuple(((base - step * y) // den, y) for y in range(y_top, y_lo - 1, -mod))
 
 
 def _ratio_rows(t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, D, case) -> list:
     """Rows for reduced weight ratios d1/d2 != 1 whose balance line carries
-    at least two integer points in the coverage box."""
+    at least two integer points in the coverage box.  With gcd(d1, d2) = 1 a
+    line has integer points only if D | P1*d2 + P2*d1, so for each d1 only
+    one residue class of d2 modulo D/gcd(P1, D), or none, is visited."""
     rows = []
     star = _star(n, r1, r2)
+    h = math.gcd(P1, D)
+    mod = D // h
+    inv = pow(P1 // h, -1, mod)
     for d1 in range(1, lam1 + 1):
-        for d2 in range(1, lam2 + 1):
+        if (P2 * d1) % h:
+            continue
+        first = (-(P2 * d1) // h * inv - 1) % mod + 1
+        for d2 in range(first, lam2 + 1, mod):
             if d1 == d2 or math.gcd(d1, d2) != 1:
                 continue
             # x + (d1/d2) y = (P1 + (d1/d2) P2) / D, cleared of denominators
@@ -333,13 +342,10 @@ def _scan3_one_n(n: int, cases: frozenset) -> list:
             P2 = r2 * (r2 - 1) * (r2 - 2)
             comp = r1 + r2 == n
             eq_case, ratio_case = (1, 2) if comp else (3, 4)
-            if eq_case in cases and (P1 + P2) % D3 == 0:
-                S = (P1 + P2) // D3
-                pts = tuple(
-                    (x, S - x) for x in range(lam1 + 1) if 0 <= S - x <= lam2
-                )
-                # a symmetric design is never a 3-design, so a single
-                # split point would be unrealizable
+            if eq_case in cases:
+                # the ratio-1 line; a symmetric design is never a 3-design,
+                # so a single split point would be unrealizable
+                pts = _line_points(P1 + P2, D3, D3, lam1, lam2)
                 if len(pts) >= 2:
                     rows.append(
                         FeasibleRow(
@@ -358,7 +364,7 @@ def _row_sort_key(row: FeasibleRow):
     return (row.n, row.r1, row.r2, row.N1, row.ratio != 1, row.ratio)
 
 
-def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4}), threads: int = 1) -> list:
+def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4})) -> list:
     """All strength-3 feasible rows with n <= max_n.
 
     Both shells must be symmetric 2-(n, r, r(r-1)/(n-1)) designs with
@@ -370,15 +376,9 @@ def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4}), threads: int = 1) 
     cases = frozenset(cases)
     if not cases or not cases <= {1, 2, 3, 4}:
         raise ValueError("cases must be a nonempty subset of {1,2,3,4}")
-    ns = range(5, max_n + 1)  # the shell window 2 <= r1 < r2 <= n-2 needs n >= 5
     rows = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(partial(_scan3_one_n, cases=cases), ns):
-                rows.extend(part)
-    else:
-        for n in ns:
-            rows.extend(_scan3_one_n(n, cases))
+    for n in range(5, max_n + 1):  # the shell window 2 <= r1 < r2 <= n-2 needs n >= 5
+        rows.extend(_scan3_one_n(n, cases))
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -397,11 +397,12 @@ def _scan4_one_n(n: int) -> list:
     total = n * (n + 1) // 2
     C3 = math.comb(n, 3)
     D4 = n * (n - 1) * (n - 2) * (n - 3)
+    steps = {r: _divisibility_step(n, r) for r in range(3, n - 1)}
     for r1 in range(3, n - 2):
-        s1 = _divisibility_step(n, r1)
+        s1 = steps[r1]
         Q1 = r1 * (r1 - 1) * (r1 - 2) * (r1 - 3)
         for r2 in range(r1 + 1, n - 1):
-            s2 = _divisibility_step(n, r2)
+            s2 = steps[r2]
             Q2 = r2 * (r2 - 1) * (r2 - 2) * (r2 - 3)
             for N1 in range(s1, total, s1):
                 N2 = total - N1
@@ -412,14 +413,8 @@ def _scan4_one_n(n: int) -> list:
                 if lam1 < 1 or lam2 < 1:
                     continue
                 # equal-weight split along the strength-4 balance line,
-                # attached whenever the line constant is integral
-                base = N1 * Q1 + N2 * Q2
-                pts = ()
-                if base % D4 == 0:
-                    S = base // D4
-                    pts = tuple(
-                        (x, S - x) for x in range(lam1 + 1) if 0 <= S - x <= lam2
-                    )
+                # empty unless the line constant is integral
+                pts = _line_points(N1 * Q1 + N2 * Q2, D4, D4, lam1, lam2)
                 rows.append(
                     FeasibleRow(
                         4, n, r1, r2, N1, N2, lam1, lam2,
@@ -433,21 +428,15 @@ def _scan4_one_n(n: int) -> list:
     return rows
 
 
-def scan_relative4(max_n: int, threads: int = 1) -> list:
+def scan_relative4(max_n: int) -> list:
     """All strength-4 feasible rows with n <= max_n: shells are 3-designs
     (coverage constants integral at strengths 1..3, lam3 >= 1) whose block
     counts sum to n(n+1)/2."""
     if max_n < 5:
         raise ValueError("max_n must be >= 5")
-    ns = range(6, max_n + 1)  # r window needs 3 <= r1 < r2 <= n-2
     rows = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_scan4_one_n, ns):
-                rows.extend(part)
-    else:
-        for n in ns:
-            rows.extend(_scan4_one_n(n))
+    for n in range(6, max_n + 1):  # r window needs 3 <= r1 < r2 <= n-2
+        rows.extend(_scan4_one_n(n))
     rows.sort(key=_row_sort_key)
     return rows
 

@@ -18,6 +18,7 @@ from tightrel import (
     p_ell_formula,
     p_ell_t_formula,
     prop44_check,
+    relative_design_oracle,
     tight_size,
 )
 from tightrel.designs import bits_of, mask_of
@@ -76,6 +77,22 @@ def test_thm34_shell_precondition(fano):
     broken = Design(7, tuple(blocks))
     cand = RelativeCandidate.from_designs(broken, complement(fano))
     assert check_via_thm34(cand, 3) == (False, None)
+
+
+def test_thm34_verdict_when_t_exceeds_shell_size(fano_pair):
+    # t-1 = 4 > r1 = 3: a verdict, and the oracle's truth value
+    assert relative_design_oracle(fano_pair, 5) == (False, (4, (0, 1, 2, 3)))
+    assert check_via_thm34(fano_pair, 5) == (False, None)
+    # the complete shells are relative t-designs for every t, weights aside
+    n = 7
+    shells = [
+        Design(n, tuple(mask_of(c) for c in itertools.combinations(range(n), r)))
+        for r in (2, 3)
+    ]
+    cand = RelativeCandidate.from_designs(*shells, 1, 2)
+    for t in range(2, n + 1):
+        assert relative_design_oracle(cand, t) == (True, None)
+        assert check_via_thm34(cand, t) == (True, None)
 
 
 def test_thm34_agrees_fano_swapped_union(fano, fano_swapped):

@@ -86,6 +86,19 @@ def test_check_relative_tight_failure_sets_exit(capsys, fano_pair_file):
     assert out[-1] == "tight: false"
 
 
+def test_check_relative_tight_unknown_t(capsys, fano_pair_file):
+    # no tight bound is known at t = 6 or t = 2; a false verdict is still
+    # "tight: false", and only a true one needs the bound
+    assert main(["check-relative", str(fano_pair_file), "--t", "6", "--tight"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "relative-design: false  witness: s=4 S=(0,1,2,3)\ntight: false\n"
+    assert out.err == ""
+    assert main(["check-relative", str(fano_pair_file), "--t", "2", "--tight"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "relative-design: true\n"
+    assert out.err == "error: tight size known here only for t in {3,4,5}\n"
+
+
 def test_check_relative_allow_trivial(capsys, tmp_path):
     near = Design(7, tuple(mask_of(b) for b in itertools.combinations(range(7), 1)))
     mid = Design(7, tuple(mask_of(b) for b in itertools.combinations(range(7), 3)))
@@ -241,15 +254,30 @@ def test_help_exits_zero(capsys):
     assert "verify" in capsys.readouterr().out
 
 
-def _run_fano_verify(prefix, tmp_path, fano):
-    """Run `<prefix> verify fano.blk --t 2` in tmp_path against this tightrel."""
-    save_design(fano, tmp_path / "fano.blk")
+def _child_env():
+    """The environment with this tightrel first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(tightrel.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_out_concurrent_futures(tmp_path):
+    code = "import sys, tightrel.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _run_fano_verify(prefix, tmp_path, fano):
+    """Run `<prefix> verify fano.blk --t 2` in tmp_path against this tightrel."""
+    save_design(fano, tmp_path / "fano.blk")
     proc = subprocess.run(
         [*prefix, "verify", "fano.blk", "--t", "2"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "t-design: true  lambda=[7,3,1]\n"

@@ -1,7 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
+
+from tightrel import feasibility
 
 from tightrel import (
     DesignParams,
@@ -16,7 +20,7 @@ from tightrel import (
     scan_relative4,
     symmetric_square_test,
 )
-from tightrel.feasibility import TSV_HEADER, brc_form, _normalize_ternary
+from tightrel.feasibility import TSV_HEADER, brc_form, _line_points, _normalize_ternary
 
 
 def test_square_test_frozen():
@@ -297,10 +301,6 @@ def test_scan3_validation():
         scan_relative3(31, cases=set())
 
 
-def test_scan3_thread_determinism():
-    assert scan_relative3(45, threads=2) == scan_relative3(45)
-
-
 MAINS_LE16 = {
     (11, 5, 6, 33, 33, 2, 4),
     (16, 6, 7, 56, 80, 2, 5),
@@ -358,10 +358,6 @@ def test_scan4_validation():
         scan_relative4(4)
 
 
-def test_scan4_thread_determinism():
-    assert scan_relative4(20, threads=2) == scan_relative4(20)
-
-
 def test_annotate_routes_to_symmetric_tests():
     rows = annotate_existence(scan_relative3(31, cases={1}))
     for r in rows:
@@ -395,3 +391,92 @@ def test_rows_to_tsv_placeholders():
     row = FeasibleRow(4, 11, 5, 6, 33, 33, 2, 4, Fraction(1), (), 0, False)
     line = rows_to_tsv([row], header=False).strip()
     assert line == "11\t5\t6\t33\t33\t2\t4\t1/1\t-\t-\t-\t-"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form balance lines against the direct searches they replaced
+
+
+def _line_points_reference(base, den, step, lam1, lam2):
+    """Every y in 0..lam2 tried in turn."""
+    pts = []
+    for y in range(lam2 + 1):
+        num = base - step * y
+        if num < 0:
+            break
+        if num % den == 0:
+            x = num // den
+            if x <= lam1:
+                pts.append((x, y))
+    pts.sort()
+    return tuple(pts)
+
+
+def _ratio_rows_reference(t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, D, case):
+    """Every coprime (d1, d2) in lam1 x lam2 tried in turn."""
+    rows = []
+    for d1 in range(1, lam1 + 1):
+        for d2 in range(1, lam2 + 1):
+            if d1 == d2 or math.gcd(d1, d2) != 1:
+                continue
+            pts = _line_points_reference(
+                P1 * d2 + P2 * d1, D * d2, D * d1, lam1, lam2
+            )
+            if len(pts) >= 2:
+                rows.append(
+                    FeasibleRow(
+                        t, n, r1, r2, N1, N2, lam1, lam2,
+                        Fraction(d1, d2), pts, case, feasibility._star(n, r1, r2),
+                    )
+                )
+    return rows
+
+
+@given(
+    base=st.integers(-50, 5000),
+    den=st.integers(1, 60),
+    step=st.integers(1, 60),
+    lam1=st.integers(0, 80),
+    lam2=st.integers(0, 80),
+    g=st.sampled_from([1, 1, 2, 3, 12]),
+)
+@example(base=-7, den=3, step=2, lam1=10, lam2=10, g=1)
+@example(base=360, den=1, step=7, lam1=80, lam2=80, g=1)
+@example(base=360, den=1, step=7, lam1=20, lam2=30, g=1)
+@example(base=720, den=5, step=3, lam1=80, lam2=80, g=12)
+@example(base=84, den=1, step=1, lam1=50, lam2=40, g=12)
+def test_line_points_matches_search(base, den, step, lam1, lam2, g):
+    # g scales den and step by a common factor, so gcd(den, step) > 1 is common
+    den, step = den * g, step * g
+    expect = _line_points_reference(base, den, step, lam1, lam2)
+    assert _line_points(base, den, step, lam1, lam2) == expect
+
+
+def test_line_points_edges():
+    assert _line_points(-6, 2, 3, 10, 10) == ()
+    assert _line_points(7, 2, 4, 10, 10) == ()  # gcd 2 does not divide 7
+    assert _line_points(12, 1, 3, 12, 4) == ((0, 4), (3, 3), (6, 2), (9, 1), (12, 0))
+    assert _line_points(12, 1, 3, 5, 4) == ((0, 4), (3, 3))
+
+
+def test_scans_match_reference_search(monkeypatch):
+    # every balance line of both scans, equal-weight ones included, against
+    # the searches; the full row lists cover every (n, r1, r2[, N1])
+    rows3, rows4 = scan_relative3(100), scan_relative4(40)
+    monkeypatch.setattr(feasibility, "_line_points", _line_points_reference)
+    monkeypatch.setattr(feasibility, "_ratio_rows", _ratio_rows_reference)
+    assert rows3 == scan_relative3(100)
+    assert rows4 == scan_relative4(40)
+
+
+SCAN_SHA256 = {
+    (3, 200): "c4089243e37a2a93ffad98575bfcfddafc94cb7c6baca487a6ef86e7a36cdcef",
+    (4, 50): "87dcef2f8b861202208e4713ad6bd6fca34eb86300f03642666ee130495af191",
+}
+
+
+@pytest.mark.parametrize("t, max_n", sorted(SCAN_SHA256))
+def test_annotated_scan_digest(t, max_n):
+    scan = scan_relative3 if t == 3 else scan_relative4
+    text = rows_to_tsv(annotate_existence(scan(max_n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256[(t, max_n)]
