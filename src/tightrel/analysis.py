@@ -86,7 +86,10 @@ def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
         formula = ((r_other - t + 1) * lam_tm1 - (n - t + 1) * lam_t) / (
             (r_other - r) * w
         )
-        ok_d, observed = is_t_design(design, t - 1)
+        # an r-block holds no (t-1)-subset when r < t-1: check at strength r
+        ok_d, observed = is_t_design(design, min(t - 1, r))
+        if ok_d:
+            observed = observed + [0] * (t - len(observed))
         matches = bool(ok_d) and Fraction(observed[t - 1]) == formula
         reports.append(
             ShellReport(r, bool(ok_d), tuple(observed) if ok_d else None, formula, matches)

@@ -32,6 +32,7 @@ than the search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -456,10 +457,12 @@ def _shell_verdict(n: int, r: int, lam: int, N: int, t: int) -> NonexistenceVerd
 
 def annotate_existence(rows) -> list:
     """Attach one nonexistence verdict per shell to every row."""
+    # rows share shells and verdicts are frozen: test each distinct shell once
+    verdict = functools.cache(_shell_verdict)
     out = []
     for row in rows:
-        v1 = _shell_verdict(row.n, row.r1, row.lam1, row.N1, row.t)
-        v2 = _shell_verdict(row.n, row.r2, row.lam2, row.N2, row.t)
+        v1 = verdict(row.n, row.r1, row.lam1, row.N1, row.t)
+        v2 = verdict(row.n, row.r2, row.lam2, row.N2, row.t)
         out.append(replace(row, verdicts=(v1, v2)))
     return out
 

@@ -13,6 +13,10 @@ w * N / C(n,r).  Q1 is the degree-1 Krawtchouk polynomial; the distance
 from a weight-1 word e_i to a weight-r word x is r-1 or r+1 according to
 whether coordinate i lies in the support of x, which is what makes the
 per-block product a function of |B cap S| alone.
+
+The oracle packs blocks and subsets into uint64 words (two for n > 64), takes
+|B cap S| as a popcount, and weighs each subset's histogram of |B cap S| with
+exact Python integers, so weights of any size share one scan.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -230,38 +234,32 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
-def _bit_matrix(design: Design, n: int) -> np.ndarray:
-    mat = np.zeros((design.num_blocks, n), dtype=np.int64)
-    for row, b in enumerate(design.blocks):
-        for i in range(n):
-            if (b >> i) & 1:
-                mat[row, i] = 1
-    return mat
+_SLICE = 4096  # subsets packed and tested per numpy step
 
 
-def _subset_chunks(n: int, s: int, chunk: int):
-    it = combinations(range(n), s)
-    while True:
-        batch = list(islice(it, chunk))
-        if not batch:
-            return
-        yield batch
+def _pack(masks, words: int) -> np.ndarray:
+    """Bit masks as rows of `words` little-endian uint64 words."""
+    low = (1 << 64) - 1
+    return np.array(
+        [[(m >> (64 * k)) & low for k in range(words)] for m in masks], dtype=np.uint64
+    )
 
 
-def relative_design_oracle(cand: RelativeCandidate, t: int, chunk: int = 4096):
+def relative_design_oracle(cand: RelativeCandidate, t: int):
     """Check the two-shell moment identity for every subset size s = 1..t.
 
     Returns (True, None), or (False, (s, subset)) with the lexicographically
     smallest failing coordinate subset.  Subset sizes are scanned in
     ascending order and subsets in lexicographic order, so the witness is
-    deterministic.
+    deterministic.  The sums are exact integers for weights of any size.
     """
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
     iw = [int(cand.w1 * scale), int(cand.w2 * scale)]
-    mats = [_bit_matrix(d, n) for _, d, _ in cand.shells()]
+    words = (n + 63) // 64
+    packed = [_pack(d.blocks, words) for _, d, _ in cand.shells()]
 
     for s in range(1, t + 1):
         lhs = Fraction(0)
@@ -273,52 +271,35 @@ def relative_design_oracle(cand: RelativeCandidate, t: int, chunk: int = 4096):
             return False, (s, tuple(range(s)))
         target = lhs_scaled.numerator
 
-        tables = []
-        bound = 0
-        for (r, d, w), p in zip(cand.shells(), iw):
-            a = n - 2 * (r - 1)
-            b = n - 2 * (r + 1)
-            tbl = [a**c * b ** (s - c) for c in range(s + 1)]
-            tables.append(tbl)
-            bound += p * d.num_blocks * max(abs(v) for v in tbl)
-        if bound < 2**62:
-            witness = _oracle_scan_fast(n, s, mats, tables, iw, target, chunk)
-        else:
-            witness = _oracle_scan_exact(cand, n, s, tables, iw, target)
-        if witness is not None:
-            return False, (s, witness)
+        # coef[c]: scaled weight of one block meeting S in c points
+        coefs = [
+            np.array(
+                [p * (n - 2 * (r - 1)) ** c * (n - 2 * (r + 1)) ** (s - c) for c in range(s + 1)],
+                dtype=object,
+            )
+            for (r, _, _), p in zip(cand.shells(), iw)
+        ]
+        it = combinations(range(n), s)
+        while True:
+            idx = np.fromiter(chain.from_iterable(islice(it, _SLICE)), np.intp).reshape(-1, s)
+            if not len(idx):
+                break
+            bit = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
+            own = (idx >> 6)[..., None] == np.arange(words)
+            subsets = np.where(own, bit[..., None], np.uint64(0)).sum(axis=1, dtype=np.uint64)
+            # row i of hist counts the blocks meeting subset i in c points at
+            # column c, so each row sums to the shell size and fits int64
+            offset = (s + 1) * np.arange(len(idx))[:, None]
+            total = 0
+            for blocks, coef in zip(packed, coefs):
+                meet = sum(
+                    np.bitwise_count(subsets[:, None, k] & blocks[:, k]) for k in range(words)
+                )
+                hist = np.bincount(
+                    np.add(meet, offset, dtype=np.intp).ravel(), minlength=(s + 1) * len(idx)
+                )
+                total = total + hist.reshape(-1, s + 1).astype(object) @ coef
+            bad = np.flatnonzero(total != target)
+            if bad.size:
+                return False, (s, tuple(idx[bad[0]].tolist()))
     return True, None
-
-
-def _oracle_scan_fast(n, s, mats, tables, iw, target, chunk):
-    np_tables = [np.array(tbl, dtype=np.int64) for tbl in tables]
-    for batch in _subset_chunks(n, s, chunk):
-        ind = np.zeros((len(batch), n), dtype=np.int64)
-        for row, sub in enumerate(batch):
-            ind[row, list(sub)] = 1
-        totals = np.zeros(len(batch), dtype=np.int64)
-        for mat, tbl, p in zip(mats, np_tables, iw):
-            counts = mat @ ind.T  # |B cap S| for every block/subset pair
-            totals += p * tbl[counts].sum(axis=0)
-        bad = np.nonzero(totals != target)[0]
-        if bad.size:
-            return batch[int(bad[0])]
-    return None
-
-
-def _oracle_scan_exact(cand, n, s, tables, iw, target):
-    # big-integer fallback for sizes where int64 products could overflow
-    shell_blocks = [d.blocks for _, d, _ in cand.shells()]
-    for sub in combinations(range(n), s):
-        m = 0
-        for i in sub:
-            m |= 1 << i
-        total = 0
-        for blocks, tbl, p in zip(shell_blocks, tables, iw):
-            acc = 0
-            for b in blocks:
-                acc += tbl[(b & m).bit_count()]
-            total += p * acc
-        if total != target:
-            return sub
-    return None

@@ -52,6 +52,25 @@ def test_kageyama_not_applicable_on_unbalanced_weights(fano):
     assert rep == type(rep)(False, 3, None, None)
 
 
+def test_kageyama_when_t_exceeds_shell_size():
+    # t-1 = 3 > r1 = 2: the 2-shell is checked at strength 2 and holds no
+    # 3-subset, so its observed lam_3 is 0, as the closed form says
+    n = 7
+    shells = [
+        Design(n, tuple(mask_of(c) for c in itertools.combinations(range(n), r)))
+        for r in (2, 3)
+    ]
+    cand = RelativeCandidate.from_designs(*shells, allow_trivial=True)
+    assert relative_design_oracle(cand, 4) == (True, None)
+    assert check_via_thm34(cand, 4) == (True, None)
+    rep = kageyama_constituents(cand, 4)
+    assert rep.applicable and rep.weighted_lambda == (1, 0)
+    s1, s2 = rep.shells
+    assert (s1.r, s1.lambda_observed, s1.lambda_formula) == (2, (21, 6, 1, 0), 0)
+    assert (s2.r, s2.lambda_observed, s2.lambda_formula) == (3, (35, 15, 5, 1), 1)
+    assert s1.matches and s2.matches
+
+
 def test_kageyama_rejects_small_t(fano_pair):
     with pytest.raises(ValueError):
         kageyama_constituents(fano_pair, 1)

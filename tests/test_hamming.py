@@ -1,22 +1,27 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tightrel import (
     Design,
     FormatError,
     RelativeCandidate,
     complement,
+    construct_paley_hadamard,
+    construct_witt_23,
+    derived,
     krawtchouk,
     load_candidate,
     relative_design_oracle,
+    residual,
     save_candidate,
     shell_moment,
 )
-from tightrel.designs import mask_of
-from tightrel import hamming
+from tightrel.designs import bits_of, mask_of
 
 
 def test_krawtchouk_known_values():
@@ -205,10 +210,9 @@ def test_oracle_unbalanced_weights_fail_at_s3(fano, paley11):
     assert not ok and witness == (3, (0, 1, 2))
 
 
-def test_oracle_fast_and_exact_paths_agree(fano, paley11):
+def test_oracle_is_homogeneous_in_weights(fano, paley11):
     # the identity is homogeneous in the weights, so scaling both by 2**64
-    # changes nothing except forcing the big-integer path; verdicts and
-    # witnesses must coincide with the int64 path on the original weights
+    # must leave every verdict and witness as it is on the original weights
     big = 2**64
     for base, t in (
         ((fano, complement(fano), 1, 1), 3),
@@ -217,33 +221,102 @@ def test_oracle_fast_and_exact_paths_agree(fano, paley11):
         ((paley11, complement(paley11), 1, 1), 3),
     ):
         d_a, d_b, wa, wb = base
-        fast = relative_design_oracle(RelativeCandidate.from_designs(d_a, d_b, wa, wb), t)
-        slow = relative_design_oracle(
+        small = relative_design_oracle(RelativeCandidate.from_designs(d_a, d_b, wa, wb), t)
+        scaled = relative_design_oracle(
             RelativeCandidate.from_designs(d_a, d_b, wa * big, wb * big), t
         )
-        assert fast == slow
+        assert small == scaled
 
 
-def test_oracle_routes_to_exact_on_huge_weights(monkeypatch, fano):
-    # weights this large overflow the int64 envelope, forcing the exact path
-    big = Fraction(2**64)
-    cand = RelativeCandidate.from_designs(fano, complement(fano), big, big)
+def _reference_oracle(cand, t):
+    """The moment identity in plain Python integers, one subset at a time,
+    returning the lexicographically first failing subset."""
+    n = cand.n
+    scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
+    for s in range(1, t + 1):
+        lhs = Fraction(0)
+        for r, d, w in cand.shells():
+            lhs += w * d.num_blocks * Fraction(shell_moment(n, s, r), math.comb(n, r))
+        if (lhs * scale).denominator != 1:
+            return False, (s, tuple(range(s)))
+        for sub in itertools.combinations(range(n), s):
+            m = mask_of(sub)
+            total = 0
+            for r, d, w in cand.shells():
+                a, b = n - 2 * (r - 1), n - 2 * (r + 1)
+                p = int(w * scale)
+                for block in d.blocks:
+                    c = (block & m).bit_count()
+                    total += p * a**c * b ** (s - c)
+            if total != lhs * scale:
+                return False, (s, sub)
+    return True, None
 
-    def boom(*a, **k):
-        raise AssertionError("fast path must not run")
 
-    monkeypatch.setattr(hamming, "_oracle_scan_fast", boom)
-    ok, witness = relative_design_oracle(cand, 3)
-    assert ok and witness is None
+@functools.cache
+def _base_pairs():
+    witt = construct_witt_23()
+    y6, y7 = derived(witt, 0), residual(witt, 0)
+    pairs = [(d, complement(d)) for d in (construct_paley_hadamard(q) for q in (7, 11))]
+    return pairs + [(y6, y7), (y6, complement(y7))]
 
 
-def test_oracle_uses_fast_path_for_small_candidates(monkeypatch, fano_pair):
-    def boom(*a, **k):
-        raise AssertionError("exact path must not run")
+_weights = st.fractions(min_value=Fraction(1, 8), max_value=8) | st.builds(
+    Fraction, st.integers(1, 2**66), st.integers(1, 2**66)
+)
 
-    monkeypatch.setattr(hamming, "_oracle_scan_exact", boom)
-    ok, witness = relative_design_oracle(fano_pair, 3)
-    assert ok and witness is None
+
+@st.composite
+def _candidates(draw):
+    """A relabelled base pair with one block deleted, replaced or swapped
+    with another on a point (which keeps every point count), under random
+    weights; t in 1..4."""
+    pair = draw(st.sampled_from(_base_pairs()))
+    n = pair[0].n
+    perm = draw(st.permutations(range(n)))
+    shells = [[mask_of(perm[i] for i in bits_of(b)) for b in d.blocks] for d in pair]
+    blocks = shells[draw(st.integers(0, 1))]
+    i, j = (draw(st.integers(0, len(blocks) - 1)) for _ in range(2))
+    edit = draw(st.sampled_from(["keep", "keep", "delete", "replace", "swap"]))
+    if edit == "delete" and len(blocks) > 1:
+        del blocks[i]
+    elif edit == "replace":
+        blocks[i] = mask_of(draw(st.permutations(range(n)))[: blocks[i].bit_count()])
+    elif edit == "swap" and blocks[i] != blocks[j]:
+        x = draw(st.sampled_from(bits_of(blocks[i] & ~blocks[j])))
+        y = draw(st.sampled_from(bits_of(blocks[j] & ~blocks[i])))
+        blocks[i] ^= 1 << x | 1 << y
+        blocks[j] ^= 1 << x | 1 << y
+    w1 = draw(_weights)
+    w2 = w1 if draw(st.booleans()) else draw(_weights)
+    cand = RelativeCandidate.from_designs(
+        Design(n, tuple(shells[0])), Design(n, tuple(shells[1])), w1, w2
+    )
+    return cand, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_candidates())
+def test_oracle_matches_reference(case):
+    cand, t = case
+    assert relative_design_oracle(cand, t) == _reference_oracle(cand, t)
+
+
+@pytest.mark.parametrize("n", [64, 65, 128])
+def test_oracle_across_word_boundaries(n):
+    # the complete r=1 and r=n-1 shells pass at every strength under any
+    # weights; moving the singleton at n-2 onto n-1 breaks the identity first
+    # at (n-2,), which lies in the second uint64 word from n = 66 on
+    full = (1 << n) - 1
+    low = Design(n, tuple(1 << i for i in range(n)))
+    high = Design(n, tuple(full ^ (1 << i) for i in range(n)))
+    moved = Design(n, tuple(1 << i for i in range(n - 2)) + (1 << (n - 1),) * 2)
+    for w1, w2 in ((1, 2), (Fraction(2**64 + 1, 3), Fraction(2**65, 2**64 - 1))):
+        cand = RelativeCandidate.from_designs(low, high, w1, w2, allow_trivial=True)
+        assert relative_design_oracle(cand, 2) == (True, None)
+        cand = RelativeCandidate.from_designs(moved, high, w1, w2, allow_trivial=True)
+        assert relative_design_oracle(cand, 2) == (False, (1, (n - 2,)))
+        assert _reference_oracle(cand, 2) == (False, (1, (n - 2,)))
 
 
 def test_oracle_validates_t(fano_pair):
