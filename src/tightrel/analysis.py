@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .designs import (
     Design,
+    _first_off_target,
+    _first_uncovered,
     bits_of,
     complement,
-    coverage_map,
     is_regular_twise_balanced,
     is_t_design,
 )
@@ -69,6 +69,17 @@ class KageyamaReport:
     shells: tuple | None
 
 
+def _shell_lambdas(design: Design, t: int):
+    """(lam_0, ..., lam_{t-1}) of a shell that is a (t-1)-design, else None.
+
+    An r-block holds no (t-1)-subset when r < t-1, so such a shell is checked
+    at strength r (strength 0 always holds) and padded with zeros.
+    """
+    j = min(t - 1, design.uniform_size())
+    ok, lams = is_t_design(design, j) if j >= 1 else (True, [design.num_blocks])
+    return lams + [0] * (t - len(lams)) if ok else None
+
+
 def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -86,13 +97,11 @@ def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
         formula = ((r_other - t + 1) * lam_tm1 - (n - t + 1) * lam_t) / (
             (r_other - r) * w
         )
-        # an r-block holds no (t-1)-subset when r < t-1: check at strength r
-        ok_d, observed = is_t_design(design, min(t - 1, r))
-        if ok_d:
-            observed = observed + [0] * (t - len(observed))
-        matches = bool(ok_d) and Fraction(observed[t - 1]) == formula
+        observed = _shell_lambdas(design, t)
+        ok_d = observed is not None
+        matches = ok_d and Fraction(observed[t - 1]) == formula
         reports.append(
-            ShellReport(r, bool(ok_d), tuple(observed) if ok_d else None, formula, matches)
+            ShellReport(r, ok_d, tuple(observed) if ok_d else None, formula, matches)
         )
     return KageyamaReport(True, t, (lam_tm1, lam_t), tuple(reports))
 
@@ -111,24 +120,18 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")
     n = cand.n
-    for r, design, _ in cand.shells():
-        j = min(t - 1, r)
-        ok, _ = is_t_design(design, j) if j >= 1 else (True, None)
-        if not ok:
-            return False, None
-    rhs = Fraction(0)
-    for r, design, w in cand.shells():
-        prod = Fraction(1)
-        for j in range(t):
-            prod *= Fraction(r - j, n - j)
-        rhs += design.num_blocks * w * prod
-    cov1 = coverage_map(cand.design1, t)
-    cov2 = coverage_map(cand.design2, t)
-    w1, w2 = cand.w1, cand.w2
-    for sub in combinations(range(n), t):
-        if w1 * cov1.get(sub, 0) + w2 * cov2.get(sub, 0) != rhs:
-            return False, sub
-    return True, None
+    if any(_shell_lambdas(design, t) is None for _, design, _ in cand.shells()):
+        return False, None
+    scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
+    iw = {r: int(w * scale) for r, _, w in cand.shells()}
+    # prod_{j<t} (r-j)/(n-j) = P(r,t)/P(n,t), which is 0 when t > r
+    target = sum(
+        Fraction(d.num_blocks * iw[r] * math.perm(r, t), math.perm(n, t))
+        for r, d, _ in cand.shells()
+    )
+    blocks = cand.design1.blocks + cand.design2.blocks
+    witness = _first_off_target(n, blocks, t, iw, target)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +236,9 @@ def prop44_check(cand: RelativeCandidate):
     ok, _ = check_via_thm34(cand, 3)
     if not ok:
         return "not-applicable", "not a relative 3-design"
-    cov1 = coverage_map(cand.design1, 3)
-    full = (1 << cand.n) - 1
-    for b in cand.design2.blocks:
-        outside = bits_of(full ^ b)  # exactly r1 points
-        for triple in combinations(outside, 3):
-            if triple not in cov1:
-                return "fails", (bits_of(b), triple)
-    return "holds", None
+    full, blocks = (1 << cand.n) - 1, cand.design2.blocks
+    found = _first_uncovered(cand.n, cand.design1.blocks, [full ^ b for b in blocks], 3)
+    if found is None:
+        return "holds", None
+    i, triple = found
+    return "fails", (bits_of(blocks[i]), triple)

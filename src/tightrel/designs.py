@@ -3,8 +3,9 @@ and two classical constructions (quadratic-residue translates, the
 4-(23,7,1) design from the length-23 residue code).
 
 Blocks are stored as int bitsets, so membership tests and complements are
-single integer operations.  All counting is exact; weighted counts use
-fractions.Fraction.
+single integer operations.  All counting is exact: coverage is counted by
+ranking each block's j-subsets among the j-subsets of range(n) and counting
+the ranks with numpy; weighted sums are Python ints.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+
+import numpy as np
 
 MAX_POINTS = 128  # blocks fit in two machine words
 
@@ -176,25 +179,125 @@ def lambda_count(design: Design, subset) -> int:
     return sum(1 for b in design.blocks if b & m == m)
 
 
+def _rank_dtype(n: int, j: int):
+    """Narrowest exact dtype for the ranks 0..C(n,j)-1."""
+    total = math.comb(n, j)
+    return np.int32 if total < 2**31 else np.int64 if total < 2**63 else object
+
+
+def _colex_weights(n: int, j: int, i: int, dtype) -> np.ndarray:
+    """C(m, j-i) for m = 0..n-1-i: the colex weights of subset position i,
+    which holds a reflected point n-1-a_i <= n-1-i.  Each entry is at most
+    C(n-1-i, j-i) < C(n,j), so it fits the rank dtype."""
+    return np.array([math.comb(m, j - i) for m in range(n - i)], dtype=dtype)
+
+
+def _subset_ranks(n: int, r: int, blocks, j: int) -> np.ndarray:
+    """Lex ranks of the j-subsets of each r-block, one row per block in the
+    order given, columns in combinations(block, j) order.
+
+    {a_0 < ... < a_{j-1}} has lex rank C(n,j) - 1 - sum_i C(n-1-a_i, j-i):
+    the sum is the colex rank of {n-1-a_i} in the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3).  Sorted ranks list subsets in the
+    order of combinations(range(n), j).
+    """
+    dtype = _rank_dtype(n, j)
+    flipped = np.array([[n - 1 - a for a in bits_of(b)] for b in blocks], np.uint8)
+    picks = np.array(list(combinations(range(r), j)), np.intp).reshape(math.comb(r, j), j)
+    ranks = np.full((len(blocks), len(picks)), math.comb(n, j) - 1, dtype=dtype)
+    for i in range(j):
+        # one column at a time, so no (N, C(r,j), j) array is built
+        ranks -= _colex_weights(n, j, i, dtype)[flipped[:, picks[:, i]]]
+    return ranks
+
+
+def _unrank(n: int, j: int, ranks) -> list[tuple[int, ...]]:
+    """The j-subsets of range(n) with the given lex ranks, as tuples."""
+    dtype = _rank_dtype(n, j)
+    colex = math.comb(n, j) - 1 - np.asarray(ranks, dtype=dtype)
+    points = np.empty((len(colex), j), dtype=np.intp)
+    for i in range(j):
+        weights = _colex_weights(n, j, i, dtype)
+        # greedy colex digit: the largest m with C(m, j-i) <= colex
+        m = np.searchsorted(weights, colex, side="right") - 1
+        points[:, i] = n - 1 - m
+        colex = colex - weights[m]
+    return [tuple(row) for row in points.tolist()]
+
+
+def _coverage(n: int, blocks, j: int):
+    """Sorted lex ranks of the j-subsets inside some block, and how many
+    blocks (int64, with multiplicity) contain each."""
+    classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
+    ranks = np.concatenate(
+        [np.empty(0, _rank_dtype(n, j))]
+        + [_subset_ranks(n, r, list(group), j).ravel() for r, group in classes]
+    )
+    return np.unique(ranks, return_counts=True)
+
+
+def _first_off_target(n: int, blocks, j: int, weight, target):
+    """The lex-first j-subset of range(n) whose coverage sum, each block
+    counted weight[its size] times, is not `target` (a j-subset in no block
+    sums to 0); None when there is none."""
+    classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
+    counted = [(*_coverage(n, list(group), j), weight[r]) for r, group in classes]
+    # with return_counts, np.unique skips the np.ma check that imports
+    # numpy.ma (about 16 ms) on a process's first call
+    keys, _ = np.unique(
+        np.concatenate([np.empty(0, _rank_dtype(n, j))] + [k for k, _, _ in counted]),
+        return_counts=True,
+    )
+    totals = np.zeros(len(keys), dtype=object)
+    for k, c, w in counted:
+        totals[np.searchsorted(keys, k)] += c.astype(object) * w  # exact Python ints
+    failing = keys[totals != target][:1].tolist()
+    if target != 0 and len(keys) < math.comb(n, j):
+        # covered ranks 0..m-1 are exactly the keys equal to their own index
+        failing.append(int(np.count_nonzero(keys == np.arange(len(keys)))))
+    return _unrank(n, j, [min(failing)])[0] if failing else None
+
+
+def _first_uncovered(n: int, blocks, sets, j: int):
+    """(i, s) for the first of `sets` (all of one size) that holds a j-subset
+    s inside no block, with s its lex-first such subset; None when every
+    j-subset of every set is covered."""
+    covered, _ = _coverage(n, blocks, j)
+    ranks = _subset_ranks(n, sets[0].bit_count(), sets, j)
+    missing = np.argwhere(~np.isin(ranks, covered))
+    if not len(missing):
+        return None
+    i, k = missing[0]
+    return int(i), _unrank(n, j, [ranks[i, k]])[0]
+
+
+def _dense_coverage(n: int, blocks, j: int) -> np.ndarray:
+    """How many blocks contain each j-subset of range(n), in lex order."""
+    keys, counts = _coverage(n, blocks, j)
+    dense = np.zeros(math.comb(n, j), dtype=np.int64)
+    dense[keys] = counts
+    return dense
+
+
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
     """Coverage count of every j-subset that lies in at least one block.
 
-    Keys are ascending index tuples; subsets covered by no block are absent.
-    Built by incrementing the C(size,j) sub-subsets of each block, which is
-    far cheaper than scanning all C(n,j) subsets against the block list.
+    Keys are ascending index tuples, in lexicographic order; subsets covered
+    by no block are absent.  Built from the ranks of each block's C(size,j)
+    sub-subsets, which is far cheaper than scanning all C(n,j) subsets
+    against the block list.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for b in design.blocks:
-        for sub in combinations(bits_of(b), j):
-            counts[sub] = counts.get(sub, 0) + 1
-    return counts
+    keys, counts = _coverage(design.n, design.blocks, j)
+    return dict(zip(_unrank(design.n, j, keys), counts.tolist()))
 
 
 def is_t_design(design: Design, t: int):
     """Whether every j-subset (j=1..t) lies in a constant number of blocks.
 
     Returns (True, [lam_0, ..., lam_t]) with lam_0 the block count, or
-    (False, None).  Blocks must all have one size r >= t.
+    (False, None).  Blocks must all have one size r >= t.  Only level t is
+    counted: with uniform blocks a t-design is a j-design for every j < t,
+    with lam_j = lam_t C(n-j,t-j) / C(r-j,t-j).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -203,16 +306,15 @@ def is_t_design(design: Design, t: int):
     r = design.uniform_size()
     if t > r:
         raise ValueError("t exceeds the block size")
-    lams = [design.num_blocks]
-    for j in range(1, t + 1):
-        counts = coverage_map(design, j)
-        if len(counts) < math.comb(design.n, j):
-            return False, None  # some j-subset is uncovered while others are not
-        vals = set(counts.values())
-        if len(vals) != 1:
-            return False, None
-        lams.append(vals.pop())
-    return True, lams
+    n = design.n
+    # double counting fixes lam_t; a remainder also rejects at once a design
+    # with too few blocks to cover every t-subset
+    lam_t, rest = divmod(design.num_blocks * math.comb(r, t), math.comb(n, t))
+    if rest or _first_off_target(n, design.blocks, t, {r: 1}, lam_t) is not None:
+        return False, None
+    return True, [
+        lam_t * math.comb(n - j, t - j) // math.comb(r - j, t - j) for j in range(t + 1)
+    ]
 
 
 def is_regular_twise_balanced(design: Design, weights, t: int):
@@ -237,21 +339,14 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
     scale = math.lcm(*(w.denominator for w in wmap.values())) if wmap else 1
     iw = {s: int(w * scale) for s, w in wmap.items()}
     lams = []
+    # with mixed block sizes, balance at level j does not imply balance below
+    # it, so every level is counted against its double-counting value
     for j in range(1, t + 1):
-        counts: dict[tuple[int, ...], int] = {}
-        for b in design.blocks:
-            w = iw[b.bit_count()]
-            for sub in combinations(bits_of(b), j):
-                counts[sub] = counts.get(sub, 0) + w
-        if not counts:
-            lams.append(Fraction(0))
-            continue
-        if len(counts) < math.comb(design.n, j):
+        total = sum(iw[b.bit_count()] * math.comb(b.bit_count(), j) for b in design.blocks)
+        lam, rest = divmod(total, math.comb(design.n, j) or 1)
+        if rest or _first_off_target(design.n, design.blocks, j, iw, lam) is not None:
             return False, None
-        vals = set(counts.values())
-        if len(vals) != 1:
-            return False, None
-        lams.append(Fraction(vals.pop(), scale))
+        lams.append(Fraction(lam, scale))
     return True, lams
 
 

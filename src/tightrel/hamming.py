@@ -61,8 +61,8 @@ def shell_moment(n: int, s: int, r: int) -> int:
     """
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
-    if not 1 <= r <= n - 1:
-        raise ValueError("need 1 <= r <= n-1")
+    if not 0 <= r <= n:
+        raise ValueError("need 0 <= r <= n")
     a = n - 2 * (r - 1)  # Q1(r-1)
     b = n - 2 * (r + 1)  # Q1(r+1)
     total = 0

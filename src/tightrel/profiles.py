@@ -7,7 +7,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .designs import Design, coverage_map
+import numpy as np
+
+from .designs import Design, _coverage, _dense_coverage
 
 __all__ = [
     "LambdaSequence",
@@ -47,24 +49,24 @@ class LambdaSequence:
 def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     """Exact histogram of coverage counts over all C(n,t) t-subsets.
 
-    Cost is N*C(r,t) increments (per-block enumeration) rather than a scan
-    of all C(n,t) subsets against the block list.
+    Cost is ranking and sorting the N*C(r,t) t-subsets of the blocks,
+    rather than a scan of all C(n,t) subsets against the block list.
     """
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    counts = coverage_map(design, t)
-    hist: dict[int, int] = {}
-    for v in counts.values():
-        hist[v] = hist.get(v, 0) + 1
+    _, counts = _coverage(design.n, design.blocks, t)
+    values, sizes = np.unique(counts, return_counts=True)
+    entries = tuple(zip(values.tolist(), sizes.tolist()))
     zeros = math.comb(design.n, t) - len(counts)
     if zeros:
-        hist[0] = zeros
-    entries = tuple(sorted(hist.items()))
+        entries = ((0, zeros),) + entries
     seq = LambdaSequence(t, entries)
     # the two double-counting identities are cheap, so always check them
-    assert seq.total_count() == math.comb(design.n, t)
-    assert seq.weighted_total() == design.num_blocks * math.comb(r, t)
+    if seq.total_count() != math.comb(design.n, t):
+        raise RuntimeError("lambda sequence does not count every t-subset once")
+    if seq.weighted_total() != design.num_blocks * math.comb(r, t):
+        raise RuntimeError("lambda sequence does not count every block's t-subsets once")
     return seq
 
 
@@ -118,9 +120,8 @@ class MultiplicityGraph:
 def multiplicity_graph(design: Design) -> MultiplicityGraph:
     if design.uniform_size() < 3:
         raise ValueError("block size must be at least 3")
-    counts = coverage_map(design, 3)
-    vertices = tuple(combinations(range(design.n), 3))
-    weights = tuple(counts.get(v, 0) for v in vertices)
+    vertices = tuple(combinations(range(design.n), 3))  # in lex order
+    weights = tuple(_dense_coverage(design.n, design.blocks, 3).tolist())
     return MultiplicityGraph(design.n, vertices, weights)
 
 

@@ -111,6 +111,17 @@ def test_check_relative_allow_trivial(capsys, tmp_path):
     assert err.out.splitlines()[-1].startswith("relative-design:")
 
 
+def test_check_relative_allow_trivial_full_shell(capsys, tmp_path, fano):
+    # a shell of one full block gets a verdict, not a usage error
+    cand = RelativeCandidate.from_designs(fano, Design(7, (127,)), allow_trivial=True)
+    p = tmp_path / "full.rel"
+    save_candidate(cand, 3, p)
+    assert main(["check-relative", str(p), "--allow-trivial"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "relative-design: false  witness: s=3 S=(0,1,2)\n"
+    assert out.err == ""
+
+
 def test_lambda_seq(capsys, fano_file):
     assert main(["lambda-seq", str(fano_file), "--t", "3"]) == 0
     assert capsys.readouterr().out == "28*0 7*1\n"

@@ -1,7 +1,9 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tightrel import (
     Design,
@@ -22,6 +24,8 @@ from tightrel import (
     save_design,
 )
 from tightrel.designs import bits_of, mask_of, parse_block_line
+
+from conftest import cheap_levels, designs, reference_coverage
 
 
 def test_bits_mask_round_trip():
@@ -166,6 +170,9 @@ def test_is_t_design_detects_uncovered_subset():
     d = Design(4, (mask_of((0, 1)), mask_of((2, 3))))
     assert is_t_design(d, 2) == (False, None)
     assert is_t_design(d, 1) == (True, [2, 1])
+    # enough blocks to cover every pair, and the covered pairs agree
+    d = Design(4, (mask_of((0, 1, 2)),) * 2)
+    assert is_t_design(d, 2) == (False, None)
 
 
 def test_regular_twise_balanced_mixed_sizes(fano):
@@ -249,3 +256,90 @@ def test_witt_is_steiner_4_cover(witt):
     cov = coverage_map(witt, 4)
     assert len(cov) == math.comb(23, 4)
     assert set(cov.values()) == {1}
+
+
+def _reference_is_t_design(design, t):
+    """Level-by-level check on the dict-of-tuples coverage."""
+    if design.num_blocks == 0:
+        return True, [0] * (t + 1)
+    lams = [design.num_blocks]
+    for j in range(1, t + 1):
+        counts = reference_coverage(design, j)
+        if len(counts) < math.comb(design.n, j) or len(set(counts.values())) != 1:
+            return False, None
+        lams.append(next(iter(counts.values())))
+    return True, lams
+
+
+def _reference_twise_balanced(design, weights, t):
+    scale = math.lcm(*(Fraction(w).denominator for w in weights.values()))
+    iw = {s: int(Fraction(w) * scale) for s, w in weights.items()}
+    lams = []
+    for j in range(1, t + 1):
+        counts = reference_coverage(design, j, iw)
+        if not counts:
+            lams.append(Fraction(0))
+        elif len(counts) < math.comb(design.n, j) or len(set(counts.values())) != 1:
+            return False, None
+        else:
+            lams.append(Fraction(next(iter(counts.values())), scale))
+    return True, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs(uniform=False))
+def test_coverage_map_matches_reference(design):
+    top = max(design.block_sizes(), default=0)
+    for j in [0] + cheap_levels(design, top + 1):
+        cov = coverage_map(design, j)
+        assert cov == reference_coverage(design, j)
+        assert list(cov) == sorted(cov)
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs(), st.data())
+def test_is_t_design_matches_reference(design, data):
+    if design.num_blocks and design.uniform_size() == 0:
+        return
+    top = design.uniform_size() if design.num_blocks else 3
+    t = data.draw(st.sampled_from(cheap_levels(design, top, prefix=True)), label="t")
+    assert is_t_design(design, t) == _reference_is_t_design(design, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs(uniform=False), st.data())
+def test_twise_balanced_matches_reference(design, data):
+    weights = {s: data.draw(st.fractions(Fraction(1, 6), 6), label=f"w{s}") for s in design.block_sizes()}
+    t = data.draw(st.sampled_from(cheap_levels(design, 4, prefix=True)), label="t")
+    got = is_regular_twise_balanced(design, weights, t)
+    assert got == _reference_twise_balanced(design, weights, t)
+
+
+def test_twise_balanced_matches_reference_on_unions(fano, paley11):
+    for d in (fano, paley11):
+        union = Design(d.n, d.blocks + complement(d).blocks)
+        r = d.uniform_size()
+        for w in ({r: 1, r + 1: 1}, {r: Fraction(2, 3), r + 1: Fraction(2, 3)}, {r: 1, r + 1: 3}):
+            for t in (1, 2, 3, 4):
+                expect = _reference_twise_balanced(union, w, t)
+                assert is_regular_twise_balanced(union, w, t) == expect
+
+
+# 2**31 <= C(80, 7) < 2**32 and C(128, 6) < 2**63 <= C(128, 19): int64
+# ranks, then Python ints.  In the other cases C(n, j) fits the rank dtype
+# (int32, or int64 for j = 118) but C(n-1, (n-1)/2) does not, so the weight
+# table of subset position i must stop at C(n-1-i, j-i)
+@pytest.mark.parametrize(
+    "n, size, j",
+    [(80, 20, 7), (128, 20, 6), (128, 20, 19), (37, 36, 35), (40, 39, 38), (128, 127, 126), (128, 119, 118)],
+)
+def test_coverage_at_large_ranks(n, size, j):
+    block = Design(n, (mask_of(range(n - size - 1, n - 1)),) * 2)
+    assert coverage_map(block, j) == reference_coverage(block, j)
+    assert is_t_design(block, j) == (False, None)
+
+
+@pytest.mark.parametrize("n, t", [(37, 35), (40, 38), (128, 126)])
+def test_full_block_is_a_design_at_high_strength(n, t):
+    full = Design(n, ((1 << n) - 1,))
+    assert is_t_design(full, t) == (True, [1] * (t + 1))

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -11,17 +10,15 @@ from tightrel import (
     FormatError,
     RelativeCandidate,
     complement,
-    construct_paley_hadamard,
-    construct_witt_23,
-    derived,
     krawtchouk,
     load_candidate,
     relative_design_oracle,
-    residual,
     save_candidate,
     shell_moment,
 )
-from tightrel.designs import bits_of, mask_of
+from tightrel.designs import mask_of
+
+from conftest import candidates
 
 
 def test_krawtchouk_known_values():
@@ -74,7 +71,7 @@ def _shell_moment_brute(n, s, r):
 @pytest.mark.parametrize("n", [5, 7, 10])
 def test_shell_moment_matches_definition(n):
     for s in range(1, 4):
-        for r in range(1, n):
+        for r in range(0, n + 1):  # the empty and the full shell too
             assert shell_moment(n, s, r) == _shell_moment_brute(n, s, r)
 
 
@@ -253,50 +250,8 @@ def _reference_oracle(cand, t):
     return True, None
 
 
-@functools.cache
-def _base_pairs():
-    witt = construct_witt_23()
-    y6, y7 = derived(witt, 0), residual(witt, 0)
-    pairs = [(d, complement(d)) for d in (construct_paley_hadamard(q) for q in (7, 11))]
-    return pairs + [(y6, y7), (y6, complement(y7))]
-
-
-_weights = st.fractions(min_value=Fraction(1, 8), max_value=8) | st.builds(
-    Fraction, st.integers(1, 2**66), st.integers(1, 2**66)
-)
-
-
-@st.composite
-def _candidates(draw):
-    """A relabelled base pair with one block deleted, replaced or swapped
-    with another on a point (which keeps every point count), under random
-    weights; t in 1..4."""
-    pair = draw(st.sampled_from(_base_pairs()))
-    n = pair[0].n
-    perm = draw(st.permutations(range(n)))
-    shells = [[mask_of(perm[i] for i in bits_of(b)) for b in d.blocks] for d in pair]
-    blocks = shells[draw(st.integers(0, 1))]
-    i, j = (draw(st.integers(0, len(blocks) - 1)) for _ in range(2))
-    edit = draw(st.sampled_from(["keep", "keep", "delete", "replace", "swap"]))
-    if edit == "delete" and len(blocks) > 1:
-        del blocks[i]
-    elif edit == "replace":
-        blocks[i] = mask_of(draw(st.permutations(range(n)))[: blocks[i].bit_count()])
-    elif edit == "swap" and blocks[i] != blocks[j]:
-        x = draw(st.sampled_from(bits_of(blocks[i] & ~blocks[j])))
-        y = draw(st.sampled_from(bits_of(blocks[j] & ~blocks[i])))
-        blocks[i] ^= 1 << x | 1 << y
-        blocks[j] ^= 1 << x | 1 << y
-    w1 = draw(_weights)
-    w2 = w1 if draw(st.booleans()) else draw(_weights)
-    cand = RelativeCandidate.from_designs(
-        Design(n, tuple(shells[0])), Design(n, tuple(shells[1])), w1, w2
-    )
-    return cand, draw(st.integers(1, 4))
-
-
 @settings(max_examples=40, deadline=None)
-@given(_candidates())
+@given(candidates(st.integers(1, 4)))
 def test_oracle_matches_reference(case):
     cand, t = case
     assert relative_design_oracle(cand, t) == _reference_oracle(cand, t)
@@ -317,6 +272,15 @@ def test_oracle_across_word_boundaries(n):
         cand = RelativeCandidate.from_designs(moved, high, w1, w2, allow_trivial=True)
         assert relative_design_oracle(cand, 2) == (False, (1, (n - 2,)))
         assert _reference_oracle(cand, 2) == (False, (1, (n - 2,)))
+
+
+def test_oracle_on_trivial_shells(fano):
+    # the one full block and the one empty block are shells r = n and r = 0
+    full = RelativeCandidate.from_designs(fano, Design(7, (127,)), allow_trivial=True)
+    assert relative_design_oracle(full, 3) == (False, (3, (0, 1, 2)))
+    assert relative_design_oracle(full, 3) == _reference_oracle(full, 3)
+    empty = RelativeCandidate.from_designs(Design(7, (0,)), fano, allow_trivial=True)
+    assert relative_design_oracle(empty, 2) == _reference_oracle(empty, 2) == (True, None)
 
 
 def test_oracle_validates_t(fano_pair):

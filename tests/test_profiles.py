@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from tightrel import (
     Design,
@@ -15,7 +17,7 @@ from tightrel import (
 )
 from tightrel.designs import bits_of, mask_of
 
-from conftest import relabel
+from conftest import cheap_levels, designs, reference_coverage, relabel
 
 
 def test_lambda_sequence_fano(fano):
@@ -42,6 +44,56 @@ def test_lambda_sequence_validates_t(fano):
         lambda_sequence(fano, 0)
     with pytest.raises(ValueError):
         lambda_sequence(fano, 4)
+
+
+def _reference_lambda_sequence(design, t):
+    hist = {}
+    for v in reference_coverage(design, t).values():
+        hist[v] = hist.get(v, 0) + 1
+    zeros = math.comb(design.n, t) - sum(hist.values())
+    if zeros:
+        hist[0] = zeros
+    return tuple(sorted(hist.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs())
+def test_lambda_sequence_matches_reference(design):
+    if not design.num_blocks:
+        return
+    r = design.uniform_size()
+    for t in cheap_levels(design, r):
+        assert lambda_sequence(design, t).entries == _reference_lambda_sequence(design, t)
+    if 3 <= r <= 11 and design.n <= 65:
+        cov = reference_coverage(design, 3)
+        expect = tuple(cov.get(v, 0) for v in itertools.combinations(range(design.n), 3))
+        assert multiplicity_graph(design).weights == expect
+
+
+def test_lambda_sequence_near_block_size(biplane37):
+    # C(37, 27) < 2**31, while C(36, 18) > 2**31 lies outside every weight
+    # table the 27-subsets of the 28-blocks need
+    comp = complement(biplane37)
+    assert lambda_sequence(comp, 27).entries == _reference_lambda_sequence(comp, 27)
+
+
+def test_lambda_sequence_beyond_int64():
+    # C(128, 19) >= 2**63; the lone 20-block covers 20 of the 19-subsets
+    block = Design(128, (mask_of(range(3, 23)),))
+    seq = lambda_sequence(block, 19)
+    assert seq.entries == ((0, 21955357473882018031980), (1, 20))
+    assert seq.entries == _reference_lambda_sequence(block, 19)
+
+
+def test_lambda_sequence_checks_raise(fano, monkeypatch):
+    # the double-counting checks raise, so python -O keeps them: a kernel
+    # that drops a covered t-subset trips the weighted total check
+    import tightrel.profiles as profiles
+
+    real = profiles._coverage
+    monkeypatch.setattr(profiles, "_coverage", lambda *a: tuple(x[1:] for x in real(*a)))
+    with pytest.raises(RuntimeError, match="t-subsets once"):
+        lambda_sequence(fano, 2)
 
 
 def test_lambda_sequence_entry_validation():
