@@ -29,6 +29,7 @@ from .designs import (
     save_design,
 )
 from .feasibility import (
+    admissibility_test,
     annotate_existence,
     brc_test,
     driessen_test,
@@ -119,14 +120,16 @@ def _cmd_nonexist(args) -> int:
     except ValueError:
         raise ValueError(f"--params must be v,k,lam; got {args.params!r}") from None
     params = DesignParams(v, k, lam, args.t)
-    if args.t == 3:
-        verdict = driessen_test(params)
-    elif v % 2 == 0:
-        verdict = symmetric_square_test(params)
-    else:
-        verdict = brc_test(params)
+    verdict = admissibility_test(params)
+    if verdict.outcome == "Passes":
+        if args.t == 3:
+            verdict = driessen_test(params)
+        elif v % 2 == 0:
+            verdict = symmetric_square_test(params)
+        else:
+            verdict = brc_test(params)
     print(verdict.detail)
-    return 1 if verdict.outcome == "RuledOut" else 0
+    return 1 if verdict.outcome in ("RuledOut", "Inadmissible") else 0
 
 
 def _cmd_construct(args) -> int:

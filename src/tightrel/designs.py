@@ -5,7 +5,8 @@ and two classical constructions (quadratic-residue translates, the
 Blocks are stored as int bitsets, so membership tests and complements are
 single integer operations.  All counting is exact: coverage is counted by
 ranking each block's j-subsets among the j-subsets of range(n) and counting
-the ranks with numpy; weighted sums are Python ints.
+the ranks with numpy; weighted sums are Python ints.  The kernel imports
+numpy on its first call, so code that never counts coverage never loads it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-
-import numpy as np
+from itertools import chain, combinations, groupby
 
 MAX_POINTS = 128  # blocks fit in two machine words
+# Bound on both matrices the coverage kernel builds for one block size r:
+# the C(r, j) ranks of each block, and the j positions of each j-subset of
+# an r-set.  Past it the kernel raises ValueError before it allocates,
+# rather than exhaust memory.
+MAX_RANKS = 1 << 24
 
 
 class FormatError(ValueError):
@@ -181,6 +185,8 @@ def lambda_count(design: Design, subset) -> int:
 
 def _rank_dtype(n: int, j: int):
     """Narrowest exact dtype for the ranks 0..C(n,j)-1."""
+    import numpy as np
+
     total = math.comb(n, j)
     return np.int32 if total < 2**31 else np.int64 if total < 2**63 else object
 
@@ -189,6 +195,8 @@ def _colex_weights(n: int, j: int, i: int, dtype) -> np.ndarray:
     """C(m, j-i) for m = 0..n-1-i: the colex weights of subset position i,
     which holds a reflected point n-1-a_i <= n-1-i.  Each entry is at most
     C(n-1-i, j-i) < C(n,j), so it fits the rank dtype."""
+    import numpy as np
+
     return np.array([math.comb(m, j - i) for m in range(n - i)], dtype=dtype)
 
 
@@ -201,10 +209,21 @@ def _subset_ranks(n: int, r: int, blocks, j: int) -> np.ndarray:
     system (Knuth, TAOCP 4A, 7.2.1.3).  Sorted ranks list subsets in the
     order of combinations(range(n), j).
     """
+    per_block = math.comb(r, j)
+    if per_block * max(len(blocks), j) > MAX_RANKS:
+        raise ValueError(
+            f"counting {j}-subsets of {len(blocks)} block(s) of size {r} "
+            f"({per_block:,} per block) exceeds the coverage kernel's limit of "
+            f"{MAX_RANKS:,} ranks or positions"
+        )
+    import numpy as np
+
     dtype = _rank_dtype(n, j)
     flipped = np.array([[n - 1 - a for a in bits_of(b)] for b in blocks], np.uint8)
-    picks = np.array(list(combinations(range(r), j)), np.intp).reshape(math.comb(r, j), j)
-    ranks = np.full((len(blocks), len(picks)), math.comb(n, j) - 1, dtype=dtype)
+    picks = np.fromiter(
+        chain.from_iterable(combinations(range(r), j)), np.uint8, count=per_block * j
+    ).reshape(per_block, j)
+    ranks = np.full((len(blocks), per_block), math.comb(n, j) - 1, dtype=dtype)
     for i in range(j):
         # one column at a time, so no (N, C(r,j), j) array is built
         ranks -= _colex_weights(n, j, i, dtype)[flipped[:, picks[:, i]]]
@@ -213,6 +232,8 @@ def _subset_ranks(n: int, r: int, blocks, j: int) -> np.ndarray:
 
 def _unrank(n: int, j: int, ranks) -> list[tuple[int, ...]]:
     """The j-subsets of range(n) with the given lex ranks, as tuples."""
+    import numpy as np
+
     dtype = _rank_dtype(n, j)
     colex = math.comb(n, j) - 1 - np.asarray(ranks, dtype=dtype)
     points = np.empty((len(colex), j), dtype=np.intp)
@@ -228,6 +249,8 @@ def _unrank(n: int, j: int, ranks) -> list[tuple[int, ...]]:
 def _coverage(n: int, blocks, j: int):
     """Sorted lex ranks of the j-subsets inside some block, and how many
     blocks (int64, with multiplicity) contain each."""
+    import numpy as np
+
     classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
     ranks = np.concatenate(
         [np.empty(0, _rank_dtype(n, j))]
@@ -240,6 +263,8 @@ def _first_off_target(n: int, blocks, j: int, weight, target):
     """The lex-first j-subset of range(n) whose coverage sum, each block
     counted weight[its size] times, is not `target` (a j-subset in no block
     sums to 0); None when there is none."""
+    import numpy as np
+
     classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
     counted = [(*_coverage(n, list(group), j), weight[r]) for r, group in classes]
     # with return_counts, np.unique skips the np.ma check that imports
@@ -262,6 +287,8 @@ def _first_uncovered(n: int, blocks, sets, j: int):
     """(i, s) for the first of `sets` (all of one size) that holds a j-subset
     s inside no block, with s its lex-first such subset; None when every
     j-subset of every set is covered."""
+    import numpy as np
+
     covered, _ = _coverage(n, blocks, j)
     ranks = _subset_ranks(n, sets[0].bit_count(), sets, j)
     missing = np.argwhere(~np.isin(ranks, covered))
@@ -273,6 +300,8 @@ def _first_uncovered(n: int, blocks, sets, j: int):
 
 def _dense_coverage(n: int, blocks, j: int) -> np.ndarray:
     """How many blocks contain each j-subset of range(n), in lex order."""
+    import numpy as np
+
     keys, counts = _coverage(n, blocks, j)
     dense = np.zeros(math.comb(n, j), dtype=np.int64)
     dense[keys] = counts

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import DesignParams
@@ -42,6 +42,7 @@ from .designs import DesignParams
 __all__ = [
     "FeasibleRow",
     "NonexistenceVerdict",
+    "admissibility_test",
     "symmetric_square_test",
     "brc_test",
     "legendre_solvable",
@@ -56,8 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonexistenceVerdict:
-    test: str  # SquareEven | BRCOdd | Driessen
-    outcome: str  # RuledOut | Passes | NotApplicable
+    test: str  # Admissible | SquareEven | BRCOdd | Driessen
+    outcome: str  # RuledOut | Passes | NotApplicable | Inadmissible
     detail: str
 
 
@@ -97,6 +98,30 @@ def _is_square(m: int) -> bool:
     return m >= 0 and math.isqrt(m) ** 2 == m
 
 
+def admissibility_test(p: DesignParams) -> NonexistenceVerdict:
+    """The counting conditions the other tests take for granted.  At t = 2
+    the parameters are those of a symmetric design (b = v blocks), so
+    k(k-1) = lam(v-1); at any other t every lam_i = lam C(v-i,t-i)/C(k-i,t-i),
+    i < t, must be an integer (for t = 3: lam_2, lam_1 and b = lam_0)."""
+    name = f"{p.t}-({p.v},{p.k},{p.lam})"
+    if p.t == 2:
+        lhs, rhs = p.k * (p.k - 1), p.lam * (p.v - 1)
+        if lhs != rhs:
+            return NonexistenceVerdict(
+                "Admissible", "Inadmissible",
+                f"k(k-1)={lhs} != lam(v-1)={rhs}: no symmetric {name} design",
+            )
+        return NonexistenceVerdict("Admissible", "Passes", f"k(k-1)=lam(v-1)={lhs}")
+    for i in range(p.t - 1, -1, -1):
+        lam_i = Fraction(p.lam * math.comb(p.v - i, p.t - i), math.comb(p.k - i, p.t - i))
+        if lam_i.denominator != 1:
+            return NonexistenceVerdict(
+                "Admissible", "Inadmissible",
+                f"lam_{i}={lam_i} is not an integer: no {name} design",
+            )
+    return NonexistenceVerdict("Admissible", "Passes", f"lam_0..lam_{p.t - 1} are integers")
+
+
 def symmetric_square_test(p: DesignParams) -> NonexistenceVerdict:
     """Even point count: a symmetric 2-(v,k,lam) design needs k-lam square."""
     if p.v % 2 != 0:
@@ -107,32 +132,46 @@ def symmetric_square_test(p: DesignParams) -> NonexistenceVerdict:
     return NonexistenceVerdict("SquareEven", "RuledOut", f"k-lam={d} is not a perfect square")
 
 
-def _squarefree(m: int) -> int:
-    """Largest squarefree divisor, sign preserved."""
-    if m == 0:
-        return 0
-    sign = -1 if m < 0 else 1
-    m = abs(m)
-    out = 1
+def _prime_factors(m: int) -> list:
+    """(p, exponent) for each prime p dividing m >= 1, ascending, by trial
+    division."""
+    out = []
     f = 2
     while f * f <= m:
         if m % f == 0:
-            cnt = 0
+            e = 0
             while m % f == 0:
                 m //= f
-                cnt += 1
-            if cnt % 2 == 1:
-                out *= f
+                e += 1
+            out.append((f, e))
         f += 1 if f == 2 else 2
-    return sign * out * m
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _squarefree(m: int) -> int:
+    """m divided by its largest square divisor, sign preserved."""
+    if m == 0:
+        return 0
+    out = -1 if m < 0 else 1
+    for p, e in _prime_factors(abs(m)):
+        if e % 2:
+            out *= p
+    return out
 
 
 def _is_qr(a: int, m: int) -> bool:
-    """Whether a is a square modulo m (m >= 1)."""
-    if m == 1:
-        return True
-    a %= m
-    return any((w * w) % m == a for w in range(m))
+    """Whether a is a square modulo the squarefree m >= 1.
+
+    By the Chinese remainder theorem it is one modulo each prime p | m:
+    every residue mod 2 is a square, 0 is, and for odd p Euler's criterion
+    a^((p-1)/2) = 1 (mod p) decides the rest.
+    """
+    factors = _prime_factors(m)
+    if any(e > 1 for _, e in factors):
+        raise ValueError(f"modulus {m} is not squarefree")
+    return all(p == 2 or a % p == 0 or pow(a, (p - 1) // 2, p) == 1 for p, _ in factors)
 
 
 def legendre_solvable(a: int, b: int, c: int) -> bool:
@@ -202,26 +241,6 @@ def brc_test(p: DesignParams) -> NonexistenceVerdict:
     return NonexistenceVerdict("BRCOdd", "RuledOut", f"{form} : insolvable")
 
 
-def _odd_prime_factors_with_parity(u: int):
-    """(p, exponent parity) for every odd prime dividing u."""
-    out = []
-    m = u
-    while m % 2 == 0:
-        m //= 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            cnt = 0
-            while m % f == 0:
-                m //= f
-                cnt += 1
-            out.append((f, cnt % 2))
-        f += 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _driessen_u_admissible(u: int) -> bool:
     """Congruence condition: a 3-(u(u-1)/2 + u + 1, u+1, 2) design needs
     u = 2 mod 48 with every odd prime of odd multiplicity = 1,3,9,11 mod 16,
@@ -232,10 +251,7 @@ def _driessen_u_admissible(u: int) -> bool:
         allowed = {1, 7, 9, 15}
     else:
         return False
-    return all(
-        parity == 0 or p % 16 in allowed
-        for p, parity in _odd_prime_factors_with_parity(u)
-    )
+    return all(e % 2 == 0 or p % 16 in allowed for p, e in _prime_factors(u) if p != 2)
 
 
 def _driessen_shape(p: DesignParams):
@@ -463,7 +479,12 @@ def annotate_existence(rows) -> list:
     for row in rows:
         v1 = verdict(row.n, row.r1, row.lam1, row.N1, row.t)
         v2 = verdict(row.n, row.r2, row.lam2, row.N2, row.t)
-        out.append(replace(row, verdicts=(v1, v2)))
+        # the annotated row is the input's fields plus verdicts; filling its
+        # __dict__ at once skips the frozen __init__'s one object.__setattr__
+        # per field, which took most of the time on large tables
+        annotated = object.__new__(FeasibleRow)
+        annotated.__dict__.update(row.__dict__, verdicts=(v1, v2))
+        out.append(annotated)
     return out
 
 

@@ -16,7 +16,9 @@ per-block product a function of |B cap S| alone.
 
 The oracle packs blocks and subsets into uint64 words (two for n > 64), takes
 |B cap S| as a popcount, and weighs each subset's histogram of |B cap S| with
-exact Python integers, so weights of any size share one scan.
+exact Python integers, so weights of any size share one scan.  numpy is
+imported by the oracle itself, so loading or writing candidates does not
+load it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
-
-import numpy as np
 
 from .designs import Design, FormatError, parse_block_line
 
@@ -239,6 +239,8 @@ _SLICE = 4096  # subsets packed and tested per numpy step
 
 def _pack(masks, words: int) -> np.ndarray:
     """Bit masks as rows of `words` little-endian uint64 words."""
+    import numpy as np
+
     low = (1 << 64) - 1
     return np.array(
         [[(m >> (64 * k)) & low for k in range(words)] for m in masks], dtype=np.uint64
@@ -253,6 +255,8 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     ascending order and subsets in lexicographic order, so the witness is
     deterministic.  The sums are exact integers for weights of any size.
     """
+    import numpy as np
+
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .designs import Design, _coverage, _dense_coverage
 
 __all__ = [
@@ -55,6 +53,8 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
+    import numpy as np
+
     _, counts = _coverage(design.n, design.blocks, t)
     values, sizes = np.unique(counts, return_counts=True)
     entries = tuple(zip(values.tolist(), sizes.tolist()))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -129,6 +130,27 @@ def test_lambda_seq(capsys, fano_file):
     assert capsys.readouterr().out == "21*1\n"
 
 
+def test_lambda_seq_oversized_coverage(capsys, tmp_path):
+    # one 30-block has C(30,15) = 155,117,520 15-subsets: refused before
+    # anything is allocated, as a usage error
+    p = tmp_path / "big.blk"
+    p.write_text("DESIGN v1\nn=128 b=1\n" + " ".join(map(str, range(30))) + "\n")
+    import numpy  # noqa: F401  (imported before tracing, so not counted)
+
+    tracemalloc.start()
+    try:
+        code = main(["lambda-seq", str(p), "--t", "15"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: counting 15-subsets of 1 block(s) of size 30 ")
+    assert "Traceback" not in out.err
+
+
 def test_scan3_stdout(capsys):
     assert main(["scan-3", "--max-n", "31", "--cases", "1", "--threads", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -187,6 +209,15 @@ def test_nonexist_driessen(capsys):
     out = capsys.readouterr().out
     assert out == "u=4 (direct): u mod 48 = 4 fails the congruence conditions\n"
     assert main(["nonexist", "--params", "7,3,1", "--t", "3"]) == 0
+
+
+def test_nonexist_admissibility_first(capsys):
+    # k - lam = 4 is a square, but k(k-1) != lam(v-1)
+    assert main(["nonexist", "--params", "10,5,1"]) == 1
+    assert capsys.readouterr().out == "k(k-1)=20 != lam(v-1)=9: no symmetric 2-(10,5,1) design\n"
+    # no Driessen shape, but lam_2 = 7/2
+    assert main(["nonexist", "--params", "9,4,1", "--t", "3"]) == 1
+    assert capsys.readouterr().out == "lam_2=7/2 is not an integer: no 3-(9,4,1) design\n"
 
 
 def test_nonexist_bad_params(capsys):
@@ -281,6 +312,43 @@ def test_cli_import_leaves_out_concurrent_futures(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import tightrel
+print('numpy' in sys.modules)
+import tightrel.cli
+print('numpy' in sys.modules)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tightrel.cli.main(argv.split())
+    print(argv, code, 'numpy' in sys.modules)
+"""
+
+
+def test_numpy_loaded_only_by_counting_verbs(tmp_path, fano):
+    runs = [
+        "scan-3 --max-n 30 --annotate",
+        "scan-4 --max-n 20 --annotate",
+        "nonexist --params 29,8,2",
+        "construct fano",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *runs],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    expect = ["False", "False"] + [f"{argv} {1 if 'nonexist' in argv else 0} False" for argv in runs]
+    assert proc.stdout.splitlines() == expect
+    # the counting verbs import it on their first kernel call
+    save_design(fano, tmp_path / "fano.blk")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, "verify fano.blk --t 2"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.stdout.splitlines()[-1] == "verify fano.blk --t 2 0 True"
+    _run_fano_verify([sys.executable, "-m", "tightrel.cli"], tmp_path, fano)
 
 
 def _run_fano_verify(prefix, tmp_path, fano):

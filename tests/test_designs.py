@@ -343,3 +343,18 @@ def test_coverage_at_large_ranks(n, size, j):
 def test_full_block_is_a_design_at_high_strength(n, t):
     full = Design(n, ((1 << n) - 1,))
     assert is_t_design(full, t) == (True, [1] * (t + 1))
+
+
+def test_coverage_refuses_oversized_size_class(monkeypatch, fano):
+    from tightrel import designs
+
+    # Fano at j = 2: 7 blocks x C(3,2) = 21 ranks
+    monkeypatch.setattr(designs, "MAX_RANKS", 21)
+    assert sum(coverage_map(fano, 2).values()) == 21
+    monkeypatch.setattr(designs, "MAX_RANKS", 20)
+    with pytest.raises(ValueError, match="exceeds the coverage kernel's limit"):
+        coverage_map(fano, 2)
+    monkeypatch.undo()
+    # one 26-block at j = 13: 10,400,600 ranks, but 13 positions for each
+    with pytest.raises(ValueError, match=r"\(10,400,600 per block\)"):
+        coverage_map(Design(26, (2**26 - 1,)), 13)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from tightrel import feasibility
 from tightrel import (
     DesignParams,
     FeasibleRow,
+    admissibility_test,
     annotate_existence,
     brc_test,
     driessen_test,
@@ -20,7 +23,9 @@ from tightrel import (
     scan_relative4,
     symmetric_square_test,
 )
-from tightrel.feasibility import TSV_HEADER, brc_form, _line_points, _normalize_ternary
+from tightrel.feasibility import (
+    TSV_HEADER, brc_form, _is_qr, _line_points, _normalize_ternary, _squarefree,
+)
 
 
 def test_square_test_frozen():
@@ -154,6 +159,47 @@ def test_legendre_validation():
         legendre_solvable(4, 1, -1)
     with pytest.raises(ValueError):
         legendre_solvable(1, 18, -1)
+
+
+def _is_qr_reference(a, m):
+    """Every w < m tried in turn."""
+    return any((w * w - a) % m == 0 for w in range(m))
+
+
+@given(a=st.integers(-10**6, 10**6), m=st.integers(1, 2000).filter(lambda m: _squarefree(m) == m))
+@example(a=0, m=1)
+@example(a=3, m=2)
+@example(a=-1, m=1155)
+@example(a=4, m=1999)
+def test_is_qr_matches_search(a, m):
+    assert _is_qr(a, m) == _is_qr_reference(a, m)
+
+
+def test_is_qr_rejects_square_moduli():
+    for m in (4, 9, 12, 1800):
+        with pytest.raises(ValueError):
+            _is_qr(1, m)
+
+
+def test_legendre_large_coefficients_fast():
+    # the earlier loop over every residue took about 13 s here; the verdict
+    # was checked against it
+    t0 = time.perf_counter()
+    assert not legendre_solvable(1, -100000007, -99999989)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_admissibility():
+    assert admissibility_test(DesignParams(7, 3, 1)).outcome == "Passes"
+    assert admissibility_test(DesignParams(11, 5, 2, 3)).outcome == "Passes"
+    v = admissibility_test(DesignParams(10, 5, 1))
+    assert (v.test, v.outcome) == ("Admissible", "Inadmissible")
+    assert v.detail == "k(k-1)=20 != lam(v-1)=9: no symmetric 2-(10,5,1) design"
+    v = admissibility_test(DesignParams(9, 4, 1, 3))
+    assert v.outcome == "Inadmissible"
+    assert v.detail == "lam_2=7/2 is not an integer: no 3-(9,4,1) design"
+    # lam_2 = 5 and lam_1 = 10 are integers, b = lam_0 = 35/2 is not
+    assert admissibility_test(DesignParams(7, 4, 2, 3)).detail.startswith("lam_0=35/2 ")
 
 
 def test_normalize_ternary():
@@ -373,6 +419,16 @@ def test_annotate_routes_to_driessen():
     assert all(v.test == "Driessen" for r in rows for v in r.verdicts)
     mains = [r for r in rows if r.ratio == 1]
     assert all(row_ruled_out(r) for r in mains)
+
+
+def test_annotate_copies_rows():
+    rows = scan_relative4(20)
+    annotated = annotate_existence(rows)
+    assert all(r.verdicts == () for r in rows)
+    assert annotated == [replace(r, verdicts=a.verdicts) for r, a in zip(rows, annotated)]
+    assert len({hash(a) for a in annotated}) == len(annotated)
+    with pytest.raises(AttributeError):
+        annotated[0].n = 0
 
 
 def test_rows_to_tsv_golden_line():
