@@ -187,16 +187,20 @@ def complement_lambda_t(n: int, r: int, N: int, t: int, lambda_t_value) -> Fract
 
 
 def tight_size(t: int, n: int) -> int:
-    """Smallest possible total block count of a two-shell relative t-design
-    with per-shell-constant weight: 2n for t=3, n(n+1)/2 for t=4,
-    2*C(n,2) for t=5."""
-    if t == 3:
-        return 2 * n
-    if t == 4:
-        return n * (n + 1) // 2
-    if t == 5:
-        return 2 * math.comb(n, 2)
-    raise ValueError("tight size known here only for t in {3,4,5}")
+    """Fisher-type lower bound on the total block count of a two-shell
+    relative t-design on n points, met with equality by a tight one.
+
+    For odd t = 2e+1 each shell is a 2e-design, so Ray-Chaudhuri-Wilson
+    gives each at least C(n, e) blocks and the bound is 2 C(n, e); for even
+    t = 2e it is C(n, e) + C(n, e-1).  Hence 2n at t = 3, n(n+1)/2 at t = 4
+    and 2 C(n, 2) at t = 5.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    e, odd = divmod(t, 2)
+    if odd:
+        return 2 * math.comb(n, e)
+    return math.comb(n, e) + math.comb(n, e - 1)
 
 
 def is_tight(cand: RelativeCandidate, t: int) -> bool:

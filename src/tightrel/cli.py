@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import is_tight
+from .analysis import tight_size
 from .designs import (
     Design,
     DesignParams,
@@ -83,7 +83,7 @@ def _cmd_check_relative(args) -> int:
     code = 0 if ok else 1
     if args.tight:
         # a candidate that is not a relative t-design is never tight, whatever t
-        tight = ok and is_tight(cand, t)
+        tight = ok and cand.total_size == tight_size(t, cand.n)
         print(f"tight: {'true' if tight else 'false'}")
         if not tight:
             code = 1
@@ -97,17 +97,11 @@ def _cmd_lambda_seq(args) -> int:
     return 0
 
 
-def _cmd_scan3(args) -> int:
-    cases = frozenset(int(tok) for tok in args.cases.split(","))
-    rows = scan_relative3(args.max_n, cases)
-    if args.annotate:
-        rows = annotate_existence(rows)
-    _emit(rows_to_tsv(rows), args.out)
-    return 0
-
-
-def _cmd_scan4(args) -> int:
-    rows = scan_relative4(args.max_n)
+def _cmd_scan(args) -> int:
+    if args.t == 3:
+        rows = scan_relative3(args.max_n, frozenset(int(tok) for tok in args.cases.split(",")))
+    else:
+        rows = scan_relative4(args.max_n)
     if args.annotate:
         rows = annotate_existence(rows)
     _emit(rows_to_tsv(rows), args.out)
@@ -208,21 +202,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_lambda_seq)
 
-    threads_help = "accepted for compatibility; scans run in one process"
-    p = sub.add_parser("scan-3", help="feasible strength-3 parameter rows as TSV")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--cases", default="1,2,3,4", help="comma list from {1,2,3,4}")
-    p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
-    p.add_argument("--threads", type=int, metavar="K", help=threads_help)
-    _add_out(p)
-    p.set_defaults(func=_cmd_scan3)
-
-    p = sub.add_parser("scan-4", help="feasible strength-4 parameter rows as TSV")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
-    p.add_argument("--threads", type=int, metavar="K", help=threads_help)
-    _add_out(p)
-    p.set_defaults(func=_cmd_scan4)
+    for t in (3, 4):
+        p = sub.add_parser(f"scan-{t}", help=f"feasible strength-{t} parameter rows as TSV")
+        p.add_argument("--max-n", type=int, required=True)
+        if t == 3:
+            p.add_argument("--cases", default="1,2,3,4", help="comma list from {1,2,3,4}")
+        p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
+        p.add_argument("--threads", type=int, metavar="K",
+                       help="accepted for compatibility; scans run in one process")
+        _add_out(p)
+        p.set_defaults(func=_cmd_scan, t=t)
 
     p = sub.add_parser("nonexist", help="apply the nonexistence test matching v,k,lam")
     p.add_argument("--params", required=True, metavar="v,k,lam")

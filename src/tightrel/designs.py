@@ -109,16 +109,7 @@ class DesignParams:
 
 
 def load_design(path) -> Design:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    # tolerate trailing blank lines only
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "DESIGN v1":
-        raise FormatError(f"{path}: missing 'DESIGN v1' header")
-    if len(lines) < 2:
-        raise FormatError(f"{path}: missing size line")
+    lines = _read_lines(path, "DESIGN v1")
     n, b = _parse_size_line(lines[1], ("n", "b"), path)
     body = lines[2:]
     if len(body) != b:
@@ -127,7 +118,26 @@ def load_design(path) -> Design:
     return Design(n, tuple(blocks))
 
 
+def _read_lines(path, header: str) -> list:
+    """Lines of a UTF-8 file that opens with header and a size line,
+    trailing blank lines dropped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or lines[0].strip() != header:
+        raise FormatError(f"{path}: missing '{header}' header")
+    if len(lines) < 2:
+        raise FormatError(f"{path}: missing size line")
+    return lines
+
+
 def _parse_size_line(line: str, keys: tuple[str, str], path) -> tuple[int, int]:
+    """The two integers of a '<key>=<int> <key>=<int>' line; the first is
+    the point count, which must lie in 1..MAX_POINTS."""
     parts = line.split()
     if len(parts) != 2:
         raise FormatError(f"{path}: malformed size line {line!r}")
@@ -139,6 +149,8 @@ def _parse_size_line(line: str, keys: tuple[str, str], path) -> tuple[int, int]:
             vals.append(int(part[len(key) + 1 :]))
         except ValueError:
             raise FormatError(f"{path}: bad integer in {line!r}") from None
+    if not 1 <= vals[0] <= MAX_POINTS:
+        raise FormatError(f"{path}: point count must be in 1..{MAX_POINTS}, got {vals[0]}")
     return vals[0], vals[1]
 
 

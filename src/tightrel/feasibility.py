@@ -1,33 +1,35 @@
-"""Feasible-parameter scans for two-shell candidates at strengths 3 and 4,
-plus the number-theoretic nonexistence tests applied to the per-shell
-constituents (perfect-square test for even point counts, the ternary-form
-test for odd ones, and the congruence test for triple systems with
-lam = 2 of triangular-number shape).
+"""Feasible-parameter scans for tight two-shell candidates, plus the
+number-theoretic nonexistence tests applied to the per-shell constituents
+(perfect-square test for even point counts, the ternary-form test for odd
+ones, and the congruence test for triple systems with lam = 2 of
+triangular-number shape).
 
-A strength-3 tight candidate forces both shells to be symmetric
-2-(n, r, r(r-1)/(n-1)) designs with n blocks each; a strength-4 tight
-candidate forces the shells to be 3-designs whose block counts sum to
-n(n+1)/2.  The scans enumerate everything passing those integrality
-conditions and record, per row, how the per-shell strength-t coverage
-counts can split along the weighted balance line
+One scan serves every strength t.  A tight candidate has
+N1 + N2 = tight_size(t, n) blocks on shells t-1 <= r1 < r2 <= n-2, and each
+shell is a (t-1)-design, so N C(r,j)/C(n,j) is an integer for j < t.  For
+odd t = 2e+1 both shells meet the Ray-Chaudhuri-Wilson bound, N1 = N2 =
+C(n, e): at t = 3 they are symmetric 2-(n, r, r(r-1)/(n-1)) designs.  For
+even t the split is free, and N1 steps through the multiples of the least
+count that makes shell r1 integral.  The scan enumerates everything
+passing those conditions and records, per row, how the per-shell
+strength-t coverage counts can split along the weighted balance line
 
-    x + (w2/w1) y = (N1 P(r1) + (w2/w1) N2 P(r2)) / 1,
-    P(r) = prod_{j<t} (r-j)/(n-j).
+    x + (w2/w1) y = (P(r1) + (w2/w1) P(r2)) / D,
+    P(r) = N perm(r, t),  D = perm(n, t).
 
 Weight ratios are enumerated in lowest terms d1/d2 with 1 <= d1 <= lam1,
 1 <= d2 <= lam2: consecutive lattice points on the line differ by
 (d1, -d2), and the per-shell coverage counts take at least two values
-(a symmetric design cannot be a 3-design, nor can these 3-design shells
-be 4-designs when a single point would force constancy), so steps larger
-than the coverage bounds or lines carrying fewer than two points are
-ruled out.  Nothing is searched: the y of the lattice points on a line
-form one residue class clipped to the coverage box, and for each d1 the
-d2 whose line constant is integral form one residue class, so both are
-enumerated directly.  The equal-weight case additionally demands an
-integral line constant; for strength 4 the split is attached as an
-annotation and the row is kept whenever the divisibility conditions hold,
-since the weighted split is part of the later existence analysis rather
-than the search.
+(a shell meeting a Fisher-type bound cannot be a t-design, so a single
+point would force an impossible constancy), so steps larger than the
+coverage bounds or lines carrying fewer than two points are ruled out.
+Nothing is searched: the y of the lattice points on a line form one
+residue class clipped to the coverage box, and for each d1 the d2 whose
+line constant is integral form one residue class, so both are enumerated
+directly.  The equal-weight line of an odd-t row must carry two points as
+well; for even t its split is attached as an annotation and the row is
+kept whenever the divisibility conditions hold, since the weighted split
+is part of the later existence analysis rather than the search.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import tight_size
 from .designs import DesignParams
 
 __all__ = [
@@ -69,10 +72,10 @@ class FeasibleRow:
     lam1/lam2 are the per-shell coverage constants at strength t-1;
     pairs lists the admissible integer points (x, y) of per-shell
     strength-t coverage values on the balance line; ratio is w2/w1 in
-    lowest terms (1 for the equal-weight rows); case tags the strength-3
+    lowest terms (1 for the equal-weight rows); at odd t, case tags the
     split (1: complementary shells, equal weight; 2: complementary,
-    unequal; 3: non-complementary, equal; 4: non-complementary, unequal;
-    0 for strength-4 rows); star marks n = 4u-1 with r1 = 2u-1, r2 = 2u.
+    unequal; 3: non-complementary, equal; 4: non-complementary, unequal),
+    and it is 0 at even t; star marks n = 4u-1 with r1 = 2u-1, r2 = 2u.
     """
 
     t: int
@@ -343,119 +346,99 @@ def _star(n: int, r1: int, r2: int) -> bool:
     return n % 4 == 3 and r1 == (n - 1) // 2 and r2 == (n + 1) // 2
 
 
-def _scan3_one_n(n: int, cases: frozenset) -> list:
+def _divisibility_step(n: int, r: int, t: int) -> int:
+    """Smallest N > 0 making N*C(r,j)/C(n,j) integral for j = 1..t-1."""
+    step = 1
+    for j in range(1, t):
+        cn, cr = math.comb(n, j), math.comb(r, j)
+        step = math.lcm(step, cn // math.gcd(cn, cr))
+    return step
+
+
+def _scan_one_n(n: int, t: int, cases: frozenset) -> list:
+    """The strength-t rows at one n whose case tag lies in cases."""
+    total = tight_size(t, n)
+    odd = t % 2
+    C = math.comb(n, t - 1)
+    D = math.perm(n, t)
+    # r >= t-1 keeps lam_{t-1} = N C(r,t-1)/C(n,t-1) >= 1 for every N >= 1
+    sizes = range(t - 1, n - 1)
+    if odd:
+        # each shell of a tight pair has exactly C(n, e) = total/2 blocks; an
+        # integral lam_{t-1} rejects most r before their full step is taken
+        sizes = [r for r in sizes if total // 2 * math.comb(r, t - 1) % C == 0]
+    steps = {r: _divisibility_step(n, r, t) for r in sizes}
+    if odd:
+        steps = {r: s for r, s in steps.items() if total // 2 % s == 0}
+    shells = list(steps.items())
     rows = []
-    D2 = n - 1
-    D3 = (n - 1) * (n - 2)
-    for r1 in range(2, n - 2):
-        if (r1 * (r1 - 1)) % D2:
-            continue
-        lam1 = r1 * (r1 - 1) // D2
-        P1 = r1 * (r1 - 1) * (r1 - 2)
-        for r2 in range(r1 + 1, n - 1):
-            if (r2 * (r2 - 1)) % D2:
-                continue
-            lam2 = r2 * (r2 - 1) // D2
-            P2 = r2 * (r2 - 1) * (r2 - 2)
-            comp = r1 + r2 == n
-            eq_case, ratio_case = (1, 2) if comp else (3, 4)
-            if eq_case in cases:
-                # the ratio-1 line; a symmetric design is never a 3-design,
-                # so a single split point would be unrealizable
-                pts = _line_points(P1 + P2, D3, D3, lam1, lam2)
-                if len(pts) >= 2:
-                    rows.append(
-                        FeasibleRow(
-                            3, n, r1, r2, n, n, lam1, lam2,
-                            Fraction(1), pts, eq_case, _star(n, r1, r2),
+    for i, (r1, s1) in enumerate(shells):
+        for r2, s2 in shells[i + 1 :]:
+            star = _star(n, r1, r2)
+            if odd:
+                eq_case, ratio_case = (1, 2) if r1 + r2 == n else (3, 4)
+                splits = (total // 2,)
+            else:
+                eq_case = ratio_case = 0
+                splits = range(s1, total, s1)
+            for N1 in splits:
+                N2 = total - N1
+                if N2 % s2:
+                    continue
+                lam1 = N1 * math.comb(r1, t - 1) // C
+                lam2 = N2 * math.comb(r2, t - 1) // C
+                # the balance line x + ratio y = (P1 + ratio P2) / D, with
+                # P = N perm(r, t) and D = perm(n, t) cut by their common factor
+                P1, P2 = N1 * math.perm(r1, t), N2 * math.perm(r2, t)
+                g = math.gcd(P1, P2, D)
+                P1, P2, Dg = P1 // g, P2 // g, D // g
+                if eq_case in cases:
+                    pts = _line_points(P1 + P2, Dg, Dg, lam1, lam2)
+                    # at odd t a single point would make both shells t-designs,
+                    # which shells of C(n, e) blocks never are; at even t the
+                    # row stands for its block split and the points annotate it
+                    if len(pts) >= 2 or not odd:
+                        rows.append(
+                            FeasibleRow(
+                                t, n, r1, r2, N1, N2, lam1, lam2,
+                                Fraction(1), pts, eq_case, star,
+                            )
                         )
+                if ratio_case in cases:
+                    rows.extend(
+                        _ratio_rows(t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, Dg, ratio_case)
                     )
-            if ratio_case in cases:
-                rows.extend(
-                    _ratio_rows(3, n, r1, r2, n, n, lam1, lam2, P1, P2, D3, ratio_case)
-                )
     return rows
 
 
-def _row_sort_key(row: FeasibleRow):
-    return (row.n, row.r1, row.r2, row.N1, row.ratio != 1, row.ratio)
+def _scan(t: int, max_n: int, cases: frozenset) -> list:
+    # the shell window t-1 <= r1 < r2 <= n-2 needs n >= t+2
+    rows = [row for n in range(t + 2, max_n + 1) for row in _scan_one_n(n, t, cases)]
+    rows.sort(key=lambda row: (row.n, row.r1, row.r2, row.N1, row.ratio != 1, row.ratio))
+    return rows
 
 
 def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4})) -> list:
-    """All strength-3 feasible rows with n <= max_n.
+    """All strength-3 feasible rows with n <= max_n whose case lies in cases.
 
-    Both shells must be symmetric 2-(n, r, r(r-1)/(n-1)) designs with
-    integral coverage constants; the four cases split on whether the shells
-    are complementary (r1 + r2 = n) and whether the weights are equal.
+    Both shells are symmetric 2-(n, r, r(r-1)/(n-1)) designs; the four
+    cases split on whether the shells are complementary (r1 + r2 = n) and
+    whether the weights are equal.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
     cases = frozenset(cases)
     if not cases or not cases <= {1, 2, 3, 4}:
         raise ValueError("cases must be a nonempty subset of {1,2,3,4}")
-    rows = []
-    for n in range(5, max_n + 1):  # the shell window 2 <= r1 < r2 <= n-2 needs n >= 5
-        rows.extend(_scan3_one_n(n, cases))
-    rows.sort(key=_row_sort_key)
-    return rows
-
-
-def _divisibility_step(n: int, r: int) -> int:
-    """Smallest N > 0 making N*C(r,j)/C(n,j) integral for j = 1, 2, 3."""
-    step = 1
-    for j in (1, 2, 3):
-        cn, cr = math.comb(n, j), math.comb(r, j)
-        step = math.lcm(step, cn // math.gcd(cn, cr))
-    return step
-
-
-def _scan4_one_n(n: int) -> list:
-    rows = []
-    total = n * (n + 1) // 2
-    C3 = math.comb(n, 3)
-    D4 = n * (n - 1) * (n - 2) * (n - 3)
-    steps = {r: _divisibility_step(n, r) for r in range(3, n - 1)}
-    for r1 in range(3, n - 2):
-        s1 = steps[r1]
-        Q1 = r1 * (r1 - 1) * (r1 - 2) * (r1 - 3)
-        for r2 in range(r1 + 1, n - 1):
-            s2 = steps[r2]
-            Q2 = r2 * (r2 - 1) * (r2 - 2) * (r2 - 3)
-            for N1 in range(s1, total, s1):
-                N2 = total - N1
-                if N2 % s2:
-                    continue
-                lam1 = N1 * math.comb(r1, 3) // C3
-                lam2 = N2 * math.comb(r2, 3) // C3
-                if lam1 < 1 or lam2 < 1:
-                    continue
-                # equal-weight split along the strength-4 balance line,
-                # empty unless the line constant is integral
-                pts = _line_points(N1 * Q1 + N2 * Q2, D4, D4, lam1, lam2)
-                rows.append(
-                    FeasibleRow(
-                        4, n, r1, r2, N1, N2, lam1, lam2,
-                        Fraction(1), pts, 0, _star(n, r1, r2),
-                    )
-                )
-                rows.extend(
-                    _ratio_rows(4, n, r1, r2, N1, N2, lam1, lam2,
-                                N1 * Q1, N2 * Q2, D4, 0)
-                )
-    return rows
+    return _scan(3, max_n, cases)
 
 
 def scan_relative4(max_n: int) -> list:
     """All strength-4 feasible rows with n <= max_n: shells are 3-designs
-    (coverage constants integral at strengths 1..3, lam3 >= 1) whose block
-    counts sum to n(n+1)/2."""
+    whose block counts sum to n(n+1)/2."""
     if max_n < 5:
         raise ValueError("max_n must be >= 5")
-    rows = []
-    for n in range(6, max_n + 1):  # r window needs 3 <= r1 < r2 <= n-2
-        rows.extend(_scan4_one_n(n))
-    rows.sort(key=_row_sort_key)
-    return rows
+    return _scan(4, max_n, frozenset({0}))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 
-from .designs import Design, FormatError, parse_block_line
+from .designs import Design, FormatError, _parse_size_line, _read_lines, parse_block_line
 
 __all__ = [
     "RelativeCandidate",
@@ -155,22 +155,8 @@ class RelativeCandidate:
 
 def load_candidate(path, allow_trivial: bool = False):
     """Parse a RELDESIGN v1 file; returns (RelativeCandidate, t)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "RELDESIGN v1":
-        raise FormatError(f"{path}: missing 'RELDESIGN v1' header")
-    if len(lines) < 2:
-        raise FormatError(f"{path}: missing size line")
-    head = lines[1].split()
-    if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("t="):
-        raise FormatError(f"{path}: expected 'n=<int> t=<int>', got {lines[1]!r}")
-    try:
-        n = int(head[0][2:])
-        t = int(head[1][2:])
-    except ValueError:
-        raise FormatError(f"{path}: bad integer in {lines[1]!r}") from None
+    lines = _read_lines(path, "RELDESIGN v1")
+    n, t = _parse_size_line(lines[1], ("n", "t"), path)
     if t < 1:
         raise FormatError(f"{path}: t must be >= 1")
 

@@ -247,9 +247,11 @@ def test_tight_size():
     assert tight_size(3, 7) == 14
     assert tight_size(4, 22) == 253
     assert tight_size(5, 23) == 506
-    for t in (2, 6):
-        with pytest.raises(ValueError):
-            tight_size(t, 10)
+    # the closed forms at t = 2e: C(n,e) + C(n,e-1); at t = 2e+1: 2 C(n,e)
+    assert tight_size(2, 10) == 11
+    assert tight_size(6, 10) == 165
+    with pytest.raises(ValueError):
+        tight_size(0, 10)
 
 
 def test_is_tight(fano_pair, witt_pair, y6, y7):

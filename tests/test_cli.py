@@ -1,13 +1,18 @@
+import io
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tightrel
 from tightrel import (
@@ -60,6 +65,96 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert main(["verify", str(p), "--t", "2"]) == 3
 
 
+def _file_verbs(design_path, cand_path):
+    return (
+        ["verify", str(design_path), "--t", "2"],
+        ["lambda-seq", str(design_path), "--t", "2"],
+        ["check-relative", str(cand_path)],
+    )
+
+
+@pytest.mark.parametrize("n", [200, 0, -3])
+def test_point_count_out_of_range_is_a_parse_error(capsys, tmp_path, n):
+    d = tmp_path / "d.blk"
+    d.write_text(f"DESIGN v1\nn={n} b=0\n")
+    c = tmp_path / "c.rel"
+    c.write_text(f"RELDESIGN v1\nn={n} t=3\nshell r=2 w=1\n0 1\nshell r=3 w=1\n0 1 2\n")
+    for argv in _file_verbs(d, c):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[1]}: point count must be in 1..128, got {n}\n"
+
+
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"DESIGN v1\nn=7 b=1\n0 1 \xff\n")
+    for argv in _file_verbs(p, p):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text: ") and err.count("\n") == 1
+
+
+@st.composite
+def _mutated_file(draw, texts):
+    """(bytes, breaks): a valid Fano file with one line dropped or
+    duplicated, one integer of its two header lines rewritten, or a few
+    bytes injected.  breaks marks mutations that leave the header or size
+    line invalid, or the text undecodable."""
+    kind = draw(st.sampled_from(sorted(texts)))
+    lines = texts[kind].splitlines()
+    op = draw(st.sampled_from(["drop", "dup", "int", "bytes"]))
+    if op in ("drop", "dup"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i : i + 1] = [] if op == "drop" else [lines[i]] * 2
+        return ("\n".join(lines) + "\n").encode(), i < 2
+    if op == "int":
+        i = draw(st.integers(0, 1))
+        found = list(re.finditer(r"\d+", lines[i]))
+        m = draw(st.sampled_from(found))
+        v = draw(st.integers(-3, 140) | st.sampled_from([10**20, -(10**20)]))
+        lines[i] = lines[i][: m.start()] + str(v) + lines[i][m.end() :]
+        if i == 0:
+            breaks = v != 1
+        elif m.start() == 2:  # the point count: Fano's blocks need 7
+            breaks = not 7 <= v <= 128
+        else:  # b must match the 7 block lines; t must be >= 1
+            breaks = v != 7 if kind == "DESIGN" else v < 1
+        return ("\n".join(lines) + "\n").encode(), breaks
+    data = texts[kind].encode()
+    at = draw(st.integers(0, len(data)))
+    data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data, True
+    return data, False
+
+
+@pytest.fixture(scope="module")
+def fano_texts(tmp_path_factory, fano, fano_pair):
+    p = tmp_path_factory.mktemp("texts") / "pair.rel"
+    save_candidate(fano_pair, 3, p)
+    return {"DESIGN": design_text(fano), "RELDESIGN": p.read_text()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_files_fail_cleanly(fano_texts, data):
+    blob, breaks = data.draw(_mutated_file(fano_texts))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f"
+        p.write_bytes(blob)
+        for argv in _file_verbs(p, p):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            err = err.getvalue()
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+            if breaks:
+                assert code == 3, (argv, blob)
+
+
 def test_verify_bad_t(capsys, fano_file):
     assert main(["verify", str(fano_file), "--t", "9"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -88,16 +183,16 @@ def test_check_relative_tight_failure_sets_exit(capsys, fano_pair_file):
 
 
 def test_check_relative_tight_unknown_t(capsys, fano_pair_file):
-    # no tight bound is known at t = 6 or t = 2; a false verdict is still
-    # "tight: false", and only a true one needs the bound
+    # every t has a bound: at t = 6 the pair is no relative design, and at
+    # t = 2 it is one with 14 blocks where the bound is n + 1 = 8
     assert main(["check-relative", str(fano_pair_file), "--t", "6", "--tight"]) == 1
     out = capsys.readouterr()
     assert out.out == "relative-design: false  witness: s=4 S=(0,1,2,3)\ntight: false\n"
     assert out.err == ""
-    assert main(["check-relative", str(fano_pair_file), "--t", "2", "--tight"]) == 2
+    assert main(["check-relative", str(fano_pair_file), "--t", "2", "--tight"]) == 1
     out = capsys.readouterr()
-    assert out.out == "relative-design: true\n"
-    assert out.err == "error: tight size known here only for t in {3,4,5}\n"
+    assert out.out == "relative-design: true\ntight: false\n"
+    assert out.err == ""
 
 
 def test_check_relative_allow_trivial(capsys, tmp_path):

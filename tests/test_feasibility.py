@@ -22,6 +22,7 @@ from tightrel import (
     scan_relative3,
     scan_relative4,
     symmetric_square_test,
+    tight_size,
 )
 from tightrel.feasibility import (
     TSV_HEADER, brc_form, _is_qr, _line_points, _normalize_ternary, _squarefree,
@@ -173,6 +174,48 @@ def _is_qr_reference(a, m):
 @example(a=4, m=1999)
 def test_is_qr_matches_search(a, m):
     assert _is_qr(a, m) == _is_qr_reference(a, m)
+
+
+def _hilbert(a, b, p):
+    """(a, b)_p for nonzero integers a, b at a prime p, or at the real
+    place for p = 0, from the explicit formulas (Serre, A Course in
+    Arithmetic, III.1.2)."""
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+    alpha = beta = 0
+    while a % p == 0:
+        a, alpha = a // p, alpha + 1
+    while b % p == 0:
+        b, beta = b // p, beta + 1
+    if p == 2:
+        def eps(u):
+            return (u - 1) // 2 % 2
+
+        def omega(u):
+            return (u * u - 1) // 8 % 2
+
+        return (-1) ** (eps(a) * eps(b) + alpha * omega(b) + beta * omega(a))
+
+    def legendre(u):
+        return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+    return (-1) ** (alpha * beta * (p - 1) // 2) * legendre(a) ** beta * legendre(b) ** alpha
+
+
+_squarefree_nonzero = st.integers(-3000, 3000).filter(lambda x: x != 0 and _squarefree(x) == x)
+
+
+@given(a=_squarefree_nonzero, b=_squarefree_nonzero, c=_squarefree_nonzero)
+@example(a=1, b=-100000007, c=-99999989)
+@example(a=1, b=-6, c=-2)
+@example(a=3, b=5, c=-2)
+def test_legendre_matches_hilbert_symbols(a, b, c):
+    # a x^2 + b y^2 + c z^2 is isotropic over Q_v iff (-ac, -bc)_v = 1, and
+    # both entries are v-adic units at every odd prime not dividing abc
+    places = {0, 2, *_odd_primes_of(a), *_odd_primes_of(b), *_odd_primes_of(c)}
+    symbols = [_hilbert(-a * c, -b * c, v) for v in sorted(places)]
+    assert math.prod(symbols) == 1  # Hilbert's product formula
+    assert legendre_solvable(a, b, c) == all(h == 1 for h in symbols)
 
 
 def test_is_qr_rejects_square_moduli():
@@ -402,6 +445,19 @@ def test_scan4_line_identity():
 def test_scan4_validation():
     with pytest.raises(ValueError):
         scan_relative4(4)
+
+
+@pytest.mark.parametrize("t, max_n", [(3, 60), (4, 30)])
+def test_scan_rows_meet_the_tight_bound_and_integrality(t, max_n):
+    rows = (scan_relative3 if t == 3 else scan_relative4)(max_n)
+    assert rows
+    for r in rows:
+        assert r.t == t and r.N1 + r.N2 == tight_size(t, r.n), r
+        assert t - 1 <= r.r1 < r.r2 <= r.n - 2, r
+        assert r.lam1 >= 1 and r.lam2 >= 1, r
+        for rr, nn in ((r.r1, r.N1), (r.r2, r.N2)):
+            for j in range(1, t):
+                assert nn * math.comb(rr, j) % math.comb(r.n, j) == 0, (r, j)
 
 
 def test_annotate_routes_to_symmetric_tests():
