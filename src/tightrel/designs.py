@@ -170,6 +170,8 @@ def parse_block_line(line: str, n: int, path="<string>") -> int:
 
 
 def design_text(design: Design) -> str:
+    if 0 in design.blocks:
+        raise ValueError("a DESIGN v1 file has no line for the empty block")
     lines = ["DESIGN v1", f"n={design.n} b={design.num_blocks}"]
     lines.extend(" ".join(str(i) for i in bits_of(b)) for b in design.blocks)
     return "\n".join(lines) + "\n"

@@ -14,19 +14,21 @@ from a weight-1 word e_i to a weight-r word x is r-1 or r+1 according to
 whether coordinate i lies in the support of x, which is what makes the
 per-block product a function of |B cap S| alone.
 
-The oracle packs blocks and subsets into uint64 words (two for n > 64), takes
-|B cap S| as a popcount, and weighs each subset's histogram of |B cap S| with
-exact Python integers, so weights of any size share one scan.  numpy is
-imported by the oracle itself, so loading or writing candidates does not
-load it.
+The oracle is bit-sliced over blocks: each point is one Python int whose
+bit k says whether block k contains it, so N blocks take n*N bits.  A
+depth-first walk over the subsets ANDs these columns, counts blocks with
+int.bit_count, and weighs the counts with exact Python integers, so weights
+of any size share one scan.  The module uses only the standard library, so
+check-relative never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from operator import and_, mul
 
 from .designs import Design, FormatError, _parse_size_line, _read_lines, parse_block_line
 
@@ -152,6 +154,10 @@ class RelativeCandidate:
 #   followed by that shell's block lines (one strictly increasing index
 #   list per line).
 
+# a weight is an ASCII integer or p/q: Fraction() would also take decimals
+# and exponents, and w=1e1000000 would build a million-digit integer
+_WEIGHT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def load_candidate(path, allow_trivial: bool = False):
     """Parse a RELDESIGN v1 file; returns (RelativeCandidate, t)."""
@@ -171,6 +177,8 @@ def load_candidate(path, allow_trivial: bool = False):
                 raise FormatError(f"{path}: malformed shell line {line!r}")
             try:
                 r = int(parts[1][2:])
+                if not _WEIGHT.fullmatch(parts[2][2:]):
+                    raise ValueError
                 w = Fraction(parts[2][2:])
             except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{path}: bad shell parameters in {line!r}") from None
@@ -207,6 +215,8 @@ def load_candidate(path, allow_trivial: bool = False):
 def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
     from .designs import bits_of
 
+    if cand.r1 == 0:
+        raise ValueError("a RELDESIGN v1 file has no line for the empty block")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("RELDESIGN v1\n")
         fh.write(f"n={cand.n} t={t}\n")
@@ -220,17 +230,12 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
-_SLICE = 4096  # subsets packed and tested per numpy step
-
-
-def _pack(masks, words: int) -> np.ndarray:
-    """Bit masks as rows of `words` little-endian uint64 words."""
-    import numpy as np
-
-    low = (1 << 64) - 1
-    return np.array(
-        [[(m >> (64 * k)) & low for k in range(words)] for m in masks], dtype=np.uint64
-    )
+def _columns(blocks, n: int) -> list[int]:
+    """Entry i has bit k set when block k contains point i."""
+    # one n-digit row per block, last block first: the stride-n slice at
+    # point i's digit is then a binary numeral with block 0 lowest
+    rows = "".join(format(b, f"0{n}b") for b in reversed(blocks))
+    return [int(rows[n - 1 - i :: n], 2) for i in range(n)]
 
 
 def relative_design_oracle(cand: RelativeCandidate, t: int):
@@ -240,16 +245,17 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     smallest failing coordinate subset.  Subset sizes are scanned in
     ascending order and subsets in lexicographic order, so the witness is
     deterministic.  The sums are exact integers for weights of any size.
+    The scan holds n*N bits for N blocks, and an s-subset costs 2(s-1)
+    ANDs and popcounts of block columns.
     """
-    import numpy as np
-
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    iw = [int(cand.w1 * scale), int(cand.w2 * scale)]
-    words = (n + 63) // 64
-    packed = [_pack(d.blocks, words) for _, d, _ in cand.shells()]
+    full = (1 << cand.total_size) - 1
+    low = (1 << cand.design1.num_blocks) - 1  # the blocks of shell 1
+    # each point's column, split into its shell-1 and its shell-2 blocks
+    split = [(c & low, c & ~low) for c in _columns(cand.design1.blocks + cand.design2.blocks, n)]
 
     for s in range(1, t + 1):
         lhs = Fraction(0)
@@ -259,37 +265,45 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         if lhs_scaled.denominator != 1:
             # block sums are integers after scaling, so nothing can match
             return False, (s, tuple(range(s)))
-        target = lhs_scaled.numerator
 
-        # coef[c]: scaled weight of one block meeting S in c points
-        coefs = [
-            np.array(
-                [p * (n - 2 * (r - 1)) ** c * (n - 2 * (r + 1)) ** (s - c) for c in range(s + 1)],
-                dtype=object,
-            )
-            for (r, _, _), p in zip(cand.shells(), iw)
-        ]
-        it = combinations(range(n), s)
-        while True:
-            idx = np.fromiter(chain.from_iterable(islice(it, _SLICE)), np.intp).reshape(-1, s)
-            if not len(idx):
-                break
-            bit = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-            own = (idx >> 6)[..., None] == np.arange(words)
-            subsets = np.where(own, bit[..., None], np.uint64(0)).sum(axis=1, dtype=np.uint64)
-            # row i of hist counts the blocks meeting subset i in c points at
-            # column c, so each row sums to the shell size and fits int64
-            offset = (s + 1) * np.arange(len(idx))[:, None]
-            total = 0
-            for blocks, coef in zip(packed, coefs):
-                meet = sum(
-                    np.bitwise_count(subsets[:, None, k] & blocks[:, k]) for k in range(words)
-                )
-                hist = np.bincount(
-                    np.add(meet, offset, dtype=np.intp).ravel(), minlength=(s + 1) * len(idx)
-                )
-                total = total + hist.reshape(-1, s + 1).astype(object) @ coef
-            bad = np.flatnonzero(total != target)
-            if bad.size:
-                return False, (s, tuple(idx[bad[0]].tolist()))
+        # f[c]: scaled weight of one block meeting S in c points.  With A_v
+        # the blocks of a shell meeting a prefix P in at least v points, the
+        # shell's sum at P is f[0] N + sum_{v>=1} df[v] |A_v|, where
+        # df[v] = f[v] - f[v-1], and a point i joining P adds to it
+        # df[1] |c_i| + sum_{v>=1} (df[v+1] - df[v]) |A_v & c_i|.
+        target = lhs_scaled.numerator
+        dfs = []
+        for r, d, w in cand.shells():
+            a, b = n - 2 * (r - 1), n - 2 * (r + 1)
+            f = [int(w * scale) * a**c * b ** (s - c) for c in range(s + 1)]
+            target -= f[0] * d.num_blocks
+            dfs.append([f[v] - f[v - 1] for v in range(1, s + 1)])
+        df1, df2 = dfs
+        hs = [df[v] - df[v - 1] for df in dfs for v in range(1, s)]
+        lead = [df1[0] * lo.bit_count() + df2[0] * hi.bit_count() for lo, hi in split]
+        row = [[lo] * (s - 1) + [hi] * (s - 1) for lo, hi in split]
+
+        def walk(prefix, masks, start):
+            """The first failing s-subset that extends prefix by points from
+            start on, or None; masks holds A_1..A_len(prefix) of both shells."""
+            if len(prefix) < s - 1:
+                for j in range(start, n + len(prefix) + 1 - s):
+                    # A'_v = A_v | (A_{v-1} & c_j), with A_0 every block
+                    c = split[j][0] | split[j][1]
+                    moved = [m | (lo & c) for lo, m in zip([full, *masks], [*masks, 0])]
+                    found = walk(prefix + (j,), moved, j + 1)
+                    if found:
+                        return found
+                return None
+            rest = target - sum(x * (m & low).bit_count() + y * (m & ~low).bit_count()
+                                for x, y, m in zip(df1, df2, masks))
+            both = masks * 2  # ANDed with shell 1's part of c_i, then shell 2's
+            for i in range(start, n):
+                if lead[i] + sum(map(mul, hs, map(int.bit_count, map(and_, both, row[i])))) != rest:
+                    return s, prefix + (i,)
+            return None
+
+        found = walk((), [], 0)
+        if found:
+            return False, found
     return True, None

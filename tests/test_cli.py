@@ -195,6 +195,18 @@ def test_check_relative_tight_unknown_t(capsys, fano_pair_file):
     assert out.err == ""
 
 
+@pytest.mark.parametrize("weight", ["1e30000", "1.5", "1_000"])
+def test_check_relative_weight_is_an_integer_or_ratio(capsys, tmp_path, fano_pair_file, weight):
+    # Fraction() reads decimals, exponents and underscores; the file format
+    # does not, and a weight like 1e30000 must not build a huge integer
+    p = tmp_path / "weight.rel"
+    p.write_text(fano_pair_file.read_text().replace("w=1/1", f"w={weight}", 1))
+    assert main(["check-relative", str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {p}: bad shell parameters in 'shell r=3 w={weight}'\n"
+
+
 def test_check_relative_allow_trivial(capsys, tmp_path):
     near = Design(7, tuple(mask_of(b) for b in itertools.combinations(range(7), 1)))
     mid = Design(7, tuple(mask_of(b) for b in itertools.combinations(range(7), 3)))
@@ -423,18 +435,24 @@ for argv in sys.argv[1:]:
 
 
 def test_numpy_loaded_only_by_counting_verbs(tmp_path, fano):
-    runs = [
-        "scan-3 --max-n 30 --annotate",
-        "scan-4 --max-n 20 --annotate",
-        "nonexist --params 29,8,2",
-        "construct fano",
-    ]
+    save_candidate(RelativeCandidate.from_designs(fano, complement(fano)), 3, tmp_path / "pair.rel")
+    save_candidate(
+        RelativeCandidate.from_designs(fano, complement(fano), 1, 2), 3, tmp_path / "unbalanced.rel"
+    )
+    runs = {
+        "scan-3 --max-n 30 --annotate": 0,
+        "scan-4 --max-n 20 --annotate": 0,
+        "nonexist --params 29,8,2": 1,
+        "construct fano": 0,
+        "check-relative pair.rel": 0,
+        "check-relative unbalanced.rel --tight": 1,
+    }
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *runs],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    expect = ["False", "False"] + [f"{argv} {1 if 'nonexist' in argv else 0} False" for argv in runs]
+    expect = ["False", "False"] + [f"{argv} {code} False" for argv, code in runs.items()]
     assert proc.stdout.splitlines() == expect
     # the counting verbs import it on their first kernel call
     save_design(fano, tmp_path / "fano.blk")

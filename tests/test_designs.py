@@ -1,5 +1,6 @@
 import itertools
 import math
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,20 @@ def test_design_text_format(fano):
     assert lines[1] == "n=7 b=7"
     assert len(lines) == 9
     assert lines[2] == "0 1 3"  # lex-first translate of the residue set
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs(uniform=False))
+def test_design_file_round_trips(design):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.blk"
+        if 0 in design.blocks:
+            # the format has no line for the empty block, so none is written
+            with pytest.raises(ValueError):
+                save_design(design, path)
+            return
+        save_design(design, path)
+        assert load_design(path) == design
 
 
 def test_load_tolerates_trailing_blank_lines(tmp_path, fano):

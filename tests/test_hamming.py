@@ -1,5 +1,7 @@
 import itertools
 import math
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from tightrel import (
 )
 from tightrel.designs import mask_of
 
-from conftest import candidates
+from conftest import candidates, weights
 
 
 def test_krawtchouk_known_values():
@@ -125,6 +127,40 @@ def test_candidate_file_round_trip(tmp_path, witt_pair):
     cand, t = load_candidate(p)
     assert t == 5
     assert cand == witt_pair
+
+
+@st.composite
+def _shell(draw, n, r):
+    """A design of one or more r-blocks on n points, some of them repeated."""
+    block = st.permutations(range(n)).map(lambda p: mask_of(p[:r]))
+    blocks = draw(st.lists(block, min_size=1, max_size=6))
+    return Design(n, tuple(blocks + draw(st.lists(st.sampled_from(blocks), max_size=3))))
+
+
+@st.composite
+def _any_candidate(draw):
+    n = draw(st.sampled_from([1, 2, 7, 23, 64, 65, 128]))
+    r1 = draw(st.integers(0, n - 1))
+    r2 = draw(st.integers(r1 + 1, n))
+    huge = st.builds(Fraction, st.integers(1, 2**130), st.integers(2**64, 2**130))
+    w1, w2 = draw(weights | huge), draw(weights | huge)
+    cand = RelativeCandidate(n, r1, r2, draw(_shell(n, r1)), draw(_shell(n, r2)), w1, w2)
+    return cand, draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_candidate())
+def test_candidate_file_round_trips(case):
+    cand, t = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/pair.rel"
+        if cand.r1 == 0:
+            # the format has no line for the empty block, so none is written
+            with pytest.raises(ValueError):
+                save_candidate(cand, t, path)
+            return
+        save_candidate(cand, t, path)
+        assert load_candidate(path, allow_trivial=True) == (cand, t)
 
 
 def test_candidate_file_fractional_weights(tmp_path, fano):
@@ -281,6 +317,23 @@ def test_oracle_on_trivial_shells(fano):
     assert relative_design_oracle(full, 3) == _reference_oracle(full, 3)
     empty = RelativeCandidate.from_designs(Design(7, (0,)), fano, allow_trivial=True)
     assert relative_design_oracle(empty, 2) == _reference_oracle(empty, 2) == (True, None)
+
+
+def test_oracle_memory_is_its_block_columns():
+    # the complete 6- and 7-shells on 14 points, 6,435 blocks: the columns
+    # take 14 * 6,435 bits, so the scan's peak stays far below a megabyte
+    shells = [
+        Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
+    ]
+    cand = RelativeCandidate.from_designs(*shells)
+    relative_design_oracle(cand, 1)  # anything a first call sets up is not counted
+    tracemalloc.start()
+    try:
+        assert relative_design_oracle(cand, 3) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_oracle_validates_t(fano_pair):
