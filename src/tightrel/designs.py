@@ -3,24 +3,27 @@ and two classical constructions (quadratic-residue translates, the
 4-(23,7,1) design from the length-23 residue code).
 
 Blocks are stored as int bitsets, so membership tests and complements are
-single integer operations.  All counting is exact: coverage is counted by
-ranking each block's j-subsets among the j-subsets of range(n) and counting
-the ranks with numpy; weighted sums are Python ints.  The kernel imports
-numpy on its first call, so code that never counts coverage never loads it.
+single integer operations.  All counting is exact, with the standard
+library only.  Every coverage question goes through one walk over bit-sliced
+block columns (point i is an int whose bit k says whether block k holds
+it): it visits, in lex order, the subsets that some block contains, and
+ANDs their points' columns to get the blocks that contain them.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby
+from functools import reduce
+from itertools import combinations, groupby
+from operator import and_
 
 MAX_POINTS = 128  # blocks fit in two machine words
-# Bound on both matrices the coverage kernel builds for one block size r:
-# the C(r, j) ranks of each block, and the j positions of each j-subset of
-# an r-set.  Past it the kernel raises ValueError before it allocates,
-# rather than exhaust memory.
+# Bound on the coverage walk's work for one block size r: the C(r, j)
+# j-subsets of all blocks of that size, and the j positions of each j-subset
+# of an r-set.  Past it the walk raises ValueError before it starts.
 MAX_RANKS = 1 << 24
 
 
@@ -108,6 +111,18 @@ class DesignParams:
 #   list of 0-based point indices.
 
 
+# an integer in a file is ASCII digits with an optional minus sign: int()
+# would also take other scripts' digits, underscores and a plus sign
+_INT = "-?[0-9]+"
+
+
+def _ascii_int(text: str) -> int:
+    """The integer spelled by `text`; ValueError unless it matches _INT."""
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def load_design(path) -> Design:
     lines = _read_lines(path, "DESIGN v1")
     n, b = _parse_size_line(lines[1], ("n", "b"), path)
@@ -146,7 +161,7 @@ def _parse_size_line(line: str, keys: tuple[str, str], path) -> tuple[int, int]:
         if not part.startswith(key + "="):
             raise FormatError(f"{path}: expected '{key}=<int>' in {line!r}")
         try:
-            vals.append(int(part[len(key) + 1 :]))
+            vals.append(_ascii_int(part[len(key) + 1 :]))
         except ValueError:
             raise FormatError(f"{path}: bad integer in {line!r}") from None
     if not 1 <= vals[0] <= MAX_POINTS:
@@ -156,7 +171,7 @@ def _parse_size_line(line: str, keys: tuple[str, str], path) -> tuple[int, int]:
 
 def parse_block_line(line: str, n: int, path="<string>") -> int:
     try:
-        idx = [int(tok) for tok in line.split()]
+        idx = [_ascii_int(tok) for tok in line.split()]
     except ValueError:
         raise FormatError(f"{path}: non-integer token in block line {line!r}") from None
     if not idx:
@@ -197,141 +212,141 @@ def lambda_count(design: Design, subset) -> int:
     return sum(1 for b in design.blocks if b & m == m)
 
 
-def _rank_dtype(n: int, j: int):
-    """Narrowest exact dtype for the ranks 0..C(n,j)-1."""
-    import numpy as np
-
-    total = math.comb(n, j)
-    return np.int32 if total < 2**31 else np.int64 if total < 2**63 else object
-
-
-def _colex_weights(n: int, j: int, i: int, dtype) -> np.ndarray:
-    """C(m, j-i) for m = 0..n-1-i: the colex weights of subset position i,
-    which holds a reflected point n-1-a_i <= n-1-i.  Each entry is at most
-    C(n-1-i, j-i) < C(n,j), so it fits the rank dtype."""
-    import numpy as np
-
-    return np.array([math.comb(m, j - i) for m in range(n - i)], dtype=dtype)
+def _columns(blocks, n: int) -> list[int]:
+    """Entry i has bit k set when block k contains point i."""
+    if not blocks:
+        return [0] * n
+    # one n-digit row per block, last block first: the stride-n slice at
+    # point i's digit is then a binary numeral with block 0 lowest
+    rows = "".join(format(b, f"0{n}b") for b in reversed(blocks))
+    return [int(rows[n - 1 - i :: n], 2) for i in range(n)]
 
 
-def _subset_ranks(n: int, r: int, blocks, j: int) -> np.ndarray:
-    """Lex ranks of the j-subsets of each r-block, one row per block in the
-    order given, columns in combinations(block, j) order.
-
-    {a_0 < ... < a_{j-1}} has lex rank C(n,j) - 1 - sum_i C(n-1-a_i, j-i):
-    the sum is the colex rank of {n-1-a_i} in the combinatorial number
-    system (Knuth, TAOCP 4A, 7.2.1.3).  Sorted ranks list subsets in the
-    order of combinations(range(n), j).
-    """
-    per_block = math.comb(r, j)
-    if per_block * max(len(blocks), j) > MAX_RANKS:
-        raise ValueError(
-            f"counting {j}-subsets of {len(blocks)} block(s) of size {r} "
-            f"({per_block:,} per block) exceeds the coverage kernel's limit of "
-            f"{MAX_RANKS:,} ranks or positions"
-        )
-    import numpy as np
-
-    dtype = _rank_dtype(n, j)
-    flipped = np.array([[n - 1 - a for a in bits_of(b)] for b in blocks], np.uint8)
-    picks = np.fromiter(
-        chain.from_iterable(combinations(range(r), j)), np.uint8, count=per_block * j
-    ).reshape(per_block, j)
-    ranks = np.full((len(blocks), per_block), math.comb(n, j) - 1, dtype=dtype)
-    for i in range(j):
-        # one column at a time, so no (N, C(r,j), j) array is built
-        ranks -= _colex_weights(n, j, i, dtype)[flipped[:, picks[:, i]]]
-    return ranks
+def _check_work(blocks, j: int) -> None:
+    """Refuse more than MAX_RANKS j-subsets of the blocks of one size r, or
+    j-subset positions of an r-set."""
+    for r, group in groupby(sorted(map(int.bit_count, blocks))):
+        count, per_block = len(list(group)), math.comb(r, j)
+        if per_block * max(count, j) > MAX_RANKS:
+            raise ValueError(
+                f"counting {j}-subsets of {count} block(s) of size {r} "
+                f"({per_block:,} per block) exceeds the coverage kernel's limit of "
+                f"{MAX_RANKS:,} ranks or positions"
+            )
 
 
-def _unrank(n: int, j: int, ranks) -> list[tuple[int, ...]]:
-    """The j-subsets of range(n) with the given lex ranks, as tuples."""
-    import numpy as np
+def _covered(cols, points, j: int, mask: int):
+    """Each j-subset of `points` (ascending) inside some block of `mask`, in
+    lex order, with the mask of the blocks that contain it.  A prefix keeps
+    the blocks that contain it and have enough points after it to reach
+    size j, and as candidates the later points of those blocks; when every
+    candidate lies in every such block, its extensions are combinations."""
+    if j == 0:
+        if mask:
+            yield (), mask
+        return
+    # after[p][c]: the blocks of mask with at least c of the points after p
+    after, at_least = {}, [mask] + [0] * j
+    for p in reversed(points):
+        after[p] = at_least
+        at_least = [mask] + [a | (b & cols[p]) for a, b in zip(at_least[1:], at_least)]
+    mask = at_least[j]
+    prefix, stack = [], []  # one (mask, cand, k) on the stack per prefix point
+    cand, k, fresh = [p for p in points if cols[p] & mask], 0, True
+    while True:
+        need = j - len(prefix)
+        if fresh and reduce(and_, map(cols.__getitem__, cand), mask) == mask:
+            for rest in combinations(cand, need):
+                yield (*prefix, *rest), mask
+            k = len(cand)
+        elif len(cand) - k == need:  # the one extension takes every candidate
+            if m := reduce(and_, map(cols.__getitem__, cand[k:]), mask):
+                yield (*prefix, *cand[k:]), m
+            k = len(cand)
+        while k <= len(cand) - need:
+            p = cand[k]
+            k += 1
+            if not (m := mask & cols[p] & after[p][need - 1]):
+                continue
+            if need == 1:
+                yield (*prefix, p), m
+            elif need == 2:  # the last point needs no candidate list
+                for q in cand[k:]:
+                    if mq := m & cols[q]:
+                        yield (*prefix, p, q), mq
+            else:
+                stack.append((mask, cand, k))
+                prefix.append(p)
+                mask, fresh = m, m != mask
+                if fresh:
+                    cand, k = [q for q in cand[k:] if cols[q] & m], 0
+                break
+        else:
+            if not stack:
+                return
+            mask, cand, k = stack.pop()
+            prefix.pop()
+            fresh = False
 
-    dtype = _rank_dtype(n, j)
-    colex = math.comb(n, j) - 1 - np.asarray(ranks, dtype=dtype)
-    points = np.empty((len(colex), j), dtype=np.intp)
-    for i in range(j):
-        weights = _colex_weights(n, j, i, dtype)
-        # greedy colex digit: the largest m with C(m, j-i) <= colex
-        m = np.searchsorted(weights, colex, side="right") - 1
-        points[:, i] = n - 1 - m
-        colex = colex - weights[m]
-    return [tuple(row) for row in points.tolist()]
+
+def _first_failing(cols, points, j: int, mask: int, holds):
+    """The lex-first j-subset of `points` (ascending) whose mask m of
+    containing blocks fails holds(m), or None; an uncovered one has m = 0."""
+    every = None if holds(0) else combinations(points, j)
+    for s, m in _covered(cols, points, j, mask):
+        # covered subsets come in the order of combinations(points, j), so
+        # the first step where they differ is the first uncovered subset
+        if every is not None and (u := next(every)) != s:
+            return u
+        if not holds(m):
+            return s
+    return None if every is None else next(every, None)
 
 
 def _coverage(n: int, blocks, j: int):
-    """Sorted lex ranks of the j-subsets inside some block, and how many
-    blocks (int64, with multiplicity) contain each."""
-    import numpy as np
-
-    classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
-    ranks = np.concatenate(
-        [np.empty(0, _rank_dtype(n, j))]
-        + [_subset_ranks(n, r, list(group), j).ravel() for r, group in classes]
-    )
-    return np.unique(ranks, return_counts=True)
+    """The j-subsets of range(n) inside some block, in lex order, and how
+    many blocks (with multiplicity) contain each."""
+    _check_work(blocks, j)
+    covered = list(_covered(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1))
+    return [s for s, _ in covered], [m.bit_count() for _, m in covered]
 
 
 def _first_off_target(n: int, blocks, j: int, weight, target):
     """The lex-first j-subset of range(n) whose coverage sum, each block
     counted weight[its size] times, is not `target` (a j-subset in no block
     sums to 0); None when there is none."""
-    import numpy as np
+    _check_work(blocks, j)
+    sizes = [b.bit_count() for b in blocks]
+    # the mask of each size class of blocks, with the weight of its size
+    weighted = [(mask_of(k for k, s in enumerate(sizes) if s == r), weight[r]) for r in set(sizes)]
 
-    classes = groupby(sorted(blocks, key=int.bit_count), int.bit_count)
-    counted = [(*_coverage(n, list(group), j), weight[r]) for r, group in classes]
-    # with return_counts, np.unique skips the np.ma check that imports
-    # numpy.ma (about 16 ms) on a process's first call
-    keys, _ = np.unique(
-        np.concatenate([np.empty(0, _rank_dtype(n, j))] + [k for k, _, _ in counted]),
-        return_counts=True,
-    )
-    totals = np.zeros(len(keys), dtype=object)
-    for k, c, w in counted:
-        totals[np.searchsorted(keys, k)] += c.astype(object) * w  # exact Python ints
-    failing = keys[totals != target][:1].tolist()
-    if target != 0 and len(keys) < math.comb(n, j):
-        # covered ranks 0..m-1 are exactly the keys equal to their own index
-        failing.append(int(np.count_nonzero(keys == np.arange(len(keys)))))
-    return _unrank(n, j, [min(failing)])[0] if failing else None
+    def holds(m):
+        total = 0
+        for c, w in weighted:
+            total += w * (m & c).bit_count()
+        return total == target
+
+    return _first_failing(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1, holds)
 
 
 def _first_uncovered(n: int, blocks, sets, j: int):
-    """(i, s) for the first of `sets` (all of one size) that holds a j-subset
-    s inside no block, with s its lex-first such subset; None when every
-    j-subset of every set is covered."""
-    import numpy as np
-
-    covered, _ = _coverage(n, blocks, j)
-    ranks = _subset_ranks(n, sets[0].bit_count(), sets, j)
-    missing = np.argwhere(~np.isin(ranks, covered))
-    if not len(missing):
-        return None
-    i, k = missing[0]
-    return int(i), _unrank(n, j, [ranks[i, k]])[0]
-
-
-def _dense_coverage(n: int, blocks, j: int) -> np.ndarray:
-    """How many blocks contain each j-subset of range(n), in lex order."""
-    import numpy as np
-
-    keys, counts = _coverage(n, blocks, j)
-    dense = np.zeros(math.comb(n, j), dtype=np.int64)
-    dense[keys] = counts
-    return dense
+    """(i, s) for the first of `sets` that holds a j-subset s inside no
+    block, with s its lex-first such subset; None when there is none."""
+    _check_work(blocks, j)
+    _check_work(sets, j)
+    cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
+    found = ((i, _first_failing(cols, bits_of(s), j, full, bool)) for i, s in enumerate(sets))
+    return next(((i, s) for i, s in found if s is not None), None)
 
 
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
     """Coverage count of every j-subset that lies in at least one block.
 
     Keys are ascending index tuples, in lexicographic order; subsets covered
-    by no block are absent.  Built from the ranks of each block's C(size,j)
-    sub-subsets, which is far cheaper than scanning all C(n,j) subsets
-    against the block list.
+    by no block are absent.  The walk visits only prefixes that some block
+    contains, so it never scans all C(n,j) subsets against the block list.
     """
-    keys, counts = _coverage(design.n, design.blocks, j)
-    return dict(zip(_unrank(design.n, j, keys), counts.tolist()))
+    return dict(zip(*_coverage(design.n, design.blocks, j)))
 
 
 def is_t_design(design: Design, t: int):

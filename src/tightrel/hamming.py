@@ -18,8 +18,8 @@ The oracle is bit-sliced over blocks: each point is one Python int whose
 bit k says whether block k contains it, so N blocks take n*N bits.  A
 depth-first walk over the subsets ANDs these columns, counts blocks with
 int.bit_count, and weighs the counts with exact Python integers, so weights
-of any size share one scan.  The module uses only the standard library, so
-check-relative never loads numpy.
+of any size share one scan.  The columns come from designs._columns, which
+the coverage walk uses too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, mul
 
-from .designs import Design, FormatError, _parse_size_line, _read_lines, parse_block_line
+from .designs import Design, FormatError, _INT, _ascii_int, _columns, _parse_size_line
+from .designs import _read_lines, parse_block_line
 
 __all__ = [
     "RelativeCandidate",
@@ -156,7 +157,7 @@ class RelativeCandidate:
 
 # a weight is an ASCII integer or p/q: Fraction() would also take decimals
 # and exponents, and w=1e1000000 would build a million-digit integer
-_WEIGHT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_WEIGHT = re.compile(rf"{_INT}(/[0-9]+)?")
 
 
 def load_candidate(path, allow_trivial: bool = False):
@@ -176,7 +177,7 @@ def load_candidate(path, allow_trivial: bool = False):
             if len(parts) != 3 or not parts[1].startswith("r=") or not parts[2].startswith("w="):
                 raise FormatError(f"{path}: malformed shell line {line!r}")
             try:
-                r = int(parts[1][2:])
+                r = _ascii_int(parts[1][2:])
                 if not _WEIGHT.fullmatch(parts[2][2:]):
                     raise ValueError
                 w = Fraction(parts[2][2:])
@@ -228,14 +229,6 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 
 # ---------------------------------------------------------------------------
 # the oracle
-
-
-def _columns(blocks, n: int) -> list[int]:
-    """Entry i has bit k set when block k contains point i."""
-    # one n-digit row per block, last block first: the stride-n slice at
-    # point i's digit is then a binary numeral with block 0 lowest
-    rows = "".join(format(b, f"0{n}b") for b in reversed(blocks))
-    return [int(rows[n - 1 - i :: n], 2) for i in range(n)]
 
 
 def relative_design_oracle(cand: RelativeCandidate, t: int):

@@ -1,13 +1,15 @@
 """Coverage-count histograms over all t-subsets, the weighted triple graph,
-and detection of distinct designs sharing a histogram."""
+and detection of distinct designs sharing a histogram.  Counts come from
+the coverage walk of designs.py; a t-subset it does not visit counts 0."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .designs import Design, _coverage, _dense_coverage
+from .designs import Design, _coverage
 
 __all__ = [
     "LambdaSequence",
@@ -47,17 +49,14 @@ class LambdaSequence:
 def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     """Exact histogram of coverage counts over all C(n,t) t-subsets.
 
-    Cost is ranking and sorting the N*C(r,t) t-subsets of the blocks,
-    rather than a scan of all C(n,t) subsets against the block list.
+    Cost is a walk over the t-subsets that some block contains, rather
+    than a scan of all C(n,t) subsets against the block list.
     """
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    import numpy as np
-
     _, counts = _coverage(design.n, design.blocks, t)
-    values, sizes = np.unique(counts, return_counts=True)
-    entries = tuple(zip(values.tolist(), sizes.tolist()))
+    entries = tuple(sorted(Counter(counts).items()))
     zeros = math.comb(design.n, t) - len(counts)
     if zeros:
         entries = ((0, zeros),) + entries
@@ -85,44 +84,36 @@ class MultiplicityGraph:
     weights: tuple
 
     def vertex_index(self, triple) -> int:
-        return self._index[tuple(triple)]
-
-    @property
-    def _index(self):
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.vertices)}
-            self.__dict__["_index_cache"] = idx
-        return idx
+        """The lex rank of a < b < c: the triples with a first point below a,
+        or first point a and a second below b, or a, b and a third below c."""
+        a, b, c = triple
+        n = self.n
+        if not 0 <= a < b < c < n:
+            raise KeyError(tuple(triple))
+        below_a = math.comb(n, 3) - math.comb(n - a, 3)
+        return below_a + math.comb(n - a - 1, 2) - math.comb(n - b, 2) + c - b - 1
 
     def neighbors(self, i: int) -> tuple:
         """Indices of the 3(n-3) vertices sharing exactly 2 points."""
         triple = self.vertices[i]
-        inside = set(triple)
-        out = []
-        for drop in triple:
-            kept = tuple(x for x in triple if x != drop)
-            for add in range(self.n):
-                if add not in inside:
-                    out.append(self._index[tuple(sorted(kept + (add,)))])
-        return tuple(sorted(out))
+        return tuple(sorted(
+            self.vertex_index(sorted({*triple, add} - {drop}))
+            for drop in triple for add in range(self.n) if add not in triple
+        ))
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
     def weight_multiset(self) -> tuple:
-        hist: dict[int, int] = {}
-        for w in self.weights:
-            hist[w] = hist.get(w, 0) + 1
-        return tuple(sorted(hist.items()))
+        return tuple(sorted(Counter(self.weights).items()))
 
 
 def multiplicity_graph(design: Design) -> MultiplicityGraph:
     if design.uniform_size() < 3:
         raise ValueError("block size must be at least 3")
     vertices = tuple(combinations(range(design.n), 3))  # in lex order
-    weights = tuple(_dense_coverage(design.n, design.blocks, 3).tolist())
-    return MultiplicityGraph(design.n, vertices, weights)
+    counts = dict(zip(*_coverage(design.n, design.blocks, 3)))
+    return MultiplicityGraph(design.n, vertices, tuple(counts.get(v, 0) for v in vertices))
 
 
 def conjecture2_scan(designs, t: int):

@@ -1,6 +1,6 @@
 """Shared fixtures: the witnessing designs and a mixed corpus of passing
 and failing two-shell candidates; the dict-of-tuples coverage loop that the
-ranked coverage kernel is compared against; and hypothesis strategies for
+coverage walk is compared against; and hypothesis strategies for
 random designs and edited two-shell candidates."""
 
 import functools
@@ -148,9 +148,9 @@ def designs(draw, uniform=True):
     """A design on n points, n small, 37, or at the uint64 word boundaries
     64, 65 and 128: random blocks with repeats, a complete design, a
     relabelled Paley design, or (for n >= 35) random blocks of size n-4..n,
-    whose j-subsets near the block size have ranks far below the largest
-    binomials C(n-1, m); each possibly repeated as a whole; mixed block sizes
-    when uniform is False."""
+    whose j-subsets near the block size are long prefixes of the coverage
+    walk; each possibly repeated as a whole; mixed block sizes when uniform
+    is False."""
     n = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 11, 37, 64, 65, 128]))
     kind = draw(st.sampled_from(["random", "random", "complete", "paley", "large"]))
     if kind == "paley" and n in (7, 11):

@@ -155,6 +155,41 @@ def test_malformed_files_fail_cleanly(fano_texts, data):
                 assert code == 3, (argv, blob)
 
 
+# int() would read each of these spellings, so each leaves the Fano files
+# valid apart from the spelling of the one integer
+_SPELLINGS = {
+    "٣": lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    "1_0": lambda v: f"{v // 10}_{v % 10}",
+    "+3": lambda v: f"+{v}",
+}
+# file, line and the index of the integer on that line
+_INTEGER_POSITIONS = {
+    "n": ("design", 1, 0),
+    "b": ("design", 1, 1),
+    "block": ("design", 2, 1),
+    "pair-n": ("pair", 1, 0),
+    "t": ("pair", 1, 1),
+    "r": ("pair", 2, 0),
+    "pair-block": ("pair", 3, 2),
+}
+
+
+@pytest.mark.parametrize("position", list(_INTEGER_POSITIONS))
+@pytest.mark.parametrize("spelling", list(_SPELLINGS))
+def test_file_integers_are_ascii_digits(capsys, fano_file, fano_pair_file, spelling, position):
+    kind, i, k = _INTEGER_POSITIONS[position]
+    path = fano_file if kind == "design" else fano_pair_file
+    lines = path.read_text(encoding="utf-8").splitlines()
+    m = list(re.finditer(r"[0-9]+", lines[i]))[k]
+    lines[i] = lines[i][: m.start()] + _SPELLINGS[spelling](int(m.group())) + lines[i][m.end() :]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["verify", str(path), "--t", "2"] if kind == "design" else ["check-relative", str(path)]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+
 def test_verify_bad_t(capsys, fano_file):
     assert main(["verify", str(fano_file), "--t", "9"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -242,7 +277,6 @@ def test_lambda_seq_oversized_coverage(capsys, tmp_path):
     # anything is allocated, as a usage error
     p = tmp_path / "big.blk"
     p.write_text("DESIGN v1\nn=128 b=1\n" + " ".join(map(str, range(30))) + "\n")
-    import numpy  # noqa: F401  (imported before tracing, so not counted)
 
     tracemalloc.start()
     try:
@@ -422,45 +456,69 @@ def test_cli_import_leaves_out_concurrent_futures(tmp_path):
 
 
 _NUMPY_PROBE = """
-import contextlib, io, sys
+import contextlib, hashlib, io, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 import tightrel
-print('numpy' in sys.modules)
 import tightrel.cli
-print('numpy' in sys.modules)
-for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
+print(sys.modules.get('numpy') is not None)
+for argv in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = tightrel.cli.main(argv.split())
-    print(argv, code, 'numpy' in sys.modules)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    print(argv, code, sys.modules.get('numpy') is not None, digest)
 """
 
 
-def test_numpy_loaded_only_by_counting_verbs(tmp_path, fano):
+def test_no_verb_loads_numpy(tmp_path, fano, fano_swapped, witt):
+    save_design(fano, tmp_path / "fano.blk")
+    save_design(witt, tmp_path / "witt.blk")
     save_candidate(RelativeCandidate.from_designs(fano, complement(fano)), 3, tmp_path / "pair.rel")
     save_candidate(
         RelativeCandidate.from_designs(fano, complement(fano), 1, 2), 3, tmp_path / "unbalanced.rel"
     )
+    save_candidate(RelativeCandidate.from_designs(witt, complement(witt)), 5, tmp_path / "witt.rel")
+    (tmp_path / "corpus").mkdir()
+    save_design(fano, tmp_path / "corpus" / "a.blk")
+    save_design(fano_swapped, tmp_path / "corpus" / "b.blk")
+    (tmp_path / "witts").mkdir()
+    save_design(witt, tmp_path / "witts" / "w.blk")
     runs = {
+        "verify fano.blk --t 2": 0,
+        "verify fano.blk --t 3": 1,
+        "verify witt.blk --t 4": 0,
+        "verify witt.blk --t 5": 1,
+        "lambda-seq fano.blk --t 3": 0,
+        "lambda-seq witt.blk --t 5": 0,
+        "conjecture2 corpus --t 3": 0,
+        "conjecture2 witts --t 4": 0,
+        "check-relative pair.rel": 0,
+        "check-relative unbalanced.rel --tight": 1,
+        "check-relative witt.rel --tight": 0,
         "scan-3 --max-n 30 --annotate": 0,
         "scan-4 --max-n 20 --annotate": 0,
         "nonexist --params 29,8,2": 1,
         "construct fano": 0,
-        "check-relative pair.rel": 0,
-        "check-relative unbalanced.rel --tight": 1,
+        "construct witt23": 0,
+        "transform complement fano.blk": 0,
+        "transform derived witt.blk 0": 0,
+        "transform residual witt.blk 0": 0,
     }
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *runs],
-        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    expect = ["False", "False"] + [f"{argv} {code} False" for argv, code in runs.items()]
-    assert proc.stdout.splitlines() == expect
-    # the counting verbs import it on their first kernel call
-    save_design(fano, tmp_path / "fano.blk")
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, "verify fano.blk --t 2"],
-        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
-    )
-    assert proc.stdout.splitlines()[-1] == "verify fano.blk --t 2 0 True"
+    lines = {}
+    for mode in ("loaded", "blocked"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, mode, *runs],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines[mode] = proc.stdout.splitlines()
+    # with numpy importable, no verb imports it; with its import blocked,
+    # every verb prints the same bytes and exits the same way
+    expect = ["False"] + [f"{argv} {code} False" for argv, code in runs.items()]
+    assert lines["loaded"][:1] + [line.rsplit(" ", 1)[0] for line in lines["loaded"][1:]] == expect
+    assert lines["blocked"] == lines["loaded"]
     _run_fano_verify([sys.executable, "-m", "tightrel.cli"], tmp_path, fano)
 
 

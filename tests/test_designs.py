@@ -24,7 +24,7 @@ from tightrel import (
     residual,
     save_design,
 )
-from tightrel.designs import bits_of, mask_of, parse_block_line
+from tightrel.designs import _first_off_target, bits_of, mask_of, parse_block_line
 
 from conftest import cheap_levels, designs, reference_coverage
 
@@ -340,10 +340,36 @@ def test_twise_balanced_matches_reference_on_unions(fano, paley11):
                 assert is_regular_twise_balanced(union, w, t) == expect
 
 
-# 2**31 <= C(80, 7) < 2**32 and C(128, 6) < 2**63 <= C(128, 19): int64
-# ranks, then Python ints.  In the other cases C(n, j) fits the rank dtype
-# (int32, or int64 for j = 118) but C(n-1, (n-1)/2) does not, so the weight
-# table of subset position i must stop at C(n-1-i, j-i)
+@settings(max_examples=80, deadline=None)
+@given(designs(uniform=False), st.data())
+def test_first_off_target_is_lex_first_failure(design, data):
+    # targets 0 (only covered subsets fail), the double-counting value and
+    # that value off by one; a random design may fail first at an uncovered
+    # subset or at a covered one with the wrong sum
+    n = design.n
+    levels = [j for j in [0] + cheap_levels(design, 4) if 1 <= math.comb(n, j) <= 20_000]
+    j = data.draw(st.sampled_from(levels), label="j")
+    weight = {
+        s: data.draw(st.integers(1, 6) | st.integers(1, 2**70), label=f"w{s}")
+        for s in sorted(design.block_sizes())
+    }
+    sums = reference_coverage(design, j, weight)
+    double = Fraction(sum(sums.values()), math.comb(n, j))
+    target = data.draw(st.sampled_from([0, double, double + 1, double - 1]), label="target")
+    expect = next(
+        (s for s in itertools.combinations(range(n), j) if sums.get(s, 0) != target), None
+    )
+    assert _first_off_target(n, design.blocks, j, weight, target) == expect
+
+
+def test_first_off_target_after_the_last_covered_subset(fano):
+    # on 8 points the Fano lines miss point 7, whose singleton comes last
+    assert _first_off_target(8, fano.blocks, 1, {3: 1}, 3) == (7,)
+    assert _first_off_target(7, fano.blocks, 1, {3: 1}, 3) is None
+
+
+# C(n, j) past 2**31 and 2**63, and strengths just below the block size,
+# where every covered subset is a long prefix of the walk
 @pytest.mark.parametrize(
     "n, size, j",
     [(80, 20, 7), (128, 20, 6), (128, 20, 19), (37, 36, 35), (40, 39, 38), (128, 127, 126), (128, 119, 118)],

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -71,8 +72,8 @@ def test_lambda_sequence_matches_reference(design):
 
 
 def test_lambda_sequence_near_block_size(biplane37):
-    # C(37, 27) < 2**31, while C(36, 18) > 2**31 lies outside every weight
-    # table the 27-subsets of the 28-blocks need
+    # the 27-subsets of 37 blocks of size 28, any two of which share 21
+    # points: deep prefixes that several blocks contain
     comp = complement(biplane37)
     assert lambda_sequence(comp, 27).entries == _reference_lambda_sequence(comp, 27)
 
@@ -156,6 +157,30 @@ def test_multiplicity_graph_vertex_index_round_trip(fano):
     for i, v in enumerate(g.vertices):
         assert g.vertex_index(v) == i
         assert g.vertex_index(list(v)) == i
+
+
+def test_multiplicity_graph_indexes_without_a_table():
+    # the closed-form lex rank of a triple against combinations, and the
+    # neighbours of a vertex at n = 128 found without an index of the
+    # 341,376 vertices
+    for n in range(4, 13):
+        g = multiplicity_graph(Design(n, (mask_of(range(4)),)))
+        assert [g.vertex_index(v) for v in g.vertices] == list(range(math.comb(n, 3)))
+    g = multiplicity_graph(Design(128, (mask_of(range(4)), mask_of(range(124, 128)))))
+    assert g.weight_multiset() == ((0, math.comb(128, 3) - 8), (1, 8))
+    assert g.weights[g.vertex_index((125, 126, 127))] == 1
+    with pytest.raises(KeyError):
+        g.vertex_index((1, 0, 2))
+    g.neighbors(1)  # anything a first call sets up is not counted
+    tracemalloc.start()
+    try:
+        near = g.neighbors(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert len(near) == 3 * 125
+    assert all(len(set(g.vertices[j]) & {0, 1, 2}) == 2 for j in near)
 
 
 def test_multiplicity_graph_is_frozen(fano):
