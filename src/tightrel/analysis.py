@@ -8,11 +8,11 @@ condition for complementary tight 3-designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import (
     Design,
+    _Record,
     _first_off_target,
     _first_uncovered,
     bits_of,
@@ -37,19 +37,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShellReport:
+class ShellReport(_Record):
     """One shell's constituent check."""
 
-    r: int
-    is_design: bool  # combinatorial (t-1)-design?
-    lambda_observed: tuple | None  # (lam_0..lam_{t-1}) when is_design
-    lambda_formula: Fraction  # closed-form lam_{t-1}
-    matches: bool
+    __slots__ = ("r", "is_design", "lambda_observed", "lambda_formula", "matches")
+
+    def __init__(
+        self,
+        r: int,
+        is_design: bool,  # combinatorial (t-1)-design?
+        lambda_observed: tuple | None,  # (lam_0..lam_{t-1}) when is_design
+        lambda_formula: Fraction,  # closed-form lam_{t-1}
+        matches: bool,
+    ):
+        self._set(r, is_design, lambda_observed, lambda_formula, matches)
 
 
-@dataclass(frozen=True)
-class KageyamaReport:
+class KageyamaReport(_Record):
     """Constituent decomposition of a two-shell candidate.
 
     applicable is False when the union fails to be t- and (t-1)-wise
@@ -63,10 +67,11 @@ class KageyamaReport:
     and the r2 analogue with the roles of r1 and r2 exchanged.
     """
 
-    applicable: bool
-    t: int
-    weighted_lambda: tuple | None
-    shells: tuple | None
+    __slots__ = ("applicable", "t", "weighted_lambda", "shells")
+
+    def __init__(self, applicable: bool, t: int, weighted_lambda: tuple | None,
+                 shells: tuple | None):
+        self._set(applicable, t, weighted_lambda, shells)
 
 
 def _shell_lambdas(design: Design, t: int):

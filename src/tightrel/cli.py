@@ -10,36 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .analysis import tight_size
-from .designs import (
-    Design,
-    DesignParams,
-    FormatError,
-    complement,
-    construct_paley_hadamard,
-    construct_witt_23,
-    derived,
-    design_text,
-    extend_pair,
-    is_t_design,
-    load_design,
-    residual,
-    save_design,
-)
-from .feasibility import (
-    admissibility_test,
-    annotate_existence,
-    brc_test,
-    driessen_test,
-    rows_to_tsv,
-    scan_relative3,
-    scan_relative4,
-    symmetric_square_test,
-)
-from .hamming import load_candidate, relative_design_oracle
-from .profiles import conjecture2_scan, lambda_sequence
+from .designs import FormatError
+
+# Each verb imports what it runs when it runs, so that a process loads only
+# the modules of its own verb.
 
 
 def _emit(text: str, out) -> None:
@@ -50,7 +25,9 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _emit_design(design: Design, out) -> int:
+def _emit_design(design, out) -> int:
+    from .designs import design_text, save_design
+
     if out:
         save_design(design, out)
     else:
@@ -59,6 +36,8 @@ def _emit_design(design: Design, out) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .designs import is_t_design, load_design
+
     design = load_design(args.file)
     ok, lams = is_t_design(design, args.t)
     if ok:
@@ -69,6 +48,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_relative(args) -> int:
+    from .hamming import load_candidate, relative_design_oracle
+
     cand, file_t = load_candidate(args.file, allow_trivial=args.allow_trivial)
     t = args.t if args.t is not None else file_t
     ok, witness = relative_design_oracle(cand, t)
@@ -82,6 +63,8 @@ def _cmd_check_relative(args) -> int:
         )
     code = 0 if ok else 1
     if args.tight:
+        from .analysis import tight_size
+
         # a candidate that is not a relative t-design is never tight, whatever t
         tight = ok and cand.total_size == tight_size(t, cand.n)
         print(f"tight: {'true' if tight else 'false'}")
@@ -91,6 +74,9 @@ def _cmd_check_relative(args) -> int:
 
 
 def _cmd_lambda_seq(args) -> int:
+    from .designs import load_design
+    from .profiles import lambda_sequence
+
     design = load_design(args.file)
     seq = lambda_sequence(design, args.t)
     print(" ".join(f"{count}*{value}" for value, count in seq.entries))
@@ -98,6 +84,8 @@ def _cmd_lambda_seq(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .feasibility import annotate_existence, rows_to_tsv, scan_relative3, scan_relative4
+
     if args.t == 3:
         rows = scan_relative3(args.max_n, frozenset(int(tok) for tok in args.cases.split(",")))
     else:
@@ -109,6 +97,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_nonexist(args) -> int:
+    from .designs import DesignParams
+    from .feasibility import admissibility_test, brc_test, driessen_test, symmetric_square_test
+
     try:
         v, k, lam = (int(tok) for tok in args.params.split(","))
     except ValueError:
@@ -127,6 +118,16 @@ def _cmd_nonexist(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .designs import (
+        complement,
+        construct_paley_hadamard,
+        construct_witt_23,
+        derived,
+        extend_pair,
+        load_design,
+        residual,
+    )
+
     what = args.what
     if what == "fano":
         return _emit_design(construct_paley_hadamard(7), args.out)
@@ -148,6 +149,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_conjecture2(args) -> int:
+    from pathlib import Path
+
+    from .designs import load_design
+    from .profiles import conjecture2_scan
+
     paths = sorted(Path(args.dir).glob("*.blk"))
     if not paths:
         raise FormatError(f"no .blk files in {args.dir}")

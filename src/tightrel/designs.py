@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, groupby
 from operator import and_
@@ -48,8 +46,56 @@ def mask_of(indices) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Design:
+# the canonical block order: lex on ascending point indices.  A block's bits
+# read from bit 0 up, with 1 and 0 swapped, sort in that order as strings
+_SWAP01 = str.maketrans("01", "10")
+
+
+def _block_key(b: int) -> str:
+    return bin(b)[:1:-1].translate(_SWAP01) if b else ""
+
+
+class _Record:
+    """Immutable record over the fields named in __slots__.
+
+    Equality, hash and repr are those of a frozen dataclass: equal only to
+    an instance of the same class with equal fields, hashed by the field
+    tuple, shown as Name(field=value, ...).  Pickling and copying rebuild
+    through the constructor, so a copy is validated like a new instance.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Design(_Record):
     """Multiset of blocks on the point set {0,...,n-1}.
 
     The block list is kept in a canonical order (lexicographic on the
@@ -58,17 +104,16 @@ class Design:
     permitted and preserved.
     """
 
-    n: int
-    blocks: tuple[int, ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_POINTS:
-            raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {self.n}")
-        blocks = tuple(sorted((int(b) for b in self.blocks), key=bits_of))
+    def __init__(self, n: int, blocks: tuple[int, ...]):
+        if not 1 <= n <= MAX_POINTS:
+            raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+        blocks = tuple(sorted((int(b) for b in blocks), key=_block_key))
         for b in blocks:
-            if b < 0 or b >> self.n:
+            if b < 0 or b >> n:
                 raise ValueError("block contains a point index outside 0..n-1")
-        object.__setattr__(self, "blocks", blocks)
+        self._set(n, blocks)
 
     @property
     def num_blocks(self) -> int:
@@ -85,20 +130,17 @@ class Design:
         return next(iter(sizes))
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(_Record):
     """Parameter tuple of a t-(v,k,lam) design."""
 
-    v: int
-    k: int
-    lam: int
-    t: int = 2
+    __slots__ = ("v", "k", "lam", "t")
 
-    def __post_init__(self):
-        if not 0 < self.t <= self.k <= self.v:
+    def __init__(self, v: int, k: int, lam: int, t: int = 2):
+        if not 0 < t <= k <= v:
             raise ValueError("need 0 < t <= k <= v")
-        if self.lam < 1:
+        if lam < 1:
             raise ValueError("lam must be >= 1")
+        self._set(v, k, lam, t)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +156,12 @@ class DesignParams:
 # an integer in a file is ASCII digits with an optional minus sign: int()
 # would also take other scripts' digits, underscores and a plus sign
 _INT = "-?[0-9]+"
+_is_int = re.compile(_INT).fullmatch  # compiled once: a file has a token per point
 
 
 def _ascii_int(text: str) -> int:
     """The integer spelled by `text`; ValueError unless it matches _INT."""
-    if not re.fullmatch(_INT, text):
+    if not _is_int(text):
         raise ValueError(f"not an ASCII integer: {text!r}")
     return int(text)
 
@@ -382,6 +425,8 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
     coverage sum of every j-subset is constant for each j = 1..t; the
     balanced case returns [lam_1, ..., lam_t] as exact Fractions.
     """
+    from fractions import Fraction  # here, so that verify does not import it
+
     if t < 1:
         raise ValueError("t must be >= 1")
     sizes = design.block_sizes()

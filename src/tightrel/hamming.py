@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, mul
 
-from .designs import Design, FormatError, _INT, _ascii_int, _columns, _parse_size_line
+from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns, _parse_size_line
 from .designs import _read_lines, parse_block_line
 
 __all__ = [
@@ -76,28 +75,21 @@ def shell_moment(n: int, s: int, r: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RelativeCandidate:
+class RelativeCandidate(_Record):
     """Two weighted shells of H(n,2).
 
     design1/design2 have uniform block sizes r1 < r2 on the same n points;
     w1/w2 are the positive per-shell weights.  Construction through
     from_designs enforces the nontrivial window 2 <= r1 < r2 <= n-2 unless
-    allow_trivial is set; building the dataclass directly skips only that
+    allow_trivial is set; calling the constructor directly skips only that
     window check.
     """
 
-    n: int
-    r1: int
-    r2: int
-    design1: Design
-    design2: Design
-    w1: Fraction
-    w2: Fraction
+    __slots__ = ("n", "r1", "r2", "design1", "design2", "w1", "w2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w1", Fraction(self.w1))
-        object.__setattr__(self, "w2", Fraction(self.w2))
+    def __init__(self, n: int, r1: int, r2: int, design1: Design, design2: Design,
+                 w1: Fraction, w2: Fraction):
+        self._set(n, r1, r2, design1, design2, Fraction(w1), Fraction(w2))
         if self.design1.n != self.n or self.design2.n != self.n:
             raise ValueError("both shell designs must live on the same n points")
         if self.design1.num_blocks == 0 or self.design2.num_blocks == 0:

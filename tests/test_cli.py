@@ -19,6 +19,7 @@ from tightrel import (
     Design,
     RelativeCandidate,
     complement,
+    construct_paley_hadamard,
     design_text,
     load_design,
     save_candidate,
@@ -453,6 +454,62 @@ def test_cli_import_leaves_out_concurrent_futures(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, sys
+import tightrel
+print(sorted(m for m in sys.modules if m.startswith("tightrel.")))
+import tightrel.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tightrel.cli.main(sys.argv[1:])
+watched = ("dataclasses", "inspect")
+print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in watched))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code,loaded",
+    [
+        (["check-relative", "pair.rel", "--tight"], 0,
+         ["tightrel.analysis", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+        (["check-relative", "pair.rel"], 0, ["tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+        (["verify", "paley.blk", "--t", "2"], 0, ["tightrel.cli", "tightrel.designs"]),
+    ],
+)
+def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
+    # `import tightrel` loads no submodule; a verb loads the modules it runs,
+    # and neither check-relative nor verify pays for dataclasses and inspect
+    paley = construct_paley_hadamard(19)
+    save_design(paley, tmp_path / "paley.blk")
+    save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", f"{code} {loaded}"]
+
+
+def test_package_names_resolve_lazily():
+    for name in tightrel.__all__:
+        value = getattr(tightrel, name)
+        owner = sys.modules[value.__module__]
+        assert owner.__name__.startswith("tightrel.")
+        # the lazy lookup itself, whether or not the name is cached yet
+        assert tightrel.__getattr__(name) is getattr(owner, name) is value
+    namespace = {}
+    exec("from tightrel import *", namespace)
+    assert {name: namespace[name] for name in tightrel.__all__} == {
+        name: getattr(tightrel, name) for name in tightrel.__all__
+    }
+    assert set(tightrel.__all__) <= set(dir(tightrel))
+    assert tightrel.__version__ == "0.1.0"
+    assert tightrel.__getattr__("designs") is sys.modules["tightrel.designs"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tightrel.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from tightrel import no_such_name", {})
 
 
 _NUMPY_PROBE = """
