@@ -19,13 +19,14 @@ _EXPORTS = {
         construct_witt_23 coverage_map derived design_text extend_pair
         is_regular_twise_balanced is_t_design lambda_count load_design mask_of residual
         save_design""",
-    "feasibility": """FeasibleRow NonexistenceVerdict admissibility_test annotate_existence
-        brc_test driessen_test legendre_solvable row_ruled_out rows_to_tsv scan_relative3
-        scan_relative4 symmetric_square_test""",
+    "feasibility": """FeasibleRow annotate_existence row_ruled_out rows_to_tsv scan_relative3
+        scan_relative4""",
     "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle
         save_candidate shell_moment""",
     "profiles": """LambdaSequence MultiplicityGraph conjecture2_scan lambda_sequence
         multiplicity_graph sequences_equal""",
+    "screens": """NonexistenceVerdict admissibility_test brc_test driessen_test
+        legendre_solvable symmetric_square_test""",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_OWNER)

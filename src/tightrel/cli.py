@@ -98,7 +98,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_nonexist(args) -> int:
     from .designs import DesignParams
-    from .feasibility import admissibility_test, brc_test, driessen_test, symmetric_square_test
+    from .screens import admissibility_test, brc_test, driessen_test, symmetric_square_test
 
     try:
         v, k, lam = (int(tok) for tok in args.params.split(","))
@@ -164,95 +164,149 @@ def _cmd_conjecture2(args) -> int:
     return 0
 
 
+# The parser: one (name, help, add_arguments) row per verb.  Every verb is
+# registered with its help, which is all that `tightrel --help` and an
+# unknown verb's error show, but only the verbs named on the command line get
+# their arguments: building every verb's took longer than most verbs run.
+
+
 def _add_out(p) -> None:
     p.add_argument("--out", help="write to this path instead of stdout")
 
 
-def _add_transform_subcommands(sub) -> None:
-    p = sub.add_parser("complement", help="complement every block")
-    p.add_argument("file")
-    _add_out(p)
-    for name, hint in (("derived", "blocks through the point, point removed"),
-                       ("residual", "blocks missing the point")):
-        p = sub.add_parser(name, help=hint)
-        p.add_argument("file")
-        p.add_argument("point", type=int)
-        _add_out(p)
-    p = sub.add_parser("extend", help="adjoin a new point to every block of the first file, then append the second")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    _add_out(p)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tightrel",
-        description="verify, construct, and scan block designs and two-shell relative designs",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("verify", help="check a block file for t-design balance")
+def _verify_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("check-relative", help="run the two-shell moment oracle on a candidate file")
+
+def _check_relative_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--t", type=int, default=None, help="override the strength declared in the file")
     p.add_argument("--tight", action="store_true", help="also require the minimal-size bound with equality")
     p.add_argument("--allow-trivial", action="store_true", help="accept shells outside 2 <= r1 < r2 <= n-2")
     p.set_defaults(func=_cmd_check_relative)
 
-    p = sub.add_parser("lambda-seq", help="print the coverage-count histogram as count*value tokens")
+
+def _lambda_seq_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_lambda_seq)
 
-    for t in (3, 4):
-        p = sub.add_parser(f"scan-{t}", help=f"feasible strength-{t} parameter rows as TSV")
-        p.add_argument("--max-n", type=int, required=True)
-        if t == 3:
-            p.add_argument("--cases", default="1,2,3,4", help="comma list from {1,2,3,4}")
-        p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
-        p.add_argument("--threads", type=int, metavar="K",
-                       help="accepted for compatibility; scans run in one process")
-        _add_out(p)
-        p.set_defaults(func=_cmd_scan, t=t)
 
-    p = sub.add_parser("nonexist", help="apply the nonexistence test matching v,k,lam")
+def _scan_args(p, t: int) -> None:
+    p.add_argument("--max-n", type=int, required=True)
+    if t == 3:
+        p.add_argument("--cases", default="1,2,3,4", help="comma list from {1,2,3,4}")
+    p.add_argument("--annotate", action="store_true", help="attach nonexistence verdicts")
+    p.add_argument("--threads", type=int, metavar="K",
+                   help="accepted for compatibility; scans run in one process")
+    _add_out(p)
+    p.set_defaults(func=_cmd_scan, t=t)
+
+
+def _nonexist_args(p) -> None:
     p.add_argument("--params", required=True, metavar="v,k,lam")
     p.add_argument("--t", type=int, default=2, choices=(2, 3),
                    help="2: symmetric-design tests; 3: triple-system congruence test")
     p.set_defaults(func=_cmd_nonexist)
 
-    p = sub.add_parser("construct", help="generate a design file")
-    csub = p.add_subparsers(dest="what", required=True)
-    c = csub.add_parser("fano", help="the 2-(7,3,1) design")
-    _add_out(c)
-    c = csub.add_parser("paley", help="quadratic-residue translates, prime q = 3 mod 4")
-    c.add_argument("q", type=int)
-    _add_out(c)
-    c = csub.add_parser("witt23", help="the 4-(23,7,1) design")
-    _add_out(c)
-    _add_transform_subcommands(csub)
+
+def _paley_args(p) -> None:
+    p.add_argument("q", type=int)
+    _add_out(p)
+
+
+def _file_args(p) -> None:
+    p.add_argument("file")
+    _add_out(p)
+
+
+def _point_args(p) -> None:
+    p.add_argument("file")
+    p.add_argument("point", type=int)
+    _add_out(p)
+
+
+def _extend_args(p) -> None:
+    p.add_argument("file_a")
+    p.add_argument("file_b")
+    _add_out(p)
+
+
+_TRANSFORMS = (
+    ("complement", "complement every block", _file_args),
+    ("derived", "blocks through the point, point removed", _point_args),
+    ("residual", "blocks missing the point", _point_args),
+    ("extend", "adjoin a new point to every block of the first file, then append the second",
+     _extend_args),
+)
+_CONSTRUCTIONS = (
+    ("fano", "the 2-(7,3,1) design", _add_out),
+    ("paley", "quadratic-residue translates, prime q = 3 mod 4", _paley_args),
+    ("witt23", "the 4-(23,7,1) design", _add_out),
+    *_TRANSFORMS,
+)
+
+
+def _construct_args(p) -> None:
+    _add_verbs(p, "what", _CONSTRUCTIONS)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("transform", help="derive a design from an existing file")
-    tsub = p.add_subparsers(dest="what", required=True)
-    _add_transform_subcommands(tsub)
+
+def _transform_args(p) -> None:
+    _add_verbs(p, "what", _TRANSFORMS)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("conjecture2", help="pairs in a corpus directory with equal coverage histograms")
+
+def _conjecture2_args(p) -> None:
     p.add_argument("dir")
     p.add_argument("--t", type=int, required=True)
     _add_out(p)
     p.set_defaults(func=_cmd_conjecture2)
 
+
+_VERBS = (
+    ("verify", "check a block file for t-design balance", _verify_args),
+    ("check-relative", "run the two-shell moment oracle on a candidate file", _check_relative_args),
+    ("lambda-seq", "print the coverage-count histogram as count*value tokens", _lambda_seq_args),
+    ("scan-3", "feasible strength-3 parameter rows as TSV", lambda p: _scan_args(p, 3)),
+    ("scan-4", "feasible strength-4 parameter rows as TSV", lambda p: _scan_args(p, 4)),
+    ("nonexist", "apply the nonexistence test matching v,k,lam", _nonexist_args),
+    ("construct", "generate a design file", _construct_args),
+    ("transform", "derive a design from an existing file", _transform_args),
+    ("conjecture2", "pairs in a corpus directory with equal coverage histograms",
+     _conjecture2_args),
+)
+
+
+def _add_verbs(parser, dest: str, table, words=None) -> None:
+    """Register every verb of table, with its help, as a sub-command of
+    parser, and call add_arguments for the verbs named in words (for all of
+    them when words is None).  argparse hands the rest of a command line only
+    to the sub-parser whose name is one of its words, so a verb left empty
+    here is never parsed with."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, add_arguments in table:
+        p = sub.add_parser(name, help=help_text)
+        if words is None or name in words:
+            add_arguments(p)
+
+
+def _build_parser(words=None) -> argparse.ArgumentParser:
+    """The tightrel parser, with arguments for the verbs named in words
+    (every verb when words is None)."""
+    parser = argparse.ArgumentParser(
+        prog="tightrel",
+        description="verify, construct, and scan block designs and two-shell relative designs",
+    )
+    _add_verbs(parser, "verb", _VERBS, words)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors

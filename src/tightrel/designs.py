@@ -60,8 +60,10 @@ class _Record:
 
     Equality, hash and repr are those of a frozen dataclass: equal only to
     an instance of the same class with equal fields, hashed by the field
-    tuple, shown as Name(field=value, ...).  Pickling and copying rebuild
-    through the constructor, so a copy is validated like a new instance.
+    tuple, shown as Name(field=value, ...).  Assignment and deletion raise
+    the frozen dataclass's FrozenInstanceError, an AttributeError.
+    Pickling and copying rebuild through the constructor, so a copy is
+    validated like a new instance.
     """
 
     __slots__ = ()
@@ -85,11 +87,17 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
+    # dataclasses (with inspect) costs more to import than most verbs take
+    # to run, so it loads only here, on the way to an error
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return self.__class__, self._fields()
@@ -156,7 +164,10 @@ class DesignParams(_Record):
 # an integer in a file is ASCII digits with an optional minus sign: int()
 # would also take other scripts' digits, underscores and a plus sign
 _INT = "-?[0-9]+"
-_is_int = re.compile(_INT).fullmatch  # compiled once: a file has a token per point
+_is_int = re.compile(_INT).fullmatch
+# a whole block line: such integers between runs of whitespace, where \s is
+# exactly what str.split splits on, so one match checks every token
+_is_int_line = re.compile(rf"\s*{_INT}(?:\s+{_INT})*\s*").fullmatch
 
 
 def _ascii_int(text: str) -> int:
@@ -213,12 +224,11 @@ def _parse_size_line(line: str, keys: tuple[str, str], path) -> tuple[int, int]:
 
 
 def parse_block_line(line: str, n: int, path="<string>") -> int:
-    try:
-        idx = [_ascii_int(tok) for tok in line.split()]
-    except ValueError:
-        raise FormatError(f"{path}: non-integer token in block line {line!r}") from None
-    if not idx:
+    if not _is_int_line(line):
+        if line.strip():
+            raise FormatError(f"{path}: non-integer token in block line {line!r}")
         raise FormatError(f"{path}: empty block line")
+    idx = list(map(int, line.split()))
     for a, b in zip(idx, idx[1:]):
         if b <= a:
             raise FormatError(f"{path}: indices not strictly increasing in {line!r}")

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
-from .designs import Design, _coverage
+from .designs import Design, _coverage, _Record
 
 __all__ = [
     "LambdaSequence",
@@ -21,23 +20,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LambdaSequence:
+class LambdaSequence(_Record):
     """Histogram of lambda_t over all t-subsets.
 
     entries is a tuple of (value, count) pairs with values strictly
     increasing; counts are positive.
     """
 
-    t: int
-    entries: tuple
+    __slots__ = ("t", "entries")
 
-    def __post_init__(self):
-        vals = [v for v, _ in self.entries]
+    def __init__(self, t: int, entries: tuple):
+        vals = [v for v, _ in entries]
         if vals != sorted(set(vals)):
             raise ValueError("entry values must be strictly increasing")
-        if any(c < 1 for _, c in self.entries):
+        if any(c < 1 for _, c in entries):
             raise ValueError("entry counts must be positive")
+        self._set(t, entries)
 
     def total_count(self) -> int:
         return sum(c for _, c in self.entries)
@@ -73,15 +71,15 @@ def sequences_equal(a: LambdaSequence, b: LambdaSequence) -> bool:
     return a.t == b.t and a.entries == b.entries
 
 
-@dataclass(frozen=True)
-class MultiplicityGraph:
+class MultiplicityGraph(_Record):
     """Triple graph of a design: vertices are the 3-subsets of the point set
     in lexicographic order, two vertices adjacent when they share 2 points,
     each vertex weighted by its coverage count."""
 
-    n: int
-    vertices: tuple
-    weights: tuple
+    __slots__ = ("n", "vertices", "weights")
+
+    def __init__(self, n: int, vertices: tuple, weights: tuple):
+        self._set(n, vertices, weights)
 
     def vertex_index(self, triple) -> int:
         """The lex rank of a < b < c: the triples with a first point below a,

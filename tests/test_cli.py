@@ -25,7 +25,7 @@ from tightrel import (
     save_candidate,
     save_design,
 )
-from tightrel.cli import main
+from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _build_parser, main
 from tightrel.designs import mask_of
 
 from conftest import relabel
@@ -463,7 +463,7 @@ print(sorted(m for m in sys.modules if m.startswith("tightrel.")))
 import tightrel.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = tightrel.cli.main(sys.argv[1:])
-watched = ("dataclasses", "inspect")
+watched = ("dataclasses", "fractions", "inspect")
 print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in watched))
 """
 
@@ -472,14 +472,23 @@ print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in w
     "argv,code,loaded",
     [
         (["check-relative", "pair.rel", "--tight"], 0,
-         ["tightrel.analysis", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
-        (["check-relative", "pair.rel"], 0, ["tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+         ["fractions", "tightrel.analysis", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+        (["check-relative", "pair.rel"], 0,
+         ["fractions", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
         (["verify", "paley.blk", "--t", "2"], 0, ["tightrel.cli", "tightrel.designs"]),
+        (["lambda-seq", "paley.blk", "--t", "3"], 0,
+         ["tightrel.cli", "tightrel.designs", "tightrel.profiles"]),
+        # the ternary-form test, after the counting conditions pass
+        (["nonexist", "--params", "29,8,2"], 1, ["tightrel.cli", "tightrel.designs", "tightrel.screens"]),
+        # lam_2 = 7/2: the counting conditions fail on a fraction
+        (["nonexist", "--params", "9,4,1", "--t", "3"], 1,
+         ["tightrel.cli", "tightrel.designs", "tightrel.screens"]),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
     # `import tightrel` loads no submodule; a verb loads the modules it runs,
-    # and neither check-relative nor verify pays for dataclasses and inspect
+    # no verb here pays for dataclasses and inspect, and only the weighted
+    # candidates of check-relative need fractions
     paley = construct_paley_hadamard(19)
     save_design(paley, tmp_path / "paley.blk")
     save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
@@ -489,6 +498,75 @@ def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", f"{code} {loaded}"]
+
+
+def _parse_outcome(parser, argv):
+    """stdout, stderr and exit code (None when parsing succeeds) of
+    parser.parse_args(argv), with the namespace it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+_VALID_ARGV = {
+    "verify": ["f.blk", "--t", "2"],
+    "check-relative": ["f.rel", "--tight", "--t", "3"],
+    "lambda-seq": ["f.blk", "--t", "3"],
+    "scan-3": ["--max-n", "40", "--cases", "1,3", "--annotate", "--threads", "2", "--out", "x"],
+    "scan-4": ["--max-n", "40"],
+    "nonexist": ["--params", "7,3,1", "--t", "3"],
+    "conjecture2": ["corpus", "--t", "3", "--out", "x"],
+}
+_VALID_SUB_ARGV = {
+    "fano": [], "paley": ["7"], "witt23": ["--out", "x"], "complement": ["f.blk"],
+    "derived": ["f.blk", "0"], "residual": ["f.blk", "1"], "extend": ["a.blk", "b.blk"],
+}
+
+
+def _parser_cases():
+    """(argv, exit code) for every verb and sub-verb's --help (0), one of its
+    usage errors (2) and one valid command line (None: no exit), plus the
+    top-level help and errors."""
+    cases = [([], 2), (["-h"], 0), (["-h", "verify"], 0), (["no-such-verb"], 2),
+             (["no-such-verb", "-h"], 2), (["--no-such-flag", "verify"], 2), (["--", "verify"], 2)]
+    subs = {"construct": _CONSTRUCTIONS, "transform": _TRANSFORMS}
+    for verb, _, _ in _VERBS:
+        cases += [([verb, "--help"], 0), ([verb, "--no-such-flag"], 2)]
+        if verb in subs:
+            cases += [([verb], 2), ([verb, "no-such-sub-verb"], 2)]
+            for sub, _, _ in subs[verb]:
+                cases += [([verb, sub, "--help"], 0), ([verb, sub, "--no-such-flag"], 2),
+                          ([verb, sub, *_VALID_SUB_ARGV[sub]], None)]
+        else:
+            cases.append(([verb, *_VALID_ARGV[verb]], None))
+    return cases
+
+
+def _case_id(case):
+    argv, code = case
+    return f"{' '.join(argv) or '(no arguments)'} -> {code}"
+
+
+@pytest.mark.parametrize("argv,code", _parser_cases(), ids=map(_case_id, _parser_cases()))
+def test_parser_for_the_named_verbs_matches_the_full_parser(argv, code, monkeypatch):
+    # the parser main builds has arguments only for the verbs named in argv;
+    # it must print, fail and parse as the one with every verb filled in
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = _parse_outcome(_build_parser(), argv)
+    assert reference[2] == code
+    assert _parse_outcome(_build_parser(argv), argv) == reference
+
+
+def test_parser_fills_in_only_the_named_verbs():
+    out, _, code, _ = _parse_outcome(_build_parser(["nonexist"]), ["verify", "-h"])
+    assert code == 0 and out.startswith("usage: tightrel verify [-h]\n")
+    out, _, code, _ = _parse_outcome(_build_parser(["verify"]), ["verify", "-h"])
+    assert code == 0 and out.startswith("usage: tightrel verify [-h] --t T file\n")
 
 
 def test_package_names_resolve_lazily():

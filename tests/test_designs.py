@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
+import sys
 import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tightrel import (
     Design,
@@ -145,6 +147,77 @@ def test_parse_block_line():
         parse_block_line("", 7)
     with pytest.raises(FormatError):
         parse_block_line("3 3", 7)
+
+
+def _parse_block_line_per_token(line, n, path="<string>"):
+    """parse_block_line as it was before it matched whole lines: one regex
+    match per token."""
+
+    def ascii_int(text):
+        if not re.fullmatch("-?[0-9]+", text):
+            raise ValueError(f"not an ASCII integer: {text!r}")
+        return int(text)
+
+    try:
+        idx = [ascii_int(tok) for tok in line.split()]
+    except ValueError:
+        raise FormatError(f"{path}: non-integer token in block line {line!r}") from None
+    if not idx:
+        raise FormatError(f"{path}: empty block line")
+    for a, b in zip(idx, idx[1:]):
+        if b <= a:
+            raise FormatError(f"{path}: indices not strictly increasing in {line!r}")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise FormatError(f"{path}: point index out of range in {line!r}")
+    return mask_of(idx)
+
+
+def _parsed(parse, line, n):
+    try:
+        return parse(line, n, "f.blk")
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+# every character str.split splits on: tabs, form feeds, the separators
+# U+001C..U+001F, U+0085, no-break and ideographic spaces, and the rest
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_TOKENS = st.one_of(
+    st.integers(-3, 42).map(str),
+    st.integers(0, 42).map(lambda i: f"00{i}"),
+    # int() takes all of these; a block file takes none of them
+    st.sampled_from(["+1", "1_0", "\u0663", "\uff15", "1\u0663", "-", "--1", "1-", "x", "1.0", "0x1"]),
+)
+
+
+@st.composite
+def _block_lines(draw):
+    if draw(st.booleans()):  # mostly well-formed: ascending integers
+        tokens = [str(i) for i in sorted(draw(st.sets(st.integers(-2, 42), max_size=8)))]
+    else:
+        tokens = draw(st.lists(_TOKENS, max_size=8))
+    # runs of blanks before, between and after; an empty run joins two tokens
+    runs = draw(st.lists(st.text(st.sampled_from(_SPACES), max_size=3),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(run + tok for run, tok in zip(runs, tokens + [""]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_block_lines(), st.integers(1, 40))
+@example("", 7)
+@example(" \t\u3000 ", 7)
+@example("0 2 5", 7)
+@example("0\t2  5 \t", 7)
+@example("0 2 7", 7)
+@example("-1 2", 7)
+@example("2 1", 7)
+@example("1 1", 7)
+@example("+1 2", 7)
+@example("1_0", 20)
+@example("\u0663 4", 7)
+@example("0\xa01\x1c2", 7)
+def test_parse_block_line_matches_the_per_token_parser(line, n):
+    assert _parsed(parse_block_line, line, n) == _parsed(_parse_block_line_per_token, line, n)
 
 
 def test_lambda_count_accepts_iterable_or_mask(fano):

@@ -24,9 +24,8 @@ from tightrel import (
     symmetric_square_test,
     tight_size,
 )
-from tightrel.feasibility import (
-    TSV_HEADER, brc_form, _is_qr, _line_points, _normalize_ternary, _squarefree,
-)
+from tightrel.feasibility import TSV_HEADER, _line_points
+from tightrel.screens import brc_form, _is_qr, _normalize_ternary, _squarefree
 
 
 def test_square_test_frozen():

@@ -1,10 +1,11 @@
-"""The five immutable records (Design, DesignParams, RelativeCandidate,
-ShellReport, KageyamaReport) keep the semantics they had as frozen
-dataclasses: field equality within one class, a hash and a repr of the
-field tuple, no assignment, and copies rebuilt through the validating
-constructor."""
+"""The eight immutable records (Design, DesignParams, RelativeCandidate,
+ShellReport, KageyamaReport, NonexistenceVerdict, LambdaSequence,
+MultiplicityGraph) keep the semantics they had as frozen dataclasses: field
+equality within one class, a hash and a repr of the field tuple, no
+assignment, and copies rebuilt through the validating constructor."""
 
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -15,12 +16,18 @@ from tightrel import (
     Design,
     DesignParams,
     KageyamaReport,
+    LambdaSequence,
+    MultiplicityGraph,
+    NonexistenceVerdict,
     RelativeCandidate,
     ShellReport,
+    brc_test,
     complement,
     complementary_pair,
     construct_paley_hadamard,
     kageyama_constituents,
+    lambda_sequence,
+    multiplicity_graph,
 )
 from tightrel.designs import bits_of, mask_of
 
@@ -57,6 +64,17 @@ def _records():
             kageyama_constituents(RelativeCandidate.from_designs(fano, complement(fano), 1, 2), 3),
             "KageyamaReport(applicable=False, t=3, weighted_lambda=None, shells=None)",
         ),
+        (
+            brc_test(DesignParams(29, 8, 2)),
+            "NonexistenceVerdict(test='BRCOdd', outcome='RuledOut', "
+            "detail='x^2 = 6y^2 + 2z^2 : insolvable')",
+        ),
+        (lambda_sequence(fano, 2), "LambdaSequence(t=2, entries=((1, 21),))"),
+        (
+            multiplicity_graph(Design(4, (mask_of((0, 1, 2)),))),
+            "MultiplicityGraph(n=4, vertices=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "
+            "weights=(1, 0, 0, 0))",
+        ),
     ]
 
 
@@ -70,6 +88,9 @@ FIELDS = {
     RelativeCandidate: ("n", "r1", "r2", "design1", "design2", "w1", "w2"),
     ShellReport: ("r", "is_design", "lambda_observed", "lambda_formula", "matches"),
     KageyamaReport: ("applicable", "t", "weighted_lambda", "shells"),
+    NonexistenceVerdict: ("test", "outcome", "detail"),
+    LambdaSequence: ("t", "entries"),
+    MultiplicityGraph: ("n", "vertices", "weights"),
 }
 
 
@@ -113,6 +134,11 @@ def test_fields_cannot_be_assigned_or_deleted(rec, text):
     with pytest.raises(AttributeError):
         rec.extra = 1
     assert repr(rec) == text
+    # the frozen dataclass's own error, with its message
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(rec, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(rec, name)
 
 
 @pytest.mark.parametrize("rec,text", RECORDS, ids=IDS)
