@@ -12,10 +12,11 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
+    "_base": "DesignParams FormatError tight_size",
     "analysis": """KageyamaReport ShellReport check_via_thm34 complement_lambda_t
         complementary_pair is_tight kageyama_constituents p_ell_formula p_ell_t_formula
-        prop44_check tight_size""",
-    "designs": """Design DesignParams FormatError bits_of complement construct_paley_hadamard
+        prop44_check""",
+    "designs": """Design bits_of complement construct_paley_hadamard
         construct_witt_23 coverage_map derived design_text extend_pair
         is_regular_twise_balanced is_t_design lambda_count load_design mask_of residual
         save_design""",

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._base import _Record, tight_size
 from .designs import (
     Design,
-    _Record,
     _first_off_target,
     _first_uncovered,
     bits_of,
@@ -20,7 +20,6 @@ from .designs import (
     is_regular_twise_balanced,
     is_t_design,
 )
-from .hamming import RelativeCandidate
 
 __all__ = [
     "ShellReport",
@@ -191,23 +190,6 @@ def complement_lambda_t(n: int, r: int, N: int, t: int, lambda_t_value) -> Fract
 # tightness
 
 
-def tight_size(t: int, n: int) -> int:
-    """Fisher-type lower bound on the total block count of a two-shell
-    relative t-design on n points, met with equality by a tight one.
-
-    For odd t = 2e+1 each shell is a 2e-design, so Ray-Chaudhuri-Wilson
-    gives each at least C(n, e) blocks and the bound is 2 C(n, e); for even
-    t = 2e it is C(n, e) + C(n, e-1).  Hence 2n at t = 3, n(n+1)/2 at t = 4
-    and 2 C(n, 2) at t = 5.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    e, odd = divmod(t, 2)
-    if odd:
-        return 2 * math.comb(n, e)
-    return math.comb(n, e) + math.comb(n, e - 1)
-
-
 def is_tight(cand: RelativeCandidate, t: int) -> bool:
     """Total size meets the bound and the candidate is a relative t-design."""
     if cand.total_size != tight_size(t, cand.n):
@@ -221,6 +203,8 @@ def complementary_pair(design: Design) -> RelativeCandidate:
 
     Block size r must differ from n-r; shells come out ordered by size.
     """
+    from .hamming import RelativeCandidate
+
     r = design.uniform_size()
     if 2 * r == design.n:
         raise ValueError("complement lies on the same shell (r = n/2)")

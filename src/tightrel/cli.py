@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .designs import FormatError
+from ._base import FormatError
 
 # Each verb imports what it runs when it runs, so that a process loads only
 # the modules of its own verb.
@@ -63,6 +63,8 @@ def _cmd_check_relative(args) -> int:
         )
     code = 0 if ok else 1
     if args.tight:
+        # through analysis, not _base: bench/tracing.py wraps analysis
+        # functions and finds the module in sys.modules, loaded by this verb
         from .analysis import tight_size
 
         # a candidate that is not a relative t-design is never tight, whatever t
@@ -97,7 +99,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_nonexist(args) -> int:
-    from .designs import DesignParams
+    from ._base import DesignParams
     from .screens import admissibility_test, brc_test, driessen_test, symmetric_square_test
 
     try:

@@ -18,15 +18,14 @@ from functools import reduce
 from itertools import combinations, groupby
 from operator import and_
 
+# the shared pieces live in the leaf module; the library also imports them from here
+from ._base import DesignParams, FormatError, _Record  # noqa: F401
+
 MAX_POINTS = 128  # blocks fit in two machine words
 # Bound on the coverage walk's work for one block size r: the C(r, j)
 # j-subsets of all blocks of that size, and the j positions of each j-subset
 # of an r-set.  Past it the walk raises ValueError before it starts.
 MAX_RANKS = 1 << 24
-
-
-class FormatError(ValueError):
-    """A design file violates its declared text format."""
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -53,54 +52,6 @@ _SWAP01 = str.maketrans("01", "10")
 
 def _block_key(b: int) -> str:
     return bin(b)[:1:-1].translate(_SWAP01) if b else ""
-
-
-class _Record:
-    """Immutable record over the fields named in __slots__.
-
-    Equality, hash and repr are those of a frozen dataclass: equal only to
-    an instance of the same class with equal fields, hashed by the field
-    tuple, shown as Name(field=value, ...).  Assignment and deletion raise
-    the frozen dataclass's FrozenInstanceError, an AttributeError.
-    Pickling and copying rebuild through the constructor, so a copy is
-    validated like a new instance.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    # dataclasses (with inspect) costs more to import than most verbs take
-    # to run, so it loads only here, on the way to an error
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
 
 
 class Design(_Record):
@@ -136,19 +87,6 @@ class Design(_Record):
         if len(sizes) != 1:
             raise ValueError("design does not have a single uniform block size")
         return next(iter(sizes))
-
-
-class DesignParams(_Record):
-    """Parameter tuple of a t-(v,k,lam) design."""
-
-    __slots__ = ("v", "k", "lam", "t")
-
-    def __init__(self, v: int, k: int, lam: int, t: int = 2):
-        if not 0 < t <= k <= v:
-            raise ValueError("need 0 < t <= k <= v")
-        if lam < 1:
-            raise ValueError("lam must be >= 1")
-        self._set(v, k, lam, t)
 
 
 # ---------------------------------------------------------------------------

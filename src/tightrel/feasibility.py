@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .analysis import tight_size
-from .designs import DesignParams
+from ._base import DesignParams, _Record, tight_size
 from .screens import (
     NonexistenceVerdict,
     admissibility_test,
@@ -68,8 +67,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FeasibleRow:
+_setattr = object.__setattr__  # past the record's frozen __setattr__
+
+
+class FeasibleRow(_Record):
     """One feasible parameter set.
 
     lam1/lam2 are the per-shell coverage constants at strength t-1;
@@ -81,19 +82,29 @@ class FeasibleRow:
     and it is 0 at even t; star marks n = 4u-1 with r1 = 2u-1, r2 = 2u.
     """
 
-    t: int
-    n: int
-    r1: int
-    r2: int
-    N1: int
-    N2: int
-    lam1: int
-    lam2: int
-    ratio: Fraction
-    pairs: tuple
-    case: int
-    star: bool
-    verdicts: tuple = ()
+    __slots__ = (
+        "t", "n", "r1", "r2", "N1", "N2", "lam1", "lam2", "ratio", "pairs", "case", "star",
+        "verdicts",
+    )
+
+    # one statement per field, not _set's loop: the scans and annotate_existence
+    # build a row per table line, tens of thousands of them at larger max_n
+    def __init__(self, t: int, n: int, r1: int, r2: int, N1: int, N2: int, lam1: int,
+                 lam2: int, ratio: Fraction, pairs: tuple, case: int, star: bool,
+                 verdicts: tuple = ()):
+        _setattr(self, "t", t)
+        _setattr(self, "n", n)
+        _setattr(self, "r1", r1)
+        _setattr(self, "r2", r2)
+        _setattr(self, "N1", N1)
+        _setattr(self, "N2", N2)
+        _setattr(self, "lam1", lam1)
+        _setattr(self, "lam2", lam2)
+        _setattr(self, "ratio", ratio)
+        _setattr(self, "pairs", pairs)
+        _setattr(self, "case", case)
+        _setattr(self, "star", star)
+        _setattr(self, "verdicts", verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +218,17 @@ def _scan_one_n(n: int, t: int, cases: frozenset) -> list:
                             )
                         )
                 if ratio_case in cases:
-                    rows.extend(
-                        _ratio_rows(t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, Dg, ratio_case)
+                    ratio_rows = _ratio_rows(
+                        t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, Dg, ratio_case
                     )
+                    rows += sorted(ratio_rows, key=attrgetter("ratio"))
     return rows
 
 
 def _scan(t: int, max_n: int, cases: frozenset) -> list:
-    # the shell window t-1 <= r1 < r2 <= n-2 needs n >= t+2
-    rows = [row for n in range(t + 2, max_n + 1) for row in _scan_one_n(n, t, cases)]
-    rows.sort(key=lambda row: (row.n, row.r1, row.r2, row.N1, row.ratio != 1, row.ratio))
-    return rows
+    # the shell window t-1 <= r1 < r2 <= n-2 needs n >= t+2; each n comes
+    # out sorted by (r1, r2, N1, ratio != 1, ratio)
+    return [row for n in range(t + 2, max_n + 1) for row in _scan_one_n(n, t, cases)]
 
 
 def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4})) -> list:
@@ -258,18 +269,25 @@ def _shell_verdict(n: int, r: int, lam: int, N: int, t: int) -> NonexistenceVerd
 
 def annotate_existence(rows) -> list:
     """Attach one nonexistence verdict per shell to every row."""
-    # rows share shells and verdicts are frozen: test each distinct shell once
+    # rows share shells and verdicts are frozen: test each distinct shell
+    # once, and look the pair up again only when the shells change, which a
+    # scan's rows do once per (n, r1, r2, N1)
     verdict = functools.cache(_shell_verdict)
-    out = []
+    out, last = [], None
     for row in rows:
-        v1 = verdict(row.n, row.r1, row.lam1, row.N1, row.t)
-        v2 = verdict(row.n, row.r2, row.lam2, row.N2, row.t)
-        # the annotated row is the input's fields plus verdicts; filling its
-        # __dict__ at once skips the frozen __init__'s one object.__setattr__
-        # per field, which took most of the time on large tables
-        annotated = object.__new__(FeasibleRow)
-        annotated.__dict__.update(row.__dict__, verdicts=(v1, v2))
-        out.append(annotated)
+        shells = (row.t, row.n, row.r1, row.lam1, row.N1, row.r2, row.lam2, row.N2)
+        if shells != last:
+            last = shells
+            verdicts = (
+                verdict(row.n, row.r1, row.lam1, row.N1, row.t),
+                verdict(row.n, row.r2, row.lam2, row.N2, row.t),
+            )
+        out.append(
+            FeasibleRow(
+                row.t, row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2,
+                row.ratio, row.pairs, row.case, row.star, verdicts,
+            )
+        )
     return out
 
 

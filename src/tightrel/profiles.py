@@ -8,7 +8,8 @@ import math
 from collections import Counter
 from itertools import combinations
 
-from .designs import Design, _coverage, _Record
+from ._base import _Record
+from .designs import Design, _check_work, _columns, _coverage, _covered
 
 __all__ = [
     "LambdaSequence",
@@ -53,9 +54,13 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    _, counts = _coverage(design.n, design.blocks, t)
-    entries = tuple(sorted(Counter(counts).items()))
-    zeros = math.comb(design.n, t) - len(counts)
+    blocks = design.blocks
+    _check_work(blocks, t)
+    # only the counts: the covered subsets stream past and are dropped
+    walk = _covered(_columns(blocks, design.n), range(design.n), t, (1 << len(blocks)) - 1)
+    counts = Counter(m.bit_count() for _, m in walk)
+    entries = tuple(sorted(counts.items()))
+    zeros = math.comb(design.n, t) - counts.total()
     if zeros:
         entries = ((0, zeros),) + entries
     seq = LambdaSequence(t, entries)

@@ -4,14 +4,14 @@ of points, the ternary-form test for an odd number, and the congruence test
 for triple systems with lam = 2 of triangular-number shape.
 
 Each test returns a NonexistenceVerdict.  The arithmetic is exact and on
-ints only, so this module needs nothing beyond math and designs.py.
+ints only, so this module needs nothing beyond math and _base.py.
 """
 
 from __future__ import annotations
 
 import math
 
-from .designs import DesignParams, _Record
+from ._base import DesignParams, _Record
 
 __all__ = [
     "NonexistenceVerdict",

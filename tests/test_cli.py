@@ -471,24 +471,33 @@ print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in w
 @pytest.mark.parametrize(
     "argv,code,loaded",
     [
+        # bench/tracing.py wraps analysis functions and finds the module in
+        # sys.modules, so this verb keeps loading analysis for tight_size
         (["check-relative", "pair.rel", "--tight"], 0,
-         ["fractions", "tightrel.analysis", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+         ["fractions", "tightrel._base", "tightrel.analysis", "tightrel.cli", "tightrel.designs",
+          "tightrel.hamming"]),
         (["check-relative", "pair.rel"], 0,
-         ["fractions", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
-        (["verify", "paley.blk", "--t", "2"], 0, ["tightrel.cli", "tightrel.designs"]),
+         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+        (["verify", "paley.blk", "--t", "2"], 0,
+         ["tightrel._base", "tightrel.cli", "tightrel.designs"]),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
-         ["tightrel.cli", "tightrel.designs", "tightrel.profiles"]),
+         ["tightrel._base", "tightrel.cli", "tightrel.designs", "tightrel.profiles"]),
         # the ternary-form test, after the counting conditions pass
-        (["nonexist", "--params", "29,8,2"], 1, ["tightrel.cli", "tightrel.designs", "tightrel.screens"]),
+        (["nonexist", "--params", "29,8,2"], 1, ["tightrel._base", "tightrel.cli", "tightrel.screens"]),
         # lam_2 = 7/2: the counting conditions fail on a fraction
         (["nonexist", "--params", "9,4,1", "--t", "3"], 1,
-         ["tightrel.cli", "tightrel.designs", "tightrel.screens"]),
+         ["tightrel._base", "tightrel.cli", "tightrel.screens"]),
+        # the rows' weight ratios are Fractions
+        (["scan-3", "--max-n", "20", "--annotate"], 0,
+         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
+        (["scan-4", "--max-n", "20", "--annotate"], 0,
+         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
     # `import tightrel` loads no submodule; a verb loads the modules it runs,
     # no verb here pays for dataclasses and inspect, and only the weighted
-    # candidates of check-relative need fractions
+    # candidates of check-relative and the scans' ratios need fractions
     paley = construct_paley_hadamard(19)
     save_design(paley, tmp_path / "paley.blk")
     save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")

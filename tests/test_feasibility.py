@@ -1,7 +1,6 @@
 import hashlib
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -480,7 +479,13 @@ def test_annotate_copies_rows():
     rows = scan_relative4(20)
     annotated = annotate_existence(rows)
     assert all(r.verdicts == () for r in rows)
-    assert annotated == [replace(r, verdicts=a.verdicts) for r, a in zip(rows, annotated)]
+    assert annotated == [
+        FeasibleRow(
+            r.t, r.n, r.r1, r.r2, r.N1, r.N2, r.lam1, r.lam2, r.ratio, r.pairs, r.case, r.star,
+            a.verdicts,
+        )
+        for r, a in zip(rows, annotated)
+    ]
     assert len({hash(a) for a in annotated}) == len(annotated)
     with pytest.raises(AttributeError):
         annotated[0].n = 0

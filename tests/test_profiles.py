@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -91,10 +92,30 @@ def test_lambda_sequence_checks_raise(fano, monkeypatch):
     # that drops a covered t-subset trips the weighted total check
     import tightrel.profiles as profiles
 
-    real = profiles._coverage
-    monkeypatch.setattr(profiles, "_coverage", lambda *a: tuple(x[1:] for x in real(*a)))
+    real = profiles._covered
+    monkeypatch.setattr(profiles, "_covered", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
         lambda_sequence(fano, 2)
+
+
+def test_lambda_sequence_keeps_only_the_counts():
+    # six 36-point blocks (five distinct) on 40 points at t = 33 cover about
+    # 35,000 subsets of 33 points; a histogram that kept each one as a tuple
+    # peaked near 14 MB
+    rng = random.Random(12)
+    distinct = [mask_of(rng.sample(range(40), 36)) for _ in range(5)]
+    design = Design(40, tuple(distinct + [distinct[2]]))
+    counts = reference_coverage(design, 33)
+    expected = collections.Counter(counts.values())
+    expected[0] = math.comb(40, 33) - len(counts)
+    tracemalloc.start()
+    try:
+        seq = lambda_sequence(design, 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.entries == tuple(sorted(expected.items()))
+    assert peak < 2**20
 
 
 def test_lambda_sequence_entry_validation():

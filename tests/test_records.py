@@ -1,6 +1,6 @@
-"""The eight immutable records (Design, DesignParams, RelativeCandidate,
+"""The nine immutable records (Design, DesignParams, RelativeCandidate,
 ShellReport, KageyamaReport, NonexistenceVerdict, LambdaSequence,
-MultiplicityGraph) keep the semantics they had as frozen dataclasses: field
+MultiplicityGraph, FeasibleRow) keep the semantics they had as frozen dataclasses: field
 equality within one class, a hash and a repr of the field tuple, no
 assignment, and copies rebuilt through the validating constructor."""
 
@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 from tightrel import (
     Design,
     DesignParams,
+    FeasibleRow,
     KageyamaReport,
     LambdaSequence,
     MultiplicityGraph,
     NonexistenceVerdict,
     RelativeCandidate,
     ShellReport,
+    annotate_existence,
     brc_test,
     complement,
     complementary_pair,
@@ -28,6 +30,8 @@ from tightrel import (
     kageyama_constituents,
     lambda_sequence,
     multiplicity_graph,
+    scan_relative3,
+    scan_relative4,
 )
 from tightrel.designs import bits_of, mask_of
 
@@ -75,6 +79,19 @@ def _records():
             "MultiplicityGraph(n=4, vertices=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "
             "weights=(1, 0, 0, 0))",
         ),
+        (
+            annotate_existence([r for r in scan_relative3(7) if r.n == 7])[0],
+            "FeasibleRow(t=3, n=7, r1=3, r2=4, N1=7, N2=7, lam1=1, lam2=2, "
+            "ratio=Fraction(1, 1), pairs=((0, 1), (1, 0)), case=1, star=True, "
+            "verdicts=(NonexistenceVerdict(test='BRCOdd', outcome='Passes', "
+            "detail='x^2 = 2y^2 - 1z^2 : solvable'), NonexistenceVerdict(test='BRCOdd', "
+            "outcome='Passes', detail='x^2 = 2y^2 - 2z^2 : solvable')))",
+        ),
+        (
+            next(r for r in scan_relative4(11) if r.ratio != 1),
+            "FeasibleRow(t=4, n=11, r1=5, r2=6, N1=33, N2=33, lam1=2, lam2=4, "
+            "ratio=Fraction(1, 3), pairs=((0, 3), (1, 0)), case=0, star=True, verdicts=())",
+        ),
     ]
 
 
@@ -91,6 +108,8 @@ FIELDS = {
     NonexistenceVerdict: ("test", "outcome", "detail"),
     LambdaSequence: ("t", "entries"),
     MultiplicityGraph: ("n", "vertices", "weights"),
+    FeasibleRow: ("t", "n", "r1", "r2", "N1", "N2", "lam1", "lam2", "ratio", "pairs", "case",
+                  "star", "verdicts"),
 }
 
 
@@ -169,6 +188,11 @@ def test_keyword_construction_and_defaults():
     assert KageyamaReport(applicable=False, t=3, weighted_lambda=None, shells=None) == (
         KageyamaReport(False, 3, None, None)
     )
+    row = FeasibleRow(
+        t=4, n=11, r1=5, r2=6, N1=33, N2=33, lam1=2, lam2=4, ratio=Fraction(1), pairs=(),
+        case=0, star=False,
+    )
+    assert row == FeasibleRow(4, 11, 5, 6, 33, 33, 2, 4, Fraction(1), (), 0, False, ())
 
 
 def test_constructor_converts_like_before():
