@@ -13,7 +13,7 @@ from fractions import Fraction
 from ._base import _Record, tight_size
 from .designs import (
     Design,
-    _first_off_target,
+    _first_unbalanced,
     _first_uncovered,
     bits_of,
     complement,
@@ -123,18 +123,12 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
     """
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")
-    n = cand.n
     if any(_shell_lambdas(design, t) is None for _, design, _ in cand.shells()):
         return False, None
-    scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    iw = {r: int(w * scale) for r, _, w in cand.shells()}
-    # prod_{j<t} (r-j)/(n-j) = P(r,t)/P(n,t), which is 0 when t > r
-    target = sum(
-        Fraction(d.num_blocks * iw[r] * math.perm(r, t), math.perm(n, t))
-        for r, d, _ in cand.shells()
-    )
+    # the right side is the double-counting share of a t-subset:
+    # prod_{j<t} (r-j)/(n-j) = C(r,t)/C(n,t)
     blocks = cand.design1.blocks + cand.design2.blocks
-    witness = _first_off_target(n, blocks, t, iw, target)
+    witness = _first_unbalanced(cand.n, blocks, t, cand.weight_by_size())
     return witness is None, witness
 
 

@@ -25,16 +25,6 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _emit_design(design, out) -> int:
-    from .designs import design_text, save_design
-
-    if out:
-        save_design(design, out)
-    else:
-        sys.stdout.write(design_text(design))
-    return 0
-
-
 def _cmd_verify(args) -> int:
     from .designs import is_t_design, load_design
 
@@ -125,6 +115,7 @@ def _cmd_construct(args) -> int:
         construct_paley_hadamard,
         construct_witt_23,
         derived,
+        design_text,
         extend_pair,
         load_design,
         residual,
@@ -132,22 +123,23 @@ def _cmd_construct(args) -> int:
 
     what = args.what
     if what == "fano":
-        return _emit_design(construct_paley_hadamard(7), args.out)
-    if what == "paley":
-        return _emit_design(construct_paley_hadamard(args.q), args.out)
-    if what == "witt23":
-        return _emit_design(construct_witt_23(), args.out)
-    if what == "complement":
-        return _emit_design(complement(load_design(args.file)), args.out)
-    if what == "derived":
-        return _emit_design(derived(load_design(args.file), args.point), args.out)
-    if what == "residual":
-        return _emit_design(residual(load_design(args.file), args.point), args.out)
-    if what == "extend":
-        return _emit_design(
-            extend_pair(load_design(args.file_a), load_design(args.file_b)), args.out
-        )
-    raise AssertionError(what)
+        d = construct_paley_hadamard(7)
+    elif what == "paley":
+        d = construct_paley_hadamard(args.q)
+    elif what == "witt23":
+        d = construct_witt_23()
+    elif what == "complement":
+        d = complement(load_design(args.file))
+    elif what == "derived":
+        d = derived(load_design(args.file), args.point)
+    elif what == "residual":
+        d = residual(load_design(args.file), args.point)
+    elif what == "extend":
+        d = extend_pair(load_design(args.file_a), load_design(args.file_b))
+    else:
+        raise AssertionError(what)
+    _emit(design_text(d), args.out)
+    return 0
 
 
 def _cmd_conjecture2(args) -> int:
@@ -324,9 +316,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 if __name__ == "__main__":

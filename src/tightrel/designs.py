@@ -280,11 +280,12 @@ def _covered(cols, points, j: int, mask: int):
             fresh = False
 
 
-def _first_failing(cols, points, j: int, mask: int, holds):
+def _first_failing(walk, points, j: int, holds):
     """The lex-first j-subset of `points` (ascending) whose mask m of
-    containing blocks fails holds(m), or None; an uncovered one has m = 0."""
+    containing blocks fails holds(m), or None; `walk` is _covered's stream
+    over those points, and an uncovered subset has m = 0."""
     every = None if holds(0) else combinations(points, j)
-    for s, m in _covered(cols, points, j, mask):
+    for s, m in walk:
         # covered subsets come in the order of combinations(points, j), so
         # the first step where they differ is the first uncovered subset
         if every is not None and (u := next(every)) != s:
@@ -295,29 +296,34 @@ def _first_failing(cols, points, j: int, mask: int, holds):
 
 
 def _coverage(n: int, blocks, j: int):
-    """The j-subsets of range(n) inside some block, in lex order, and how
-    many blocks (with multiplicity) contain each."""
+    """The j-subsets of range(n) inside some block, in lex order, each with
+    the mask of the blocks that contain it; oversized work raises here, before
+    the walk starts."""
     _check_work(blocks, j)
-    covered = list(_covered(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1))
-    return [s for s, _ in covered], [m.bit_count() for _, m in covered]
+    return _covered(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1)
 
 
-def _first_off_target(n: int, blocks, j: int, weight, target):
+def _first_unbalanced(n: int, blocks, j: int, weight):
     """The lex-first j-subset of range(n) whose coverage sum, each block
-    counted weight[its size] times, is not `target` (a j-subset in no block
-    sums to 0); None when there is none."""
-    _check_work(blocks, j)
+    counted weight[its size] times (an int or a Fraction), times C(n, j) is
+    not the double-counting total, the sum over blocks B of
+    weight[|B|] C(|B|, j); None when every j-subset has its share."""
+    walk = _coverage(n, blocks, j)
+    scale = math.lcm(*(w.denominator for w in weight.values()))
     sizes = [b.bit_count() for b in blocks]
-    # the mask of each size class of blocks, with the weight of its size
-    weighted = [(mask_of(k for k, s in enumerate(sizes) if s == r), weight[r]) for r in set(sizes)]
+    iw = {r: int(weight[r] * scale) for r in set(sizes)}
+    total = sum(iw[r] * math.comb(r, j) for r in sizes)
+    # the mask of each size class of blocks, with its weight times C(n, j)
+    per = math.comb(n, j)
+    weighted = [(mask_of(k for k, s in enumerate(sizes) if s == r), w * per) for r, w in iw.items()]
 
     def holds(m):
-        total = 0
+        share = 0
         for c, w in weighted:
-            total += w * (m & c).bit_count()
-        return total == target
+            share += w * (m & c).bit_count()
+        return share == total
 
-    return _first_failing(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1, holds)
+    return _first_failing(walk, range(n), j, holds)
 
 
 def _first_uncovered(n: int, blocks, sets, j: int):
@@ -326,8 +332,11 @@ def _first_uncovered(n: int, blocks, sets, j: int):
     _check_work(blocks, j)
     _check_work(sets, j)
     cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
-    found = ((i, _first_failing(cols, bits_of(s), j, full, bool)) for i, s in enumerate(sets))
-    return next(((i, s) for i, s in found if s is not None), None)
+    for i, s in enumerate(sets):
+        points = bits_of(s)
+        if (u := _first_failing(_covered(cols, points, j, full), points, j, bool)) is not None:
+            return i, u
+    return None
 
 
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
@@ -337,7 +346,7 @@ def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
     by no block are absent.  The walk visits only prefixes that some block
     contains, so it never scans all C(n,j) subsets against the block list.
     """
-    return dict(zip(*_coverage(design.n, design.blocks, j)))
+    return {s: m.bit_count() for s, m in _coverage(design.n, design.blocks, j)}
 
 
 def is_t_design(design: Design, t: int):
@@ -356,11 +365,9 @@ def is_t_design(design: Design, t: int):
     if t > r:
         raise ValueError("t exceeds the block size")
     n = design.n
-    # double counting fixes lam_t; a remainder also rejects at once a design
-    # with too few blocks to cover every t-subset
-    lam_t, rest = divmod(design.num_blocks * math.comb(r, t), math.comb(n, t))
-    if rest or _first_off_target(n, design.blocks, t, {r: 1}, lam_t) is not None:
+    if _first_unbalanced(n, design.blocks, t, {r: 1}) is not None:
         return False, None
+    lam_t = lambda_count(design, range(t))  # balanced: that of every t-subset
     return True, [
         lam_t * math.comb(n - j, t - j) // math.comb(r - j, t - j) for j in range(t + 1)
     ]
@@ -386,18 +393,15 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
         if w <= 0:
             raise ValueError("weights must be positive")
         wmap[s] = w
-    # scale to integers so the inner loop stays in int arithmetic
-    scale = math.lcm(*(w.denominator for w in wmap.values())) if wmap else 1
-    iw = {s: int(w * scale) for s, w in wmap.items()}
     lams = []
     # with mixed block sizes, balance at level j does not imply balance below
-    # it, so every level is counted against its double-counting value
+    # it, so every level is checked
     for j in range(1, t + 1):
-        total = sum(iw[b.bit_count()] * math.comb(b.bit_count(), j) for b in design.blocks)
-        lam, rest = divmod(total, math.comb(design.n, j) or 1)
-        if rest or _first_off_target(design.n, design.blocks, j, iw, lam) is not None:
+        if _first_unbalanced(design.n, design.blocks, j, wmap) is not None:
             return False, None
-        lams.append(Fraction(lam, scale))
+        # balanced: every j-subset has the weighted count of {0, ..., j-1}
+        first = (1 << j) - 1
+        lams.append(Fraction(sum(wmap[b.bit_count()] for b in design.blocks if b & first == first)))
     return True, lams
 
 
@@ -475,6 +479,9 @@ def construct_paley_hadamard(q: int) -> Design:
     q must be a prime with q % 4 == 3; block x is the translate x + R of the
     set R of nonzero quadratic residues.
     """
+    # Design refuses such a q too, but only after trial division and q blocks
+    if not 1 <= q <= MAX_POINTS:
+        raise ValueError(f"point count must be in 1..{MAX_POINTS}, got {q}")
     if q % 4 != 3 or not _is_prime(q):
         raise ValueError("q must be a prime congruent to 3 mod 4")
     residues = {pow(x, 2, q) for x in range(1, q)}

@@ -175,8 +175,6 @@ def load_candidate(path, allow_trivial: bool = False):
                 w = Fraction(parts[2][2:])
             except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{path}: bad shell parameters in {line!r}") from None
-            if w <= 0:
-                raise FormatError(f"{path}: shell weight must be positive")
             current = (r, w, [])
             shells.append(current)
         else:
@@ -186,22 +184,17 @@ def load_candidate(path, allow_trivial: bool = False):
     if len(shells) != 2:
         raise FormatError(f"{path}: expected exactly 2 shell sections, found {len(shells)}")
     (ra, wa, blocks_a), (rb, wb, blocks_b) = shells
-    if not ra < rb:
-        raise FormatError(f"{path}: shell sections must come in increasing r order")
-    if not blocks_a or not blocks_b:
-        raise FormatError(f"{path}: each shell section needs at least one block line")
-    for r, blocks in ((ra, blocks_a), (rb, blocks_b)):
-        for b in blocks:
-            if b.bit_count() != r:
-                raise FormatError(f"{path}: block of size {b.bit_count()} in shell r={r}")
+    try:
+        cand = RelativeCandidate(n, ra, rb, Design(n, blocks_a), Design(n, blocks_b), wa, wb)
+    except ValueError as exc:  # shell order, empty shells, block sizes, weights
+        raise FormatError(f"{path}: {exc}") from None
+    # the constructor leaves the window to from_designs: pickling rebuilds
+    # trivial candidates through it
     if not allow_trivial and not (2 <= ra and rb <= n - 2):
         raise FormatError(
             f"{path}: shells ({ra},{rb}) leave the window 2 <= r1 < r2 <= n-2 "
             "(use the trivial-shell override to accept)"
         )
-    cand = RelativeCandidate(
-        n, ra, rb, Design(n, tuple(blocks_a)), Design(n, tuple(blocks_b)), wa, wb
-    )
     return cand, t
 
 

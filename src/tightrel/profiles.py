@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import combinations
 
 from ._base import _Record
-from .designs import Design, _check_work, _columns, _coverage, _covered
+from .designs import Design, _coverage, coverage_map
 
 __all__ = [
     "LambdaSequence",
@@ -54,11 +54,8 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    blocks = design.blocks
-    _check_work(blocks, t)
     # only the counts: the covered subsets stream past and are dropped
-    walk = _covered(_columns(blocks, design.n), range(design.n), t, (1 << len(blocks)) - 1)
-    counts = Counter(m.bit_count() for _, m in walk)
+    counts = Counter(m.bit_count() for _, m in _coverage(design.n, design.blocks, t))
     entries = tuple(sorted(counts.items()))
     zeros = math.comb(design.n, t) - counts.total()
     if zeros:
@@ -115,7 +112,7 @@ def multiplicity_graph(design: Design) -> MultiplicityGraph:
     if design.uniform_size() < 3:
         raise ValueError("block size must be at least 3")
     vertices = tuple(combinations(range(design.n), 3))  # in lex order
-    counts = dict(zip(*_coverage(design.n, design.blocks, 3)))
+    counts = coverage_map(design, 3)
     return MultiplicityGraph(design.n, vertices, tuple(counts.get(v, 0) for v in vertices))
 
 

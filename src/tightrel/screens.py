@@ -119,15 +119,20 @@ def legendre_solvable(a: int, b: int, c: int) -> bool:
 
     The coefficients must be nonzero and squarefree.  A prime dividing two
     of them is divided out first (the descent substitution preserves
-    solvability); the classical criterion then says solvable iff the signs
-    are mixed and -bc, -ac, -ab are squares mod |a|, |b|, |c| respectively.
+    solvability); Legendre's criterion then decides.
     """
     for x in (a, b, c):
         if x == 0:
             raise ValueError("coefficients must be nonzero")
         if abs(_squarefree(x)) != abs(x):
             raise ValueError("coefficients must be squarefree")
-    a, b, c = _normalize_ternary(a, b, c)
+    return _legendre(*_normalize_ternary(a, b, c))
+
+
+def _legendre(a: int, b: int, c: int) -> bool:
+    """Legendre's criterion on squarefree pairwise-coprime coefficients:
+    solvable iff the signs are mixed and -bc, -ac, -ab are squares mod |a|,
+    |b|, |c| respectively."""
     if a > 0 and b > 0 and c > 0:
         return False
     if a < 0 and b < 0 and c < 0:
@@ -175,8 +180,8 @@ def brc_test(p: DesignParams) -> NonexistenceVerdict:
     a, b, c = brc_form(p)
     eps_term = f"+ {p.lam}z^2" if c < 0 else f"- {p.lam}z^2"
     form = f"x^2 = {p.k - p.lam}y^2 {eps_term}"
-    na, nb, nc = _normalize_ternary(a, b, c)
-    if legendre_solvable(na, nb, nc):
+    # k = lam leaves y free, so (0, 1, 0) solves the form
+    if b == 0 or _legendre(*_normalize_ternary(a, b, c)):
         return NonexistenceVerdict("BRCOdd", "Passes", f"{form} : solvable")
     return NonexistenceVerdict("BRCOdd", "RuledOut", f"{form} : insolvable")
 

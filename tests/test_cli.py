@@ -384,6 +384,19 @@ def test_construct_paley_rejects_bad_q(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_paley_checks_the_point_count_first(capsys, monkeypatch):
+    # trial division and the q residue blocks took 19 s for q = 10007
+    from tightrel import designs
+
+    def never(q):
+        raise AssertionError("primality tested before the point-count limit")
+
+    monkeypatch.setattr(designs, "_is_prime", never)
+    assert main(["construct", "paley", "100003"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: point count must be in 1..128, got 100003\n")
+
+
 def test_construct_witt23(tmp_path, witt):
     p = tmp_path / "w.blk"
     assert main(["construct", "witt23", "--out", str(p)]) == 0

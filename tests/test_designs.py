@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import re
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,9 +28,9 @@ from tightrel import (
     residual,
     save_design,
 )
-from tightrel.designs import _first_off_target, bits_of, mask_of, parse_block_line
+from tightrel.designs import _first_unbalanced, _first_uncovered, bits_of, mask_of, parse_block_line
 
-from conftest import cheap_levels, designs, reference_coverage
+from conftest import cheap_levels, designs, reference_coverage, relabel
 
 
 def test_bits_mask_round_trip():
@@ -413,32 +415,73 @@ def test_twise_balanced_matches_reference_on_unions(fano, paley11):
                 assert is_regular_twise_balanced(union, w, t) == expect
 
 
+@st.composite
+def _design_and_level(draw):
+    """A random design, which may fail first at an uncovered subset or at a
+    covered one with the wrong sum, and a level j."""
+    design = draw(designs(uniform=False))
+    levels = [j for j in [0] + cheap_levels(design, 4) if 1 <= math.comb(design.n, j) <= 20_000]
+    return design, draw(st.sampled_from(levels))
+
+
+@functools.cache
+def _balanced_bases():
+    """(design, t) for t-designs, and for the union of one with its complement."""
+    fano, paley11 = construct_paley_hadamard(7), construct_paley_hadamard(11)
+    triples = Design(8, tuple(mask_of(c) for c in itertools.combinations(range(8), 3)))
+    with_complements = [(Design(d.n, d.blocks + complement(d).blocks), 2) for d in (fano, paley11)]
+    return [(fano, 2), (paley11, 2), (construct_paley_hadamard(19), 2), (triples, 3),
+            (construct_witt_23(), 4), *with_complements]
+
+
+@st.composite
+def _balanced_with_one_block_replaced(draw):
+    """A relabelled t-design, or such a union, with its lex-last block
+    replaced by another of its size, and a level j <= t.  The new block lies
+    on the points from just before the old one's first, so the first failure
+    comes after every j-subset that starts lower: deep in the walk.  (Just
+    before: the old block may be the top r points, the only r-set above.)"""
+    base, t = draw(st.sampled_from(_balanced_bases()))
+    n = base.n
+    blocks = relabel(base, dict(enumerate(draw(st.permutations(range(n)))))).blocks
+    last = blocks[-1]
+    first = bits_of(last)[0] - 1
+    other = st.sets(st.integers(first, n - 1), min_size=last.bit_count(), max_size=last.bit_count())
+    new = draw(other.map(mask_of).filter(lambda b: b != last))
+    return Design(n, blocks[:-1] + (new,)), draw(st.integers(1, t))
+
+
 @settings(max_examples=80, deadline=None)
-@given(designs(uniform=False), st.data())
-def test_first_off_target_is_lex_first_failure(design, data):
-    # targets 0 (only covered subsets fail), the double-counting value and
-    # that value off by one; a random design may fail first at an uncovered
-    # subset or at a covered one with the wrong sum
+@given(_design_and_level() | _balanced_with_one_block_replaced(), st.data())
+def test_first_unbalanced_is_lex_first_failure(case, data):
+    design, j = case
     n = design.n
-    levels = [j for j in [0] + cheap_levels(design, 4) if 1 <= math.comb(n, j) <= 20_000]
-    j = data.draw(st.sampled_from(levels), label="j")
     weight = {
-        s: data.draw(st.integers(1, 6) | st.integers(1, 2**70), label=f"w{s}")
+        s: data.draw(st.integers(1, 6) | st.integers(1, 2**70) | st.fractions(Fraction(1, 6), 6),
+                     label=f"w{s}")
         for s in sorted(design.block_sizes())
     }
     sums = reference_coverage(design, j, weight)
     double = Fraction(sum(sums.values()), math.comb(n, j))
-    target = data.draw(st.sampled_from([0, double, double + 1, double - 1]), label="target")
     expect = next(
-        (s for s in itertools.combinations(range(n), j) if sums.get(s, 0) != target), None
+        (s for s in itertools.combinations(range(n), j) if sums.get(s, 0) != double), None
     )
-    assert _first_off_target(n, design.blocks, j, weight, target) == expect
+    assert _first_unbalanced(n, design.blocks, j, weight) == expect
 
 
-def test_first_off_target_after_the_last_covered_subset(fano):
+def test_first_uncovered_after_the_last_covered_subset(fano):
     # on 8 points the Fano lines miss point 7, whose singleton comes last
-    assert _first_off_target(8, fano.blocks, 1, {3: 1}, 3) == (7,)
-    assert _first_off_target(7, fano.blocks, 1, {3: 1}, 3) is None
+    assert _first_uncovered(8, fano.blocks, [(1 << 8) - 1], 1) == (0, (7,))
+    assert _first_uncovered(7, fano.blocks, [(1 << 7) - 1], 1) is None
+
+
+def test_only_designs_sets_up_the_coverage_walk():
+    # the walk and its work check sit behind _coverage, _first_unbalanced
+    # and _first_uncovered, so no other module builds a walk by hand
+    src = Path(sys.modules["tightrel"].__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "designs.py":
+            assert not re.search(r"\b(_covered|_check_work)\b", path.read_text()), path.name
 
 
 # C(n, j) past 2**31 and 2**63, and strengths just below the block size,

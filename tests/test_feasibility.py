@@ -49,6 +49,26 @@ def test_brc_frozen():
     assert (v.outcome, v.detail) == ("NotApplicable", "v=16 is even")
 
 
+def test_brc_factors_k_minus_lam_at_most_twice(monkeypatch):
+    # once to normalise the form and once for Euler's criterion modulo k-lam;
+    # each factorisation is a trial division up to sqrt(k-lam)
+    from tightrel import screens
+
+    d = 1009 * 1013
+    real, calls = screens._prime_factors, []
+    monkeypatch.setattr(screens, "_prime_factors", lambda m: calls.append(m) or real(m))
+    assert brc_test(DesignParams(d + 2, d + 1, 1)).outcome == "Passes"
+    assert 1 <= calls.count(d) <= 2
+
+
+@pytest.mark.parametrize("v", [3, 5, 9])
+def test_brc_with_k_equal_to_lam(v):
+    # the form x^2 = 0y^2 + ... is solved by y = 1; normalising a zero
+    # coefficient never ended for v = 3 and 5
+    verdict = brc_test(DesignParams(v, v, v))
+    assert verdict.outcome == "Passes" and verdict.detail.startswith("x^2 = 0y^2 ")
+
+
 def test_brc_form_sign():
     # eps = (-1)^((v-1)/2): +1 for v=13, -1 for v=7
     assert brc_form(DesignParams(13, 4, 1)) == (1, -3, -1)

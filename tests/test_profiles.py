@@ -92,8 +92,8 @@ def test_lambda_sequence_checks_raise(fano, monkeypatch):
     # that drops a covered t-subset trips the weighted total check
     import tightrel.profiles as profiles
 
-    real = profiles._covered
-    monkeypatch.setattr(profiles, "_covered", lambda *a: itertools.islice(real(*a), 1, None))
+    real = profiles._coverage
+    monkeypatch.setattr(profiles, "_coverage", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
         lambda_sequence(fano, 2)
 
