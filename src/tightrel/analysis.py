@@ -120,6 +120,10 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
     Returns (True, None) or (False, first failing t-subset); the shell
     precondition failing returns (False, None).  A shell with r < t-1 is a
     (t-1)-design only as a multiple of its complete shell: balance at r.
+    The criterion is the relative t-design condition for every n; it equals
+    the moment identities that relative_design_oracle scans only when n is
+    not 2m for any m <= t, which is why the oracle confirms a pass on such
+    an n with the weighted balance.
     """
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")

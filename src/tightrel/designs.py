@@ -184,8 +184,9 @@ def design_text(design: Design) -> str:
 
 
 def save_design(design: Design, path) -> None:
+    text = design_text(design)  # before open: a refused design leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(design_text(design))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

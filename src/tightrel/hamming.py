@@ -14,12 +14,20 @@ from a weight-1 word e_i to a weight-r word x is r-1 or r+1 according to
 whether coordinate i lies in the support of x, which is what makes the
 per-block product a function of |B cap S| alone.
 
-The oracle is bit-sliced over blocks: each point is one Python int whose
-bit k says whether block k contains it, so N blocks take n*N bits.  A
-depth-first walk over the subsets ANDs these columns, counts blocks with
-int.bit_count, and weighs the counts with exact Python integers, so weights
-of any size share one scan.  The columns come from designs._columns, which
-the coverage walk uses too.
+With b = Q1(r+1) = n-2r-2 and c = |B cap S|, the product is (b+4)^c b^{s-c}
+= sum_m 4^m b^{s-m} C(c,m), so the identity at S, |S| = s, reads
+sum_{T <= S} 4^{|T|} sum_k w_k b_k^{s-|T|} delta_k(T) = 0, where delta_k(T)
+counts the shell-k blocks holding T less their average N_k C(r_k,|T|)/C(n,|T|).
+Summed over the m-supersets of an (m-1)-set U, they leave 2(r1-r2)(n-2m)
+w_2 delta_2(U) = 0 once delta vanishes below m-1 (the two-shell theorem).
+So after levels 1..s-1 both shells are u-designs, u = s-2 (u = m-2 if n = 2m,
+2 <= m < s): the terms m <= u equal their average at every S and drop out,
+leaving the blocks that miss at most W = s-1-u points of S (W = 1 for odd n
+and n > 2s-2).  For n = 2m <= 2t the identities do not imply a relative
+t-design; a pass there is confirmed by the equivalent weighted balance.
+The scan is bit-sliced over blocks (designs._columns); a depth-first walk
+carries the masks of the blocks missing at most 0..W points of the prefix,
+stacked in one int, and weighs popcounts with exact integers.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import and_, mul
 
-from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns, _parse_size_line
-from .designs import _read_lines, parse_block_line
+from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns, _first_unbalanced
+from .designs import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
     "RelativeCandidate",
@@ -199,8 +206,6 @@ def load_candidate(path, allow_trivial: bool = False):
 
 
 def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
-    from .designs import bits_of
-
     if cand.r1 == 0:
         raise ValueError("a RELDESIGN v1 file has no line for the empty block")
     with open(path, "w", encoding="utf-8") as fh:
@@ -219,69 +224,63 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 def relative_design_oracle(cand: RelativeCandidate, t: int):
     """Check the two-shell moment identity for every subset size s = 1..t.
 
-    Returns (True, None), or (False, (s, subset)) with the lexicographically
-    smallest failing coordinate subset.  Subset sizes are scanned in
-    ascending order and subsets in lexicographic order, so the witness is
-    deterministic.  The sums are exact integers for weights of any size.
-    The scan holds n*N bits for N blocks, and an s-subset costs 2(s-1)
-    ANDs and popcounts of block columns.
+    Returns (True, None), or (False, (s, subset)) with the lex-first failing
+    subset of the smallest failing size; with W = 1 an s-subset costs 4 ANDs
+    and popcounts.  For even n <= 2t a pass is confirmed by the union's
+    weighted balance at j = 1..t (ValueError past designs.MAX_RANKS), whose
+    first failing (j, subset) is then the witness.
     """
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
+    stall = n // 2 if n % 2 == 0 and n >= 4 else n + 1  # n = 2m stops the theorem at m
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    full = (1 << cand.total_size) - 1
-    low = (1 << cand.design1.num_blocks) - 1  # the blocks of shell 1
-    # each point's column, split into its shell-1 and its shell-2 blocks
-    split = [(c & low, c & ~low) for c in _columns(cand.design1.blocks + cand.design2.blocks, n)]
-
+    size, blocks = cand.total_size, cand.design1.blocks + cand.design2.blocks
+    full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
+    high, cols = full ^ low, _columns(blocks, n)
     for s in range(1, t + 1):
-        lhs = Fraction(0)
+        u = max(min(s, stall) - 2, 0)  # both shells are u-designs by now
+        width = s - 1 - u
+        target, steps = Fraction(0), []
         for r, d, w in cand.shells():
-            lhs += w * d.num_blocks * Fraction(shell_moment(n, s, r), math.comb(n, r))
-        lhs_scaled = lhs * scale
-        if lhs_scaled.denominator != 1:
-            # block sums are integers after scaling, so nothing can match
-            return False, (s, tuple(range(s)))
+            terms = [(m, 4**m * (n - 2 * r - 2) ** (s - m)) for m in range(u + 1, s + 1)]
+            target += w * scale * d.num_blocks * sum(x * math.comb(s, m) * Fraction(
+                math.comb(r, m), math.comb(n, m)) for m, x in terms)
+            # steps[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of
+            # a block meeting S in c points, so a shell's sum at S is sum_v steps[v] |M_v|
+            # with M_v its blocks missing <= v points of S.  Segment v of a walk mask
+            # holds M_v of the prefix, and point j turns it into M_v & c_j | M_{v-1}
+            steps.append([int(w * scale) * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
+                          for v in range(width + 1)])
+        # block sums are integers, so a fractional target fails the first subset
+        target = target.numerator if target.denominator == 1 else target
+        rep = sum(1 << v * size for v in range(width + 1))
+        stack, reps = full * rep, [c * rep for c in cols]
+        if width == 1:  # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
+            (x0, x1), (y0, y1) = ((e[0] - e[1], e[1]) for e in steps)
 
-        # f[c]: scaled weight of one block meeting S in c points.  With A_v
-        # the blocks of a shell meeting a prefix P in at least v points, the
-        # shell's sum at P is f[0] N + sum_{v>=1} df[v] |A_v|, where
-        # df[v] = f[v] - f[v-1], and a point i joining P adds to it
-        # df[1] |c_i| + sum_{v>=1} (df[v+1] - df[v]) |A_v & c_i|.
-        target = lhs_scaled.numerator
-        dfs = []
-        for r, d, w in cand.shells():
-            a, b = n - 2 * (r - 1), n - 2 * (r + 1)
-            f = [int(w * scale) * a**c * b ** (s - c) for c in range(s + 1)]
-            target -= f[0] * d.num_blocks
-            dfs.append([f[v] - f[v - 1] for v in range(1, s + 1)])
-        df1, df2 = dfs
-        hs = [df[v] - df[v - 1] for df in dfs for v in range(1, s)]
-        lead = [df1[0] * lo.bit_count() + df2[0] * hi.bit_count() for lo, hi in split]
-        row = [[lo] * (s - 1) + [hi] * (s - 1) for lo, hi in split]
-
-        def walk(prefix, masks, start):
-            """The first failing s-subset that extends prefix by points from
-            start on, or None; masks holds A_1..A_len(prefix) of both shells."""
-            if len(prefix) < s - 1:
-                for j in range(start, n + len(prefix) + 1 - s):
-                    # A'_v = A_v | (A_{v-1} & c_j), with A_0 every block
-                    c = split[j][0] | split[j][1]
-                    moved = [m | (lo & c) for lo, m in zip([full, *masks], [*masks, 0])]
-                    found = walk(prefix + (j,), moved, j + 1)
-                    if found:
-                        return found
+        def walk(prefix, ms, start):  # the first failing s-subset extending prefix, or None
+            if len(prefix) == s:
+                ok = target == sum(e[v] * (ms >> v * size & part).bit_count()
+                                   for e, part in zip(steps, (low, high)) for v in range(width + 1))
+                return None if ok else (s, prefix)
+            if width == 1 and len(prefix) == s - 1:
+                a0, a1, b0, b1 = ms & low, ms >> size & low, ms & high, ms >> size & high
+                rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
+                for i in range(start, n):
+                    c = cols[i]
+                    if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
+                            + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
+                        return s, prefix + (i,)
                 return None
-            rest = target - sum(x * (m & low).bit_count() + y * (m & ~low).bit_count()
-                                for x, y, m in zip(df1, df2, masks))
-            both = masks * 2  # ANDed with shell 1's part of c_i, then shell 2's
-            for i in range(start, n):
-                if lead[i] + sum(map(mul, hs, map(int.bit_count, map(and_, both, row[i])))) != rest:
-                    return s, prefix + (i,)
+            for j in range(start, n + len(prefix) + 1 - s):
+                if found := walk(prefix + (j,), ms & reps[j] | ms << size & stack, j + 1):
+                    return found
             return None
 
-        found = walk((), [], 0)
-        if found:
+        if found := walk((), stack, 0):
             return False, found
+    for j in range(1, t + 1) if stall <= t else ():
+        if (found := _first_unbalanced(n, blocks, j, cand.weight_by_size())) is not None:
+            return False, (j, found)
     return True, None

@@ -121,12 +121,13 @@ def legendre_solvable(a: int, b: int, c: int) -> bool:
     of them is divided out first (the descent substitution preserves
     solvability); Legendre's criterion then decides.
     """
-    for x in (a, b, c):
-        if x == 0:
-            raise ValueError("coefficients must be nonzero")
-        if abs(_squarefree(x)) != abs(x):
-            raise ValueError("coefficients must be squarefree")
-    return _legendre(*_normalize_ternary(a, b, c))
+    if 0 in (a, b, c):
+        raise ValueError("coefficients must be nonzero")
+    # one factorisation of each coefficient both validates and normalises it
+    squarefree = (_squarefree(a), _squarefree(b), _squarefree(c))
+    if squarefree != (a, b, c):
+        raise ValueError("coefficients must be squarefree")
+    return _legendre(*_coprime(*squarefree))
 
 
 def _legendre(a: int, b: int, c: int) -> bool:
@@ -146,9 +147,14 @@ def _legendre(a: int, b: int, c: int) -> bool:
 
 def _normalize_ternary(a: int, b: int, c: int) -> tuple:
     """Reduce to squarefree pairwise-coprime coefficients with the same
-    solvability: strip square parts, then repeatedly divide a common prime
-    out of two coefficients while multiplying it into the third."""
-    a, b, c = _squarefree(a), _squarefree(b), _squarefree(c)
+    solvability: strip square parts, then make them coprime (_coprime)."""
+    return _coprime(_squarefree(a), _squarefree(b), _squarefree(c))
+
+
+def _coprime(a: int, b: int, c: int) -> tuple:
+    """Make squarefree coefficients pairwise coprime with the same
+    solvability: repeatedly divide a common prime out of two coefficients
+    while multiplying it into the third."""
     while True:
         g = math.gcd(a, b)
         if g > 1:

@@ -171,6 +171,16 @@ def designs(draw, uniform=True):
     return Design(n, blocks * draw(st.integers(1, 2)))
 
 
+def six_point_pair():
+    """n = 6: the pairs {01, 23, 45} on shell 2 and the complements of the
+    other 12 pairs on shell 4, unit weights.  Every moment identity holds at
+    every strength, yet only 2-wise balance does: 20 triples miss their share."""
+    full = (1 << 6) - 1
+    matching = [mask_of(p) for p in ((0, 1), (2, 3), (4, 5))]
+    rest = [full ^ mask_of(p) for p in itertools.combinations(range(6), 2) if mask_of(p) not in matching]
+    return RelativeCandidate.from_designs(Design(6, tuple(matching)), Design(6, tuple(rest)))
+
+
 @functools.cache
 def candidate_bases(with_witt=False):
     """Two-shell base pairs: complementary Paley(7/11) pairs and the n=22

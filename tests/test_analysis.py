@@ -99,7 +99,9 @@ def test_verdicts_agree_on_generated_candidates(case):
     # a two-shell candidate is a relative t-design exactly when its weighted
     # union is regular t-wise balanced, and then each shell is a (t-1)-design
     # with the closed-form index; the oracle's s = t witness is the
-    # criterion's first failing t-subset
+    # criterion's first failing t-subset.  The criterion equals the moment
+    # identities only when n is not 2m for any m <= t (on such n the oracle
+    # adds the balance check); these bases have n = 7, 11, 19, 22 and 23
     cand, t = case
     ok, witness = relative_design_oracle(cand, t)
     thm_ok, thm_witness = check_via_thm34(cand, t)

@@ -28,7 +28,7 @@ from tightrel import (
 from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _build_parser, main
 from tightrel.designs import mask_of
 
-from conftest import relabel
+from conftest import relabel, six_point_pair
 
 
 @pytest.fixture()
@@ -229,6 +229,18 @@ def test_check_relative_tight_unknown_t(capsys, fano_pair_file):
     out = capsys.readouterr()
     assert out.out == "relative-design: true\ntight: false\n"
     assert out.err == ""
+
+
+def test_check_relative_even_n_moment_identities_not_enough(capsys, tmp_path):
+    # the identities hold at every strength, but the union is only 2-wise
+    # balanced, and the witness is the first unbalanced triple
+    p = tmp_path / "six.rel"
+    save_candidate(six_point_pair(), 3, p)
+    for t in ("3", "4"):
+        assert main(["check-relative", str(p), "--t", t]) == 1
+        assert capsys.readouterr().out == "relative-design: false  witness: s=3 S=(0,1,2)\n"
+    assert main(["check-relative", str(p), "--t", "2"]) == 0
+    assert capsys.readouterr().out == "relative-design: true\n"
 
 
 @pytest.mark.parametrize("weight", ["1e30000", "1.5", "1_000"])

@@ -91,6 +91,17 @@ def test_save_load_round_trip(tmp_path, fano, witt):
         assert load_design(p) == d
 
 
+def test_refused_save_leaves_the_file(tmp_path, fano):
+    # the empty block has no line in the format; the refusal comes before the
+    # file is opened, so an existing file keeps its bytes
+    p = tmp_path / "d.blk"
+    save_design(fano, p)
+    before = p.read_bytes()
+    with pytest.raises(ValueError):
+        save_design(Design(3, (0, 3)), p)
+    assert p.read_bytes() == before
+
+
 def test_design_text_format(fano):
     text = design_text(fano)
     lines = text.splitlines()

@@ -61,6 +61,17 @@ def test_brc_factors_k_minus_lam_at_most_twice(monkeypatch):
     assert 1 <= calls.count(d) <= 2
 
 
+def test_legendre_solvable_factors_each_coefficient_at_most_twice(monkeypatch):
+    # once to validate and normalise, once for Euler's criterion modulo |b|
+    from tightrel import screens
+
+    d = 1009 * 1013
+    real, calls = screens._prime_factors, []
+    monkeypatch.setattr(screens, "_prime_factors", lambda m: calls.append(m) or real(m))
+    assert legendre_solvable(1, -d, -1)
+    assert 1 <= calls.count(d) <= 2
+
+
 @pytest.mark.parametrize("v", [3, 5, 9])
 def test_brc_with_k_equal_to_lam(v):
     # the form x^2 = 0y^2 + ... is solved by y = 1; normalising a zero

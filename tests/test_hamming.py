@@ -5,22 +5,24 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tightrel import (
     Design,
     FormatError,
     RelativeCandidate,
     complement,
+    is_regular_twise_balanced,
+    is_t_design,
     krawtchouk,
     load_candidate,
     relative_design_oracle,
     save_candidate,
     shell_moment,
 )
-from tightrel.designs import mask_of
+from tightrel.designs import bits_of, mask_of
 
-from conftest import candidates, weights
+from conftest import candidates, six_point_pair, weights
 
 
 def test_krawtchouk_known_values():
@@ -261,9 +263,25 @@ def test_oracle_is_homogeneous_in_weights(fano, paley11):
         assert small == scaled
 
 
+def _reference_balance(cand, t):
+    """The union's weighted coverage of every j-subset, j = 1..t, against
+    its average, one subset and one block at a time."""
+    n = cand.n
+    blocks = [(b, w) for _, d, w in cand.shells() for b in d.blocks]
+    for j in range(1, t + 1):
+        share = sum(w * math.comb(b.bit_count(), j) for b, w in blocks) / math.comb(n, j)
+        for sub in itertools.combinations(range(n), j):
+            m = mask_of(sub)
+            if sum(w for b, w in blocks if b & m == m) != share:
+                return False, (j, sub)
+    return True, None
+
+
 def _reference_oracle(cand, t):
     """The moment identity in plain Python integers, one subset at a time,
-    returning the lexicographically first failing subset."""
+    returning the lexicographically first failing subset.  For n = 2m <= 2t
+    the identities do not imply a relative t-design, so a pass there is
+    then checked against the union's weighted balance."""
     n = cand.n
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
     for s in range(1, t + 1):
@@ -283,14 +301,80 @@ def _reference_oracle(cand, t):
                     total += p * a**c * b ** (s - c)
             if total != lhs * scale:
                 return False, (s, sub)
+    if n % 2 == 0 and 4 <= n <= 2 * t:
+        return _reference_balance(cand, t)
     return True, None
 
 
-@settings(max_examples=40, deadline=None)
-@given(candidates(st.integers(1, 4)))
+@st.composite
+def _small_candidates(draw, sizes=st.integers(4, 10)):
+    """A relabelled two-shell candidate on a few points that passes many
+    levels, at a strength near n/2: the boundaries n = 2t -+ 1, and on even
+    n the levels s > n/2 + 1, where the walk carries more than two masks.
+    A shell is complete, a partition of the points, the complements of the
+    r-sets the other shell leaves out (shells r and n - r), or a few random
+    blocks; weights reach 2**66."""
+    n = draw(sizes)
+
+    def shell(r):
+        every = [mask_of(c) for c in itertools.combinations(range(n), r)]
+        kind = draw(st.sampled_from(["complete", "partition", "random"]))
+        if kind == "complete" and len(every) <= 70:
+            return every
+        if kind == "partition" and r and n % r == 0:
+            return [mask_of(range(i, i + r)) for i in range(0, n, r)]
+        return draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))
+
+    r1 = draw(st.integers(0, n - 1) | st.just(n // 2 - 1))  # n = 2m: shells m -+ 1
+    shell1 = shell(r1)
+    full = (1 << n) - 1
+    rest = [full ^ mask_of(c) for c in itertools.combinations(range(n), r1)
+            if mask_of(c) not in shell1]
+    if r1 < n - r1 and rest and draw(st.booleans()):
+        shell2 = rest
+    else:
+        shell2 = shell(draw(st.integers(r1 + 1, n)))
+    perm = draw(st.permutations(range(n)))
+    d1, d2 = (Design(n, tuple(mask_of(perm[i] for i in bits_of(b)) for b in s)) for s in (shell1, shell2))
+    w1 = draw(weights | st.just(Fraction(2**66)))
+    w2 = w1 if draw(st.booleans()) else draw(weights | st.just(Fraction(2**66)))
+    cand = RelativeCandidate.from_designs(d1, d2, w1, w2, allow_trivial=True)
+    strengths = sorted({1, n, *(t for t in range(n // 2 - 1, n // 2 + 3) if 1 <= t <= n)})
+    return cand, draw(st.sampled_from(strengths))
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidates(st.integers(1, 4)) | _small_candidates())
+@example((six_point_pair(), 6))  # levels 4..6 carry 3..5 masks
 def test_oracle_matches_reference(case):
     cand, t = case
     assert relative_design_oracle(cand, t) == _reference_oracle(cand, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidates(st.integers(1, 5)) | _small_candidates(st.sampled_from([5, 7, 9])))
+def test_passing_shells_are_designs_on_odd_n(case):
+    # the two-shell theorem: on odd n, passing every level up to s makes each
+    # shell an (s-1)-design (a shell with r < s-1 only as a multiple of the
+    # complete shell, which is balance at strength r)
+    cand, t = case
+    assume(cand.n % 2)
+    ok, witness = relative_design_oracle(cand, t)
+    passed = t if ok else witness[0] - 1
+    for r, d, _ in cand.shells():
+        if min(passed - 1, r) >= 1:
+            assert is_t_design(d, min(passed - 1, r))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_candidates(st.sampled_from([4, 6, 8])))
+@example((six_point_pair(), 3))
+def test_oracle_verdict_is_weighted_balance_on_even_n(case):
+    # a relative t-design is exactly a weighted regular t-wise balanced
+    # union, also where n = 2m <= 2t and the identities alone say too little
+    cand, t = case
+    ok, _ = relative_design_oracle(cand, t)
+    assert ok == is_regular_twise_balanced(cand.union_design(), cand.weight_by_size(), t)[0]
 
 
 @pytest.mark.parametrize("n", [64, 65, 128])
