@@ -122,8 +122,8 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
     (t-1)-design only as a multiple of its complete shell: balance at r.
     The criterion is the relative t-design condition for every n; it equals
     the moment identities that relative_design_oracle scans only when n is
-    not 2m for any m <= t, which is why the oracle confirms a pass on such
-    an n with the weighted balance.
+    not 2m for any m <= t, which is why on n = 2m the oracle checks the
+    weighted balance at sizes m..t instead.
     """
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")

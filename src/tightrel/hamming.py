@@ -20,14 +20,15 @@ sum_{T <= S} 4^{|T|} sum_k w_k b_k^{s-|T|} delta_k(T) = 0, where delta_k(T)
 counts the shell-k blocks holding T less their average N_k C(r_k,|T|)/C(n,|T|).
 Summed over the m-supersets of an (m-1)-set U, they leave 2(r1-r2)(n-2m)
 w_2 delta_2(U) = 0 once delta vanishes below m-1 (the two-shell theorem).
-So after levels 1..s-1 both shells are u-designs, u = s-2 (u = m-2 if n = 2m,
-2 <= m < s): the terms m <= u equal their average at every S and drop out,
-leaving the blocks that miss at most W = s-1-u points of S (W = 1 for odd n
-and n > 2s-2).  For n = 2m <= 2t the identities do not imply a relative
-t-design; a pass there is confirmed by the equivalent weighted balance.
+So after levels 1..s-1 both shells are (s-2)-designs: the terms m <= s-2
+equal their average at every S and drop out, leaving the blocks that miss
+at most one point of S.  Where both shells are (s-1)-designs only m = s is
+left: the weighted balance of the union at S.  For n = 2m the theorem stops
+at m, and the identities at sizes s >= m need not imply a relative t-design;
+there the oracle checks that balance at every size from m on instead.
 The scan is bit-sliced over blocks (designs._columns); a depth-first walk
-carries the masks of the blocks missing at most 0..W points of the prefix,
-stacked in one int, and weighs popcounts with exact integers.
+carries the blocks missing at most 0 and 1 points of the prefix as two
+masks stacked in one int, and weighs popcounts with exact integers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import re
 from fractions import Fraction
 
-from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns, _first_unbalanced
+from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns
 from .designs import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
@@ -225,62 +226,58 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     """Check the two-shell moment identity for every subset size s = 1..t.
 
     Returns (True, None), or (False, (s, subset)) with the lex-first failing
-    subset of the smallest failing size; with W = 1 an s-subset costs 4 ANDs
-    and popcounts.  For even n <= 2t a pass is confirmed by the union's
-    weighted balance at j = 1..t (ValueError past designs.MAX_RANKS), whose
-    first failing (j, subset) is then the witness.
+    subset of the smallest failing size; an s-subset costs 4 ANDs and
+    popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
+    of the union (a failing subset is one whose blocks' weight is off the
+    average), which the identities at those sizes need not imply.
     """
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
-    stall = n // 2 if n % 2 == 0 and n >= 4 else n + 1  # n = 2m stops the theorem at m
+    half = n // 2 if n % 2 == 0 and n >= 4 else n + 1  # n = 2m: the theorem stops at m
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    size, blocks = cand.total_size, cand.design1.blocks + cand.design2.blocks
+    size = cand.total_size
     full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
-    high, cols = full ^ low, _columns(blocks, n)
+    high, cols = full ^ low, _columns(cand.design1.blocks + cand.design2.blocks, n)
     for s in range(1, t + 1):
-        u = max(min(s, stall) - 2, 0)  # both shells are u-designs by now
-        width = s - 1 - u
+        # the terms m <= u drop out: below half both shells are (s-2)-designs by
+        # now, and from half on u = s-1 leaves the weighted balance alone
+        u = s - 1 if s >= half else max(s - 2, 0)
         target, steps = Fraction(0), []
         for r, d, w in cand.shells():
             terms = [(m, 4**m * (n - 2 * r - 2) ** (s - m)) for m in range(u + 1, s + 1)]
             target += w * scale * d.num_blocks * sum(x * math.comb(s, m) * Fraction(
                 math.comb(r, m), math.comb(n, m)) for m, x in terms)
-            # steps[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of
-            # a block meeting S in c points, so a shell's sum at S is sum_v steps[v] |M_v|
-            # with M_v its blocks missing <= v points of S.  Segment v of a walk mask
-            # holds M_v of the prefix, and point j turns it into M_v & c_j | M_{v-1}
-            steps.append([int(w * scale) * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
-                          for v in range(width + 1)])
+            # e[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of a
+            # block meeting S in c points, so a shell's sum at S is e0 |M_0| + e1 |M_1|
+            # with M_v its blocks missing <= v points of S (e1 = 0 when u = s-1)
+            e = [int(w * scale) * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
+                 for v in range(s - u)] + [0]
+            steps.append((e[0] - e[1], e[1]))
         # block sums are integers, so a fractional target fails the first subset
         target = target.numerator if target.denominator == 1 else target
-        rep = sum(1 << v * size for v in range(width + 1))
+        (x0, x1), (y0, y1) = steps
+        # the low half of a walk mask holds M_0 of the prefix, the high half M_1;
+        # point j turns them into M_0 & c_j and M_1 & c_j | M_0
+        rep = 1 if u == s - 1 else 1 | 1 << size
         stack, reps = full * rep, [c * rep for c in cols]
-        if width == 1:  # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
-            (x0, x1), (y0, y1) = ((e[0] - e[1], e[1]) for e in steps)
 
         def walk(prefix, ms, start):  # the first failing s-subset extending prefix, or None
-            if len(prefix) == s:
-                ok = target == sum(e[v] * (ms >> v * size & part).bit_count()
-                                   for e, part in zip(steps, (low, high)) for v in range(width + 1))
-                return None if ok else (s, prefix)
-            if width == 1 and len(prefix) == s - 1:
-                a0, a1, b0, b1 = ms & low, ms >> size & low, ms & high, ms >> size & high
-                rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
-                for i in range(start, n):
-                    c = cols[i]
-                    if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
-                            + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
-                        return s, prefix + (i,)
+            if len(prefix) < s - 1:
+                for j in range(start, n + len(prefix) + 1 - s):
+                    if found := walk(prefix + (j,), ms & reps[j] | ms << size & stack, j + 1):
+                        return found
                 return None
-            for j in range(start, n + len(prefix) + 1 - s):
-                if found := walk(prefix + (j,), ms & reps[j] | ms << size & stack, j + 1):
-                    return found
+            # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
+            a0, a1, b0, b1 = ms & low, ms >> size & low, ms & high, ms >> size & high
+            rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
+            for i in range(start, n):
+                c = cols[i]
+                if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
+                        + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
+                    return s, prefix + (i,)
             return None
 
         if found := walk((), stack, 0):
             return False, found
-    for j in range(1, t + 1) if stall <= t else ():
-        if (found := _first_unbalanced(n, blocks, j, cand.weight_by_size())) is not None:
-            return False, (j, found)
     return True, None

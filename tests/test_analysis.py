@@ -100,8 +100,9 @@ def test_verdicts_agree_on_generated_candidates(case):
     # union is regular t-wise balanced, and then each shell is a (t-1)-design
     # with the closed-form index; the oracle's s = t witness is the
     # criterion's first failing t-subset.  The criterion equals the moment
-    # identities only when n is not 2m for any m <= t (on such n the oracle
-    # adds the balance check); these bases have n = 7, 11, 19, 22 and 23
+    # identities only when n is not 2m for any m <= t (on n = 2m the oracle
+    # checks the balance from size m on); these bases have n = 7, 11, 19, 22
+    # and 23
     cand, t = case
     ok, witness = relative_design_oracle(cand, t)
     thm_ok, thm_witness = check_via_thm34(cand, t)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import os
 import re
 import shutil
@@ -26,7 +27,7 @@ from tightrel import (
     save_design,
 )
 from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _build_parser, main
-from tightrel.designs import mask_of
+from tightrel.designs import MAX_RANKS, mask_of
 
 from conftest import relabel, six_point_pair
 
@@ -240,6 +241,19 @@ def test_check_relative_even_n_moment_identities_not_enough(capsys, tmp_path):
         assert main(["check-relative", str(p), "--t", t]) == 1
         assert capsys.readouterr().out == "relative-design: false  witness: s=3 S=(0,1,2)\n"
     assert main(["check-relative", str(p), "--t", "2"]) == 0
+    assert capsys.readouterr().out == "relative-design: true\n"
+
+
+def test_check_relative_even_n_past_the_coverage_limit(capsys, tmp_path):
+    # complete shells form a relative design at every strength; on n = 2m <=
+    # 2t the oracle checks the balance at sizes m..t within its own scan, so
+    # a union the coverage kernel refuses (1140 blocks of 17 points, C(17, 9)
+    # 9-subsets each, past MAX_RANKS) still gets its verdict
+    shells = [Design(20, tuple(map(mask_of, itertools.combinations(range(20), r)))) for r in (2, 17)]
+    assert math.comb(17, 9) * shells[1].num_blocks > MAX_RANKS
+    p = tmp_path / "complete.rel"
+    save_candidate(RelativeCandidate.from_designs(*shells, 1, 3), 10, p)
+    assert main(["check-relative", str(p)]) == 0
     assert capsys.readouterr().out == "relative-design: true\n"
 
 

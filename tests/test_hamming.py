@@ -280,11 +280,13 @@ def _reference_balance(cand, t):
 def _reference_oracle(cand, t):
     """The moment identity in plain Python integers, one subset at a time,
     returning the lexicographically first failing subset.  For n = 2m <= 2t
-    the identities do not imply a relative t-design, so a pass there is
-    then checked against the union's weighted balance."""
+    the identities at sizes m..t need not imply a relative t-design, so it
+    scans sizes 1..m-1 and then the union's weighted balance at every size
+    from 1: the sizes below m are balanced once their identities hold."""
     n = cand.n
+    even = n % 2 == 0 and 4 <= n <= 2 * t
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    for s in range(1, t + 1):
+    for s in range(1, n // 2 if even else t + 1):
         lhs = Fraction(0)
         for r, d, w in cand.shells():
             lhs += w * d.num_blocks * Fraction(shell_moment(n, s, r), math.comb(n, r))
@@ -301,7 +303,7 @@ def _reference_oracle(cand, t):
                     total += p * a**c * b ** (s - c)
             if total != lhs * scale:
                 return False, (s, sub)
-    if n % 2 == 0 and 4 <= n <= 2 * t:
+    if even:
         return _reference_balance(cand, t)
     return True, None
 
@@ -310,7 +312,7 @@ def _reference_oracle(cand, t):
 def _small_candidates(draw, sizes=st.integers(4, 10)):
     """A relabelled two-shell candidate on a few points that passes many
     levels, at a strength near n/2: the boundaries n = 2t -+ 1, and on even
-    n the levels s > n/2 + 1, where the walk carries more than two masks.
+    n the sizes s >= n/2, where the oracle checks the weighted balance.
     A shell is complete, a partition of the points, the complements of the
     r-sets the other shell leaves out (shells r and n - r), or a few random
     blocks; weights reach 2**66."""
@@ -345,7 +347,7 @@ def _small_candidates(draw, sizes=st.integers(4, 10)):
 
 @settings(max_examples=80, deadline=None)
 @given(candidates(st.integers(1, 4)) | _small_candidates())
-@example((six_point_pair(), 6))  # levels 4..6 carry 3..5 masks
+@example((six_point_pair(), 6))  # unbalanced from size 3 = n/2 on
 def test_oracle_matches_reference(case):
     cand, t = case
     assert relative_design_oracle(cand, t) == _reference_oracle(cand, t)
