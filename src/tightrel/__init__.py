@@ -21,7 +21,7 @@ _EXPORTS = {
         is_regular_twise_balanced is_t_design lambda_count load_design mask_of residual
         save_design""",
     "feasibility": """FeasibleRow annotate_existence row_ruled_out rows_to_tsv scan_relative3
-        scan_relative4""",
+        scan_relative4 scan_tsv""",
     "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle
         save_candidate shell_moment""",
     "profiles": """LambdaSequence MultiplicityGraph conjecture2_scan lambda_sequence

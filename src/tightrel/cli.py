@@ -17,12 +17,30 @@ from ._base import FormatError
 # the modules of its own verb.
 
 
-def _emit(text: str, out) -> None:
+_BLOCK = 1 << 16
+
+
+def _blocks(chunks):
+    """The strings of chunks joined into blocks of at least _BLOCK characters,
+    the last one shorter: a streamed table then reaches a pipe in a few large
+    writes, not in one write per 8 KiB buffer flush."""
+    block, length = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        length += len(chunk)
+        if length >= _BLOCK:
+            yield "".join(block)
+            block, length = [], 0
+    yield "".join(block)
+
+
+def _emit(chunks, out) -> None:
+    """Write the strings of chunks to the path out, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_blocks(chunks))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_blocks(chunks))
 
 
 def _cmd_verify(args) -> int:
@@ -76,15 +94,19 @@ def _cmd_lambda_seq(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .feasibility import annotate_existence, rows_to_tsv, scan_relative3, scan_relative4
+    from .feasibility import scan_tsv
 
+    cases = None
     if args.t == 3:
-        rows = scan_relative3(args.max_n, frozenset(int(tok) for tok in args.cases.split(",")))
-    else:
-        rows = scan_relative4(args.max_n)
-    if args.annotate:
-        rows = annotate_existence(rows)
-    _emit(rows_to_tsv(rows), args.out)
+        try:
+            cases = frozenset(int(tok) for tok in args.cases.split(","))
+        except ValueError:
+            cases = frozenset()
+        if not cases or not cases <= {1, 2, 3, 4}:
+            raise ValueError(f"--cases must be a comma list from {{1,2,3,4}}; got {args.cases!r}")
+    # scan_tsv checks its arguments before --out is opened, and the table is
+    # written in blocks as the scan reaches its lines
+    _emit(scan_tsv(args.t, args.max_n, cases, args.annotate), args.out)
     return 0
 
 
@@ -138,7 +160,7 @@ def _cmd_construct(args) -> int:
         d = extend_pair(load_design(args.file_a), load_design(args.file_b))
     else:
         raise AssertionError(what)
-    _emit(design_text(d), args.out)
+    _emit((design_text(d),), args.out)
     return 0
 
 
@@ -153,8 +175,7 @@ def _cmd_conjecture2(args) -> int:
         raise FormatError(f"no .blk files in {args.dir}")
     designs = [load_design(p) for p in paths]
     pairs = conjecture2_scan(designs, args.t)
-    lines = [f"{paths[i].name}\t{paths[j].name}" for i, j in pairs]
-    _emit("".join(line + "\n" for line in lines), args.out)
+    _emit((f"{paths[i].name}\t{paths[j].name}\n" for i, j in pairs), args.out)
     return 0
 
 

@@ -1,20 +1,18 @@
 """Feasible-parameter scans for tight two-shell candidates, and the
 annotation of each row with nonexistence verdicts for its two per-shell
-constituents.  The tests behind those verdicts (perfect-square test for
-even point counts, the ternary-form test for odd ones, and the congruence
-test for triple systems with lam = 2 of triangular-number shape) live in
-screens.py, which loads without the scans; their names are re-exported
-here.
+constituents.  The tests behind those verdicts live in screens.py, which
+loads without the scans; their names are re-exported here.
 
 One scan serves every strength t.  A tight candidate has
 N1 + N2 = tight_size(t, n) blocks on shells t-1 <= r1 < r2 <= n-2, and each
 shell is a (t-1)-design, so N C(r,j)/C(n,j) is an integer for j < t.  For
 odd t = 2e+1 both shells meet the Ray-Chaudhuri-Wilson bound, N1 = N2 =
 C(n, e): at t = 3 they are symmetric 2-(n, r, r(r-1)/(n-1)) designs.  For
-even t the split is free, and N1 steps through the multiples of the least
-count that makes shell r1 integral.  The scan enumerates everything
-passing those conditions and records, per row, how the per-shell
-strength-t coverage counts can split along the weighted balance line
+even t the split is free: N1 steps through the multiples of the least
+count s1 that makes shell r1 integral, and a shell whose step is not below
+the total is dropped before the shells are paired.  For each split
+(n, r1, r2, N1) the scan records how the per-shell strength-t coverage
+counts can split along the weighted balance line
 
     x + (w2/w1) y = (P(r1) + (w2/w1) P(r2)) / D,
     P(r) = N perm(r, t),  D = perm(n, t).
@@ -25,31 +23,29 @@ Weight ratios are enumerated in lowest terms d1/d2 with 1 <= d1 <= lam1,
 (a shell meeting a Fisher-type bound cannot be a t-design, so a single
 point would force an impossible constancy), so steps larger than the
 coverage bounds or lines carrying fewer than two points are ruled out.
-Nothing is searched: the y of the lattice points on a line form one
-residue class clipped to the coverage box, and for each d1 the d2 whose
-line constant is integral form one residue class, so both are enumerated
-directly.  The equal-weight line of an odd-t row must carry two points as
-well; for even t its split is attached as an annotation and the row is
-kept whenever the divisibility conditions hold, since the weighted split
-is part of the later existence analysis rather than the search.
+Nothing is searched: for each d1 the d2 whose line constant is integral
+form one residue class, and the y of a line's points form one residue
+class clipped to the coverage box, so they are counted before any point
+is built.  The ratios are sorted by the integer floor(d1 K / d2) with
+K = lam2^2 + 1, which orders them exactly: reduced ratios with
+denominators at most lam2 differ by at least 1/lam2^2.  The equal-weight
+line of an odd-t row must carry two points as well; for even t its split
+is attached as an annotation and the row is kept whenever the divisibility
+conditions hold, since the weighted split is part of the later existence
+analysis rather than the search.
+
+Every output is a view of one split stream (_splits): scan_tsv formats its
+TSV lines directly, with no FeasibleRow or Fraction, and the rows use it too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from operator import attrgetter
 
 from ._base import DesignParams, _Record, tight_size
-from .screens import (
-    NonexistenceVerdict,
-    admissibility_test,
-    brc_test,
-    driessen_test,
-    legendre_solvable,
-    symmetric_square_test,
-)
+from .screens import (NonexistenceVerdict, admissibility_test, brc_test, driessen_test,
+                      legendre_solvable, symmetric_square_test)
 
 __all__ = [
     "FeasibleRow",
@@ -61,6 +57,7 @@ __all__ = [
     "driessen_test",
     "scan_relative3",
     "scan_relative4",
+    "scan_tsv",
     "annotate_existence",
     "rows_to_tsv",
     "TSV_HEADER",
@@ -90,7 +87,7 @@ class FeasibleRow(_Record):
     # one statement per field, not _set's loop: the scans and annotate_existence
     # build a row per table line, tens of thousands of them at larger max_n
     def __init__(self, t: int, n: int, r1: int, r2: int, N1: int, N2: int, lam1: int,
-                 lam2: int, ratio: Fraction, pairs: tuple, case: int, star: bool,
+                 lam2: int, ratio, pairs: tuple, case: int, star: bool,
                  verdicts: tuple = ()):
         _setattr(self, "t", t)
         _setattr(self, "n", n)
@@ -126,37 +123,37 @@ def _line_points(base: int, den: int, step: int, lam1: int, lam2: int) -> tuple:
     return tuple(((base - step * y) // den, y) for y in range(y_top, y_lo - 1, -mod))
 
 
-def _ratio_rows(t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, D, case) -> list:
-    """Rows for reduced weight ratios d1/d2 != 1 whose balance line carries
-    at least two integer points in the coverage box.  With gcd(d1, d2) = 1 a
-    line has integer points only if D | P1*d2 + P2*d1, so for each d1 only
-    one residue class of d2 modulo D/gcd(P1, D), or none, is visited."""
-    rows = []
-    star = _star(n, r1, r2)
+def _ratio_lines(P1: int, P2: int, D: int, lam1: int, lam2: int, case: int) -> list:
+    """(d1, d2, points, case), ascending in d1/d2, for the reduced ratios
+    d1/d2 != 1 whose balance line has two or more points in the coverage box.
+    With gcd(d1, d2) = 1 a line has integer points only if D | P1*d2 + P2*d1,
+    so for each d1 one residue class of d2 mod D/gcd(P1, D), or none, is visited."""
+    lines = []
     h = math.gcd(P1, D)
     mod = D // h
     inv = pow(P1 // h, -1, mod)
+    key = lam2 * lam2 + 1  # floor(d1*key/d2) orders the ratios exactly
     for d1 in range(1, lam1 + 1):
-        if (P2 * d1) % h:
+        if P2 * d1 % h:
             continue
         first = (-(P2 * d1) // h * inv - 1) % mod + 1
         for d2 in range(first, lam2 + 1, mod):
-            if d1 == d2 or math.gcd(d1, d2) != 1:
+            # x + (d1/d2) y = (P1 + (d1/d2) P2) / D is d2 x + d1 y = c, whose
+            # y lie in [y_lo, y_hi] and in one residue class modulo d2
+            c = (P1 * d2 + P2 * d1) // D
+            y_lo = -((d2 * lam1 - c) // d1)
+            y_lo = y_lo if y_lo > 0 else 0
+            y_hi = c // d1
+            y_hi = y_hi if y_hi < lam2 else lam2
+            # room for one point at most, or not a ratio in lowest terms
+            if y_hi - y_lo < d2 or d1 == d2 or math.gcd(d1, d2) != 1:
                 continue
-            # x + (d1/d2) y = (P1 + (d1/d2) P2) / D, cleared of denominators
-            pts = _line_points(P1 * d2 + P2 * d1, D * d2, D * d1, lam1, lam2)
-            if len(pts) >= 2:
-                rows.append(
-                    FeasibleRow(
-                        t, n, r1, r2, N1, N2, lam1, lam2,
-                        Fraction(d1, d2), pts, case, star,
-                    )
-                )
-    return rows
-
-
-def _star(n: int, r1: int, r2: int) -> bool:
-    return n % 4 == 3 and r1 == (n - 1) // 2 and r2 == (n + 1) // 2
+            y_top = y_hi - (y_hi - c * pow(d1, -1, d2)) % d2
+            if y_top - d2 >= y_lo:
+                pts = tuple(((c - d1 * y) // d2, y) for y in range(y_top, y_lo - 1, -d2))
+                lines.append((d1 * key // d2, d1, d2, pts))
+    lines.sort()
+    return [(d1, d2, pts, case) for _, d1, d2, pts in lines]
 
 
 def _divisibility_step(n: int, r: int, t: int) -> int:
@@ -168,67 +165,78 @@ def _divisibility_step(n: int, r: int, t: int) -> int:
     return step
 
 
-def _scan_one_n(n: int, t: int, cases: frozenset) -> list:
-    """The strength-t rows at one n whose case tag lies in cases."""
-    total = tight_size(t, n)
+def _splits(t: int, max_n: int, cases: frozenset):
+    """Yield (n, r1, r2, N1, N2, lam1, lam2, star, lines) for each strength-t
+    split with n <= max_n that has a line whose case tag lies in cases, in
+    the order (n, r1, r2, N1).  lines holds (d1, d2, points, case): the
+    equal-weight line 1/1 first, then the ratios d1/d2 ascending."""
     odd = t % 2
-    C = math.comb(n, t - 1)
-    D = math.perm(n, t)
-    # r >= t-1 keeps lam_{t-1} = N C(r,t-1)/C(n,t-1) >= 1 for every N >= 1
-    sizes = range(t - 1, n - 1)
-    if odd:
-        # each shell of a tight pair has exactly C(n, e) = total/2 blocks; an
-        # integral lam_{t-1} rejects most r before their full step is taken
-        sizes = [r for r in sizes if total // 2 * math.comb(r, t - 1) % C == 0]
-    steps = {r: _divisibility_step(n, r, t) for r in sizes}
-    if odd:
-        steps = {r: s for r, s in steps.items() if total // 2 % s == 0}
-    shells = list(steps.items())
-    rows = []
-    for i, (r1, s1) in enumerate(shells):
-        for r2, s2 in shells[i + 1 :]:
-            star = _star(n, r1, r2)
-            if odd:
-                eq_case, ratio_case = (1, 2) if r1 + r2 == n else (3, 4)
-                splits = (total // 2,)
-            else:
-                eq_case = ratio_case = 0
-                splits = range(s1, total, s1)
-            for N1 in splits:
-                N2 = total - N1
-                if N2 % s2:
-                    continue
-                lam1 = N1 * math.comb(r1, t - 1) // C
-                lam2 = N2 * math.comb(r2, t - 1) // C
-                # the balance line x + ratio y = (P1 + ratio P2) / D, with
-                # P = N perm(r, t) and D = perm(n, t) cut by their common factor
-                P1, P2 = N1 * math.perm(r1, t), N2 * math.perm(r2, t)
-                g = math.gcd(P1, P2, D)
-                P1, P2, Dg = P1 // g, P2 // g, D // g
-                if eq_case in cases:
-                    pts = _line_points(P1 + P2, Dg, Dg, lam1, lam2)
-                    # at odd t a single point would make both shells t-designs,
-                    # which shells of C(n, e) blocks never are; at even t the
-                    # row stands for its block split and the points annotate it
-                    if len(pts) >= 2 or not odd:
-                        rows.append(
-                            FeasibleRow(
-                                t, n, r1, r2, N1, N2, lam1, lam2,
-                                Fraction(1), pts, eq_case, star,
-                            )
-                        )
-                if ratio_case in cases:
-                    ratio_rows = _ratio_rows(
-                        t, n, r1, r2, N1, N2, lam1, lam2, P1, P2, Dg, ratio_case
-                    )
-                    rows += sorted(ratio_rows, key=attrgetter("ratio"))
-    return rows
+    # the shell window t-1 <= r1 < r2 <= n-2 needs n >= t+2
+    for n in range(t + 2, max_n + 1):
+        total = tight_size(t, n)
+        C = math.comb(n, t - 1)
+        D = math.perm(n, t)
+        # r >= t-1 keeps lam_{t-1} = N C(r,t-1)/C(n,t-1) >= 1 for every N >= 1
+        sizes = range(t - 1, n - 1)
+        if odd:
+            # each shell of a tight pair has exactly C(n, e) = total/2 blocks; an
+            # integral lam_{t-1} rejects most r before their full step is taken
+            sizes = [r for r in sizes if total // 2 * math.comb(r, t - 1) % C == 0]
+        steps = ((r, _divisibility_step(n, r, t)) for r in sizes)
+        # odd t: each step divides total/2; even t: N1 >= s1, N2 >= s2 >= 1
+        shells = [(r, s) for r, s in steps if (total // 2 % s == 0 if odd else s < total)]
+        for i, (r1, s1) in enumerate(shells):
+            for r2, s2 in shells[i + 1 :]:
+                eq_case, ratio_case = ((1, 2) if r1 + r2 == n else (3, 4)) if odd else (0, 0)
+                for N1 in (total // 2,) if odd else range(s1, total, s1):
+                    N2 = total - N1
+                    if N2 % s2:
+                        continue
+                    lam1 = N1 * math.comb(r1, t - 1) // C
+                    lam2 = N2 * math.comb(r2, t - 1) // C
+                    # the balance line x + ratio y = (P1 + ratio P2) / D, with
+                    # P = N perm(r, t) and D = perm(n, t) cut by their common factor
+                    P1, P2 = N1 * math.perm(r1, t), N2 * math.perm(r2, t)
+                    g = math.gcd(P1, P2, D)
+                    P1, P2, Dg = P1 // g, P2 // g, D // g
+                    lines = []
+                    if eq_case in cases:
+                        pts = _line_points(P1 + P2, Dg, Dg, lam1, lam2)
+                        # at odd t a single point would make both shells t-designs,
+                        # which shells of C(n, e) blocks never are; at even t the
+                        # row stands for its block split and the points annotate it
+                        if len(pts) >= 2 or not odd:
+                            lines.append((1, 1, pts, eq_case))
+                    if ratio_case in cases:
+                        lines += _ratio_lines(P1, P2, Dg, lam1, lam2, ratio_case)
+                    if lines:  # star: n = 4u-1, r1 = 2u-1, r2 = 2u
+                        star = n % 4 == 3 and r1 == (n - 1) // 2 and r2 == r1 + 1
+                        yield n, r1, r2, N1, N2, lam1, lam2, star, lines
 
 
-def _scan(t: int, max_n: int, cases: frozenset) -> list:
-    # the shell window t-1 <= r1 < r2 <= n-2 needs n >= t+2; each n comes
-    # out sorted by (r1, r2, N1, ratio != 1, ratio)
-    return [row for n in range(t + 2, max_n + 1) for row in _scan_one_n(n, t, cases)]
+def _scan_cases(t: int, max_n: int, cases) -> frozenset:
+    """The case tags a strength-t scan keeps: cases at t = 3, 0 at t = 4."""
+    if t not in (3, 4):
+        raise ValueError("t must be 3 or 4")
+    if max_n < t + 1:
+        raise ValueError(f"max_n must be >= {t + 1}")
+    if t == 4:
+        return frozenset({0})
+    cases = frozenset(cases)
+    if not cases or not cases <= {1, 2, 3, 4}:
+        raise ValueError("cases must be a nonempty subset of {1,2,3,4}")
+    return cases
+
+
+def _rows(t: int, max_n: int, cases) -> list:
+    from fractions import Fraction  # the rows' ratios; the TSV stream needs none
+
+    return [
+        FeasibleRow(t, n, r1, r2, N1, N2, lam1, lam2, Fraction(d1, d2), pts, case, star)
+        for n, r1, r2, N1, N2, lam1, lam2, star, lines
+        in _splits(t, max_n, _scan_cases(t, max_n, cases))
+        for d1, d2, pts, case in lines
+    ]
 
 
 def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4})) -> list:
@@ -238,20 +246,13 @@ def scan_relative3(max_n: int, cases=frozenset({1, 2, 3, 4})) -> list:
     cases split on whether the shells are complementary (r1 + r2 = n) and
     whether the weights are equal.
     """
-    if max_n < 4:
-        raise ValueError("max_n must be >= 4")
-    cases = frozenset(cases)
-    if not cases or not cases <= {1, 2, 3, 4}:
-        raise ValueError("cases must be a nonempty subset of {1,2,3,4}")
-    return _scan(3, max_n, cases)
+    return _rows(3, max_n, cases)
 
 
 def scan_relative4(max_n: int) -> list:
     """All strength-4 feasible rows with n <= max_n: shells are 3-designs
     whose block counts sum to n(n+1)/2."""
-    if max_n < 5:
-        raise ValueError("max_n must be >= 5")
-    return _scan(4, max_n, frozenset({0}))
+    return _rows(4, max_n, ())
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +270,17 @@ def _shell_verdict(n: int, r: int, lam: int, N: int, t: int) -> NonexistenceVerd
 
 def annotate_existence(rows) -> list:
     """Attach one nonexistence verdict per shell to every row."""
-    # rows share shells and verdicts are frozen: test each distinct shell
-    # once, and look the pair up again only when the shells change, which a
-    # scan's rows do once per (n, r1, r2, N1)
+    # rows share shells and verdicts are frozen: test each distinct shell once
     verdict = functools.cache(_shell_verdict)
-    out, last = [], None
-    for row in rows:
-        shells = (row.t, row.n, row.r1, row.lam1, row.N1, row.r2, row.lam2, row.N2)
-        if shells != last:
-            last = shells
-            verdicts = (
-                verdict(row.n, row.r1, row.lam1, row.N1, row.t),
-                verdict(row.n, row.r2, row.lam2, row.N2, row.t),
-            )
-        out.append(
-            FeasibleRow(
-                row.t, row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2,
-                row.ratio, row.pairs, row.case, row.star, verdicts,
-            )
+    return [
+        FeasibleRow(
+            row.t, row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2,
+            row.ratio, row.pairs, row.case, row.star,
+            (verdict(row.n, row.r1, row.lam1, row.N1, row.t),
+             verdict(row.n, row.r2, row.lam2, row.N2, row.t)),
         )
-    return out
+        for row in rows
+    ]
 
 
 def row_ruled_out(row: FeasibleRow) -> bool:
@@ -298,33 +290,40 @@ def row_ruled_out(row: FeasibleRow) -> bool:
 TSV_HEADER = "n\tr1\tr2\tN1\tN2\tlam1\tlam2\tratio\tpairs\tcase\tstar\tverdicts"
 
 
+def _tsv_lines(n, r1, r2, N1, N2, lam1, lam2, star, lines, verdicts) -> str:
+    """One split's TSV lines, each ending in a newline; verdicts may be ()."""
+    head = f"{n}\t{r1}\t{r2}\t{N1}\t{N2}\t{lam1}\t{lam2}\t"
+    tail = ";".join(f"r{r}.{v.test}={v.outcome}" for r, v in zip((r1, r2), verdicts))
+    tail = f"\t{'*' if star else '-'}\t{tail or '-'}\n"
+    return "".join(
+        f"{head}{d1}/{d2}\t{';'.join([f'({x},{y})' for x, y in pts]) or '-'}\t{case or '-'}{tail}"
+        for d1, d2, pts, case in lines
+    )
+
+
 def rows_to_tsv(rows, header: bool = True) -> str:
-    lines = [TSV_HEADER] if header else []
-    for row in rows:
-        pairs = ";".join(f"({x},{y})" for x, y in row.pairs) or "-"
-        verdicts = (
-            ";".join(
-                f"r{r}.{v.test}={v.outcome}"
-                for r, v in zip((row.r1, row.r2), row.verdicts)
-            )
-            or "-"
-        )
-        lines.append(
-            "\t".join(
-                (
-                    str(row.n),
-                    str(row.r1),
-                    str(row.r2),
-                    str(row.N1),
-                    str(row.N2),
-                    str(row.lam1),
-                    str(row.lam2),
-                    f"{row.ratio.numerator}/{row.ratio.denominator}",
-                    pairs,
-                    str(row.case) if row.case else "-",
-                    "*" if row.star else "-",
-                    verdicts,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    chunks = [TSV_HEADER + "\n"] if header else []
+    chunks += [
+        _tsv_lines(row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2, row.star,
+                   ((row.ratio.numerator, row.ratio.denominator, row.pairs, row.case),),
+                   row.verdicts)
+        for row in rows
+    ]
+    return "".join(chunks) or "\n"  # no header and no rows: one empty line
+
+
+def scan_tsv(t: int, max_n: int, cases=frozenset({1, 2, 3, 4}), annotate: bool = False):
+    """rows_to_tsv of scan_relative3(max_n, cases) (t = 3) or scan_relative4(max_n)
+    (t = 4), annotated when annotate is set, as the header line and then one
+    text chunk per split; bad arguments raise ValueError here, not lazily."""
+    cases = _scan_cases(t, max_n, cases)
+
+    def chunks():
+        yield TSV_HEADER + "\n"
+        verdict, verdicts = functools.cache(_shell_verdict), ()
+        for n, r1, r2, N1, N2, lam1, lam2, star, lines in _splits(t, max_n, cases):
+            if annotate:
+                verdicts = (verdict(n, r1, lam1, N1, t), verdict(n, r2, lam2, N2, t))
+            yield _tsv_lines(n, r1, r2, N1, N2, lam1, lam2, star, lines, verdicts)
+
+    return chunks()

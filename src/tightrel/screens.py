@@ -72,22 +72,95 @@ def symmetric_square_test(p: DesignParams) -> NonexistenceVerdict:
     return NonexistenceVerdict("SquareEven", "RuledOut", f"k-lam={d} is not a perfect square")
 
 
+# Trial division takes the primes below _TRIAL_BOUND.  Miller-Rabin with the
+# first 13 primes as bases is exact below _MR_LIMIT (Sorenson and Webster,
+# 2015), and Pollard-Brent may take _RHO_STEPS steps per factorisation.
+_TRIAL_BOUND = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 22
+
+
 def _prime_factors(m: int) -> list:
-    """(p, exponent) for each prime p dividing m >= 1, ascending, by trial
-    division."""
-    out = []
+    """(p, exponent) for each prime p dividing m >= 1, ascending.
+
+    Trial division finds the small primes; what is left splits by
+    Pollard's rho until each piece passes Miller-Rabin.  ValueError when a
+    piece passes it at or past _MR_LIMIT, where passing proves nothing, or
+    when the splits need more than _RHO_STEPS steps.
+    """
+    out = {}
     f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
+    while f < _TRIAL_BOUND and f * f <= m:
+        while m % f == 0:
+            m //= f
+            out[f] = out.get(f, 0) + 1
         f += 1 if f == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+    # every prime factor left is at least f, so a piece below f^2 is prime
+    pending, budget = ([m] if m > 1 else []), [_RHO_STEPS]
+    while pending:
+        q = pending.pop()
+        if q < f * f or _strong_probable_prime(q):
+            if q >= _MR_LIMIT:
+                raise ValueError(
+                    f"cannot prove {q} prime: Miller-Rabin is exact only below {_MR_LIMIT}"
+                )
+            out[q] = out.get(q, 0) + 1
+        else:
+            d = _rho_factor(q, budget)
+            pending += [d, q // d]
+    return sorted(out.items())
+
+
+def _strong_probable_prime(q: int) -> bool:
+    """Miller-Rabin to every base of _MR_BASES, for odd q > 41: False proves
+    q composite, and True proves it prime below _MR_LIMIT."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(q: int, budget: list) -> int:
+    """A proper divisor of the composite q: Pollard's rho on y -> y^2 + c
+    with Brent's cycle search and one gcd per batch of 64 steps.  budget[0]
+    holds the steps left, and is charged for the ones taken."""
+    for c in range(1, q):
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % q
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % q
+                    acc = acc * abs(x - y) % q
+                g = math.gcd(acc, q)
+                k += 64
+            budget[0] -= 2 * r
+            if budget[0] < 0:
+                raise ValueError(f"cannot split {q} within {_RHO_STEPS} Pollard rho steps")
+            r *= 2
+        if g == q:  # the batch passed the collision: redo it one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % q
+                g = math.gcd(abs(x - ys), q)
+        if g != q:
+            return g
+    raise AssertionError(f"no divisor of {q} found")
 
 
 def _squarefree(m: int) -> int:

@@ -7,26 +7,31 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tightrel
 from tightrel import (
     Design,
     RelativeCandidate,
+    annotate_existence,
     complement,
     construct_paley_hadamard,
     design_text,
     load_design,
+    rows_to_tsv,
     save_candidate,
     save_design,
+    scan_relative3,
+    scan_relative4,
 )
-from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _build_parser, main
+from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _blocks, _build_parser, main
 from tightrel.designs import MAX_RANKS, mask_of
 
 from conftest import relabel, six_point_pair
@@ -359,6 +364,101 @@ def test_scan4_stdout(capsys):
     assert main_rows == ["11\t5\t6\t33\t33\t2\t4\t1/1\t(0,2);(1,1);(2,0)\t-\t*\t-"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    t=st.sampled_from([3, 4]),
+    max_n3=st.integers(4, 120),
+    max_n4=st.integers(5, 45),
+    cases=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    annotate=st.booleans(),
+)
+@example(t=3, max_n3=120, max_n4=5, cases=[4, 2, 4], annotate=True)
+@example(t=3, max_n3=31, max_n4=5, cases=[1, 2, 3, 4], annotate=False)
+@example(t=4, max_n3=4, max_n4=45, cases=[1], annotate=True)
+@example(t=4, max_n3=4, max_n4=5, cases=[1], annotate=False)
+def test_scan_stream_matches_library_rows(t, max_n3, max_n4, cases, annotate):
+    # the verb streams its lines from the split enumerator; the library's rows,
+    # verdicts and TSV must give the same bytes
+    if t == 3:
+        argv = ["scan-3", "--max-n", str(max_n3), "--cases", ",".join(map(str, cases))]
+        rows = scan_relative3(max_n3, set(cases))
+    else:
+        argv = ["scan-4", "--max-n", str(max_n4)]
+        rows = scan_relative4(max_n4)
+    if annotate:
+        argv.append("--annotate")
+        rows = annotate_existence(rows)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == rows_to_tsv(rows)
+
+
+def test_output_blocks_join_chunks_in_order():
+    # a streamed table is written in blocks of at least 64 KiB, in order
+    chunks = [f"{i:05d}\n" * 4000 for i in range(7)]  # 24,000 characters each
+    blocks = list(_blocks(iter(chunks)))
+    assert [len(b) for b in blocks] == [72000, 72000, 24000]
+    assert "".join(blocks) == "".join(chunks)
+    assert list(_blocks(["x" * 70000, "y"])) == ["x" * 70000, "y"]
+    assert "".join(_blocks(iter([]))) == ""
+
+
+@pytest.mark.parametrize("cases", ["1,,2", "", "x", "9", "1,5", "0"])
+def test_scan3_bad_cases_message(capsys, cases):
+    assert main(["scan-3", "--max-n", "10", "--cases", cases]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --cases must be a comma list from {{1,2,3,4}}; got {cases!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan-3", "--max-n", "3"], ["scan-3", "--max-n", "40", "--cases", "1,,2"],
+     ["scan-4", "--max-n", "4", "--annotate"]],
+)
+def test_scan_usage_error_leaves_out_file_alone(capsys, tmp_path, argv):
+    # every argument is checked before --out is opened (and so truncated)
+    out = tmp_path / "table.tsv"
+    out.write_bytes(b"kept\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"kept\n"
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scan_out_is_opened_before_the_scan(capsys, tmp_path):
+    # scan-4 to n = 100000 would run for hours; the unwritable path fails first
+    t0 = time.perf_counter()
+    code = main(["scan-4", "--max-n", "100000", "--out", str(tmp_path / "no-dir" / "x.tsv")])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
+_SCAN_IMPORTS_PROBE = """
+import contextlib, io, sys
+import tightrel.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tightrel.cli.main(sys.argv[1:])
+print(code, "fractions" in sys.modules, "decimal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan-3", "--max-n", "120", "--annotate"],
+     ["scan-4", "--max-n", "45", "--annotate", "--out", "t.tsv"]],
+)
+def test_scan_processes_load_neither_fractions_nor_decimal(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN_IMPORTS_PROBE, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False False\n"
+
+
 def test_nonexist_brc(capsys):
     assert main(["nonexist", "--params", "29,8,2"]) == 1
     assert capsys.readouterr().out == "x^2 = 6y^2 + 2z^2 : insolvable\n"
@@ -386,6 +486,27 @@ def test_nonexist_admissibility_first(capsys):
     # no Driessen shape, but lam_2 = 7/2
     assert main(["nonexist", "--params", "9,4,1", "--t", "3"]) == 1
     assert capsys.readouterr().out == "lam_2=7/2 is not an integer: no 3-(9,4,1) design\n"
+
+
+def test_nonexist_large_admissible_params(capsys):
+    # k - lam = 1000000007 * 998244353: by trial division alone this did not
+    # end within 15 s
+    v, k = 996491802247273694975782512510752313, 998244359987710472
+    assert k * (k - 1) == v - 1
+    t0 = time.perf_counter()
+    assert main(["nonexist", "--params", f"{v},{k},1"]) in (0, 1)
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out.startswith("x^2 = 998244359987710471y^2 ")
+
+
+def test_nonexist_past_the_exact_primality_range(capsys):
+    # k - 1 = 2^89 - 1 is prime, which Miller-Rabin cannot prove this far out
+    k = 2**89
+    assert main(["nonexist", "--params", f"{k * (k - 1) + 1},{k},1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot prove 618970019642690137449562111 prime")
+    assert out.err.count("\n") == 1
 
 
 def test_nonexist_bad_params(capsys):
@@ -526,17 +647,17 @@ print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in w
         # lam_2 = 7/2: the counting conditions fail on a fraction
         (["nonexist", "--params", "9,4,1", "--t", "3"], 1,
          ["tightrel._base", "tightrel.cli", "tightrel.screens"]),
-        # the rows' weight ratios are Fractions
+        # the scans write their ratios as integer pairs, building no rows
         (["scan-3", "--max-n", "20", "--annotate"], 0,
-         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
+         ["tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
         (["scan-4", "--max-n", "20", "--annotate"], 0,
-         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
+         ["tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
     # `import tightrel` loads no submodule; a verb loads the modules it runs,
     # no verb here pays for dataclasses and inspect, and only the weighted
-    # candidates of check-relative and the scans' ratios need fractions
+    # candidates of check-relative need fractions
     paley = construct_paley_hadamard(19)
     save_design(paley, tmp_path / "paley.blk")
     save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")

@@ -4,6 +4,7 @@ the same objects under their tightrel.feasibility names."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tightrel import DesignParams, NonexistenceVerdict, admissibility_test, feasibility, screens
@@ -61,3 +62,55 @@ def test_feasibility_names_are_the_screens_objects():
     # tracer counts calls under their feasibility names
     for name in screens.__all__:
         assert getattr(feasibility, name) is getattr(screens, name)
+
+
+def _prime_factors_by_trial_division(m):
+    """2 and every odd f with f*f <= m tried in turn."""
+    out, f = [], 2
+    while f * f <= m:
+        e = 0
+        while m % f == 0:
+            m, e = m // f, e + 1
+        if e:
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+_primes_near = st.sampled_from([2, 3, 997, 1009, 1013, 65537, 999983, 1000003])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 10**12)
+    | st.tuples(_primes_near, _primes_near, st.integers(1, 10**4)).map(math.prod)
+)
+@example(m=1)
+@example(m=1009 * 1013)
+@example(m=999983**2)
+@example(m=2**39)
+@example(m=1000003 * 999983)
+def test_prime_factors_match_trial_division(m):
+    assert screens._prime_factors(m) == _prime_factors_by_trial_division(m)
+
+
+def test_prime_factors_of_two_large_primes():
+    p, q = 998244353, 1000000007
+    assert screens._prime_factors(p * q) == [(p, 1), (q, 1)]
+    assert screens._prime_factors(p * q * q * 12) == [(2, 2), (3, 1), (p, 1), (q, 2)]
+    # two 13-digit primes: about a million rho steps, within the budget
+    a, b = 10**12 + 39, 10**12 + 61
+    assert screens._prime_factors(a * b) == [(a, 1), (b, 1)]
+
+
+def test_prime_factors_refuse_what_they_cannot_prove(monkeypatch):
+    # 2^89 - 1 is prime, but past the range where Miller-Rabin proves it
+    with pytest.raises(ValueError, match="cannot prove 618970019642690137449562111 prime"):
+        screens._prime_factors(2**89 - 1)
+    # a composite past that range still splits into pieces inside it
+    assert screens._prime_factors((2**61 - 1) * (2**31 - 1)) == [(2**31 - 1, 1), (2**61 - 1, 1)]
+    monkeypatch.setattr(screens, "_RHO_STEPS", 1000)
+    with pytest.raises(ValueError, match="within 1000 Pollard rho steps"):
+        screens._prime_factors(998244353 * 1000000007)
