@@ -16,10 +16,10 @@ _EXPORTS = {
     "analysis": """KageyamaReport ShellReport check_via_thm34 complement_lambda_t
         complementary_pair is_tight kageyama_constituents p_ell_formula p_ell_t_formula
         prop44_check""",
-    "designs": """Design bits_of complement construct_paley_hadamard
-        construct_witt_23 coverage_map derived design_text extend_pair
-        is_regular_twise_balanced is_t_design lambda_count load_design mask_of residual
-        save_design""",
+    "_design": "Design bits_of design_text load_design mask_of save_design",
+    "constructions": """complement construct_paley_hadamard construct_witt_23 derived
+        extend_pair residual""",
+    "designs": "coverage_map is_regular_twise_balanced is_t_design lambda_count",
     "feasibility": """FeasibleRow annotate_existence row_ruled_out rows_to_tsv scan_relative3
         scan_relative4 scan_tsv""",
     "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle

@@ -11,15 +11,10 @@ import math
 from fractions import Fraction
 
 from ._base import _Record, tight_size
-from .designs import (
-    Design,
-    _first_unbalanced,
-    _first_uncovered,
-    bits_of,
-    complement,
-    is_regular_twise_balanced,
-    is_t_design,
-)
+from ._design import Design, bits_of
+
+# The coverage kernel of designs loads inside the functions that count, so
+# that check-relative --tight, which needs only tight_size, does not compile it.
 
 __all__ = [
     "ShellReport",
@@ -79,12 +74,16 @@ def _shell_lambdas(design: Design, t: int):
     An r-block holds no (t-1)-subset when r < t-1, so such a shell is checked
     at strength r (strength 0 always holds) and padded with zeros.
     """
+    from .designs import is_t_design
+
     j = min(t - 1, design.uniform_size())
     ok, lams = is_t_design(design, j) if j >= 1 else (True, [design.num_blocks])
     return lams + [0] * (t - len(lams)) if ok else None
 
 
 def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
+    from .designs import is_regular_twise_balanced
+
     if t < 2:
         raise ValueError("t must be >= 2")
     union = cand.union_design()
@@ -125,6 +124,8 @@ def check_via_thm34(cand: RelativeCandidate, t: int):
     not 2m for any m <= t, which is why on n = 2m the oracle checks the
     weighted balance at sizes m..t instead.
     """
+    from .designs import _first_unbalanced
+
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")
     if any(_shell_lambdas(design, t) is None for _, design, _ in cand.shells()):
@@ -201,6 +202,7 @@ def complementary_pair(design: Design) -> RelativeCandidate:
 
     Block size r must differ from n-r; shells come out ordered by size.
     """
+    from .constructions import complement
     from .hamming import RelativeCandidate
 
     r = design.uniform_size()
@@ -227,6 +229,8 @@ def prop44_check(cand: RelativeCandidate):
     ok, _ = check_via_thm34(cand, 3)
     if not ok:
         return "not-applicable", "not a relative 3-design"
+    from .designs import _first_uncovered
+
     full, blocks = (1 << cand.n) - 1, cand.design2.blocks
     found = _first_uncovered(cand.n, cand.design1.blocks, [full ^ b for b in blocks], 3)
     if found is None:

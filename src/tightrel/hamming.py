@@ -26,7 +26,7 @@ at most one point of S.  Where both shells are (s-1)-designs only m = s is
 left: the weighted balance of the union at S.  For n = 2m the theorem stops
 at m, and the identities at sizes s >= m need not imply a relative t-design;
 there the oracle checks that balance at every size from m on instead.
-The scan is bit-sliced over blocks (designs._columns); a depth-first walk
+The scan is bit-sliced over blocks (_design._columns); a depth-first walk
 carries the blocks missing at most 0 and 1 points of the prefix as two
 masks stacked in one int, and weighs popcounts with exact integers.
 """
@@ -37,8 +37,9 @@ import math
 import re
 from fractions import Fraction
 
-from .designs import Design, FormatError, _INT, _Record, _ascii_int, _columns
-from .designs import _parse_size_line, _read_lines, bits_of, parse_block_line
+from ._base import FormatError, _Record
+from ._design import Design, _INT, _ascii_int, _columns
+from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
     "RelativeCandidate",

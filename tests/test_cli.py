@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import io
 import itertools
 import math
@@ -31,7 +33,9 @@ from tightrel import (
     scan_relative3,
     scan_relative4,
 )
-from tightrel.cli import _CONSTRUCTIONS, _TRANSFORMS, _VERBS, _blocks, _build_parser, main
+from tightrel.cli import _VERBS, _build_parser, main
+from tightrel.commands._output import _blocks
+from tightrel.commands.construct import _CONSTRUCTIONS, _TRANSFORMS
 from tightrel.designs import MAX_RANKS, mask_of
 
 from conftest import relabel, six_point_pair
@@ -533,12 +537,12 @@ def test_construct_paley_rejects_bad_q(capsys):
 
 def test_construct_paley_checks_the_point_count_first(capsys, monkeypatch):
     # trial division and the q residue blocks took 19 s for q = 10007
-    from tightrel import designs
+    from tightrel import constructions
 
     def never(q):
         raise AssertionError("primality tested before the point-count limit")
 
-    monkeypatch.setattr(designs, "_is_prime", never)
+    monkeypatch.setattr(constructions, "_is_prime", never)
     assert main(["construct", "paley", "100003"]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: point count must be in 1..128, got 100003\n")
@@ -574,6 +578,32 @@ def test_construct_shares_transform_verbs(tmp_path, fano, fano_file):
     out = tmp_path / "c.blk"
     assert main(["construct", "complement", str(fano_file), "--out", str(out)]) == 0
     assert load_design(out) == complement(fano)
+
+
+# sha256 of each sub-verb's stdout, taken before the transforms and the
+# constructions moved from designs.py to constructions.py (commit dff38f6)
+_CONSTRUCT_SHA256 = {
+    "construct fano": "92d6c40c8cc4104133b2f4972d37b2d1ef8b09074b02238841fff98009696eaf",
+    "construct paley 43": "a4c87f038203c2150b8f3a298f06541bd634e8d4eafeb489dcd9aafa9a6d6b47",
+    "construct witt23": "5bb251ccaefafe737baf9315f40641376cba6cd24a0a9056cba3f77592f42e1e",
+    "transform complement w.blk": "f767868788518a65946d1bbc9930588fe78eabdc8a243d0b352567c3301eaa09",
+    "transform derived w.blk 0": "a7acaeaac6ff106a9a20246bef44d643abebc0811924df82c8b0dc28a1d88723",
+    "transform residual w.blk 0": "8fc8bda93f5f6fe68734d656a4899a00dd5ec41266296782b8b688d66df02768",
+    # the derived and residual designs at a point extend back to the design
+    "transform extend d.blk r.blk": "5bb251ccaefafe737baf9315f40641376cba6cd24a0a9056cba3f77592f42e1e",
+}
+
+
+def test_construct_and_transform_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "witt23", "--out", "w.blk"]) == 0
+    assert main(["transform", "derived", "w.blk", "0", "--out", "d.blk"]) == 0
+    assert main(["transform", "residual", "w.blk", "0", "--out", "r.blk"]) == 0
+    digests = {}
+    for argv in _CONSTRUCT_SHA256:
+        assert main(argv.split()) == 0
+        digests[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _CONSTRUCT_SHA256
 
 
 def test_conjecture2(capsys, tmp_path, fano, fano_swapped):
@@ -628,45 +658,91 @@ print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in w
 """
 
 
+_COMMON = ["tightrel._base", "tightrel.cli", "tightrel.commands"]
+_SCAN = [*_COMMON, "tightrel.commands._output", "tightrel.commands.scan", "tightrel.feasibility",
+         "tightrel.screens"]
+_CONSTRUCT = [*_COMMON, "tightrel._design", "tightrel.commands._output",
+              "tightrel.commands.construct", "tightrel.constructions"]
+
+
+@pytest.fixture()
+def verb_files(tmp_path):
+    """tmp_path with paley.blk (Paley(19)), pair.rel (it and its complement
+    at t = 3) and corpus/ (holding paley.blk)."""
+    paley = construct_paley_hadamard(19)
+    save_design(paley, tmp_path / "paley.blk")
+    save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
+    (tmp_path / "corpus").mkdir()
+    save_design(paley, tmp_path / "corpus" / "paley.blk")
+    return tmp_path
+
+
 @pytest.mark.parametrize(
     "argv,code,loaded",
     [
         # bench/tracing.py wraps analysis functions and finds the module in
-        # sys.modules, so this verb keeps loading analysis for tight_size
+        # sys.modules, so this verb keeps loading analysis for tight_size;
+        # neither it nor the oracle needs the coverage kernel of designs
         (["check-relative", "pair.rel", "--tight"], 0,
-         ["fractions", "tightrel._base", "tightrel.analysis", "tightrel.cli", "tightrel.designs",
-          "tightrel.hamming"]),
+         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.analysis",
+                 "tightrel.commands.check_relative", "tightrel.hamming"])),
         (["check-relative", "pair.rel"], 0,
-         ["fractions", "tightrel._base", "tightrel.cli", "tightrel.designs", "tightrel.hamming"]),
+         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
+                 "tightrel.hamming"])),
         (["verify", "paley.blk", "--t", "2"], 0,
-         ["tightrel._base", "tightrel.cli", "tightrel.designs"]),
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
-         ["tightrel._base", "tightrel.cli", "tightrel.designs", "tightrel.profiles"]),
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
+                 "tightrel.profiles"])),
         # the ternary-form test, after the counting conditions pass
-        (["nonexist", "--params", "29,8,2"], 1, ["tightrel._base", "tightrel.cli", "tightrel.screens"]),
+        (["nonexist", "--params", "29,8,2"], 1,
+         sorted([*_COMMON, "tightrel.commands.nonexist", "tightrel.screens"])),
         # lam_2 = 7/2: the counting conditions fail on a fraction
         (["nonexist", "--params", "9,4,1", "--t", "3"], 1,
-         ["tightrel._base", "tightrel.cli", "tightrel.screens"]),
+         sorted([*_COMMON, "tightrel.commands.nonexist", "tightrel.screens"])),
         # the scans write their ratios as integer pairs, building no rows
-        (["scan-3", "--max-n", "20", "--annotate"], 0,
-         ["tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
-        (["scan-4", "--max-n", "20", "--annotate"], 0,
-         ["tightrel._base", "tightrel.cli", "tightrel.feasibility", "tightrel.screens"]),
+        (["scan-3", "--max-n", "20", "--annotate"], 0, sorted(_SCAN)),
+        (["scan-4", "--max-n", "20", "--annotate"], 0, sorted(_SCAN)),
+        # the constructions read and write design files without the kernel
+        (["construct", "fano"], 0, sorted(_CONSTRUCT)),
+        (["transform", "complement", "paley.blk"], 0, sorted(_CONSTRUCT)),
+        (["conjecture2", "corpus", "--t", "3"], 0,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands._output",
+                 "tightrel.commands.conjecture2", "tightrel.designs", "tightrel.profiles"])),
     ],
 )
-def test_cli_process_loads_only_its_verbs_modules(tmp_path, argv, code, loaded):
-    # `import tightrel` loads no submodule; a verb loads the modules it runs,
-    # no verb here pays for dataclasses and inspect, and only the weighted
-    # candidates of check-relative need fractions
-    paley = construct_paley_hadamard(19)
-    save_design(paley, tmp_path / "paley.blk")
-    save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
+def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
+    # `import tightrel` loads no submodule; a verb loads its own command
+    # module and the modules it runs, no verb here pays for dataclasses and
+    # inspect, and only the weighted candidates of check-relative need fractions
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        capture_output=True, text=True, cwd=verb_files, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", f"{code} {loaded}"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["verify", "paley.blk", "--t", "2"], 0), (["check-relative", "pair.rel", "--tight"], 0),
+     (["lambda-seq", "paley.blk", "--t", "3"], 0), (["scan-3", "--max-n", "20"], 0),
+     (["scan-4", "--max-n", "20"], 0), (["nonexist", "--params", "29,8,2"], 1),
+     (["construct", "fano"], 0), (["transform", "complement", "paley.blk"], 0),
+     (["conjecture2", "corpus", "--t", "3"], 0)],
+)
+def test_module_entry_imports_no_second_cli(verb_files, argv, code):
+    # under `python -m tightrel.cli` the running cli.py is __main__, so a
+    # command module that imported tightrel.cli would compile it a second time
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tightrel.cli", *argv],
+        capture_output=True, text=True, cwd=verb_files, env=_child_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "tightrel.commands" in imported
+    assert "tightrel.cli" not in imported
 
 
 def _parse_outcome(parser, argv):
@@ -703,6 +779,9 @@ def _parser_cases():
     top-level help and errors."""
     cases = [([], 2), (["-h"], 0), (["-h", "verify"], 0), (["no-such-verb"], 2),
              (["no-such-verb", "-h"], 2), (["--no-such-flag", "verify"], 2), (["--", "verify"], 2)]
+    # a second verb name after the first: only the first verb is registered
+    cases += [(["check-relative", "f.rel", "verify"], 2), (["verify", "-h", "nonexist"], 0),
+              (["scan-3", "--max-n", "9", "scan-4"], 2)]
     subs = {"construct": _CONSTRUCTIONS, "transform": _TRANSFORMS}
     for verb, _, _ in _VERBS:
         cases += [([verb, "--help"], 0), ([verb, "--no-such-flag"], 2)]
@@ -723,8 +802,8 @@ def _case_id(case):
 
 @pytest.mark.parametrize("argv,code", _parser_cases(), ids=map(_case_id, _parser_cases()))
 def test_parser_for_the_named_verbs_matches_the_full_parser(argv, code, monkeypatch):
-    # the parser main builds has arguments only for the verbs named in argv;
-    # it must print, fail and parse as the one with every verb filled in
+    # the parser main builds registers only the verb that argv[0] names;
+    # it must print, fail and parse as the one with every verb
     monkeypatch.setenv("COLUMNS", "80")
     reference = _parse_outcome(_build_parser(), argv)
     assert reference[2] == code
@@ -732,10 +811,21 @@ def test_parser_for_the_named_verbs_matches_the_full_parser(argv, code, monkeypa
 
 
 def test_parser_fills_in_only_the_named_verbs():
-    out, _, code, _ = _parse_outcome(_build_parser(["nonexist"]), ["verify", "-h"])
-    assert code == 0 and out.startswith("usage: tightrel verify [-h]\n")
-    out, _, code, _ = _parse_outcome(_build_parser(["verify"]), ["verify", "-h"])
-    assert code == 0 and out.startswith("usage: tightrel verify [-h] --t T file\n")
+    # a sub-parser for argv[0] alone when it names a verb, every verb otherwise
+    def registered(argv):
+        parser = _build_parser(argv)
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices), parser.format_usage()
+
+    every = registered(None)
+    assert every[0] == [name for name, _, _ in _VERBS]
+    for argv in ([], ["-h", "verify"], ["no-such-verb", "verify"], ["--", "verify"]):
+        assert registered(argv) == every
+    # the usage line still names every verb
+    assert registered(["nonexist", "verify"]) == (["nonexist"], every[1])
+    # so a verb named after the first one is refused, not parsed with
+    _, err, code, _ = _parse_outcome(_build_parser(["nonexist"]), ["verify", "-h"])
+    assert code == 2 and "invalid choice: 'verify'" in err
 
 
 def test_package_names_resolve_lazily():
