@@ -27,7 +27,7 @@ _EXPORTS = {
     "profiles": """LambdaSequence MultiplicityGraph conjecture2_scan lambda_sequence
         multiplicity_graph sequences_equal""",
     "screens": """NonexistenceVerdict admissibility_test brc_test driessen_test
-        legendre_solvable symmetric_square_test""",
+        legendre_solvable nonexistence_test symmetric_square_test""",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_OWNER)

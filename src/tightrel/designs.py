@@ -194,7 +194,8 @@ def is_t_design(design: Design, t: int):
     n = design.n
     if _first_unbalanced(n, design.blocks, t, {r: 1}) is not None:
         return False, None
-    lam_t = lambda_count(design, range(t))  # balanced: that of every t-subset
+    # balanced: every t-subset has the double-counting share b C(r,t) / C(n,t)
+    lam_t = design.num_blocks * math.comb(r, t) // math.comb(n, t)
     return True, [
         lam_t * math.comb(n - j, t - j) // math.comb(r - j, t - j) for j in range(t + 1)
     ]
@@ -211,22 +212,24 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
 
     if t < 1:
         raise ValueError("t must be >= 1")
-    sizes = design.block_sizes()
     wmap = {}
-    for s in sizes:
+    for s in design.block_sizes():
         if s not in weights:
             raise ValueError(f"no weight given for block size {s}")
         w = Fraction(weights[s])
         if w <= 0:
             raise ValueError("weights must be positive")
         wmap[s] = w
+    sizes = [b.bit_count() for b in design.blocks]
+    count = {r: sizes.count(r) for r in wmap}
     lams = []
     # with mixed block sizes, balance at level j does not imply balance below
     # it, so every level is checked
     for j in range(1, t + 1):
         if _first_unbalanced(design.n, design.blocks, j, wmap) is not None:
             return False, None
-        # balanced: every j-subset has the weighted count of {0, ..., j-1}
-        first = (1 << j) - 1
-        lams.append(Fraction(sum(wmap[b.bit_count()] for b in design.blocks if b & first == first)))
+        # balanced: every j-subset has the double-counting share; past j = n
+        # there are no j-subsets, and the sum and C(n, j) are both 0
+        total = sum(w * count[r] * math.comb(r, j) for r, w in wmap.items())
+        lams.append(Fraction(total, math.comb(design.n, j) or 1))
     return True, lams

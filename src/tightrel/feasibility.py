@@ -45,7 +45,7 @@ import math
 
 from ._base import DesignParams, _Record, tight_size
 from .screens import (NonexistenceVerdict, admissibility_test, brc_test, driessen_test,
-                      legendre_solvable, symmetric_square_test)
+                      legendre_solvable, nonexistence_test, symmetric_square_test)
 
 __all__ = [
     "FeasibleRow",
@@ -55,6 +55,7 @@ __all__ = [
     "brc_test",
     "legendre_solvable",
     "driessen_test",
+    "nonexistence_test",
     "scan_relative3",
     "scan_relative4",
     "scan_tsv",
@@ -259,13 +260,10 @@ def scan_relative4(max_n: int) -> list:
 # annotation and output
 
 
-def _shell_verdict(n: int, r: int, lam: int, N: int, t: int) -> NonexistenceVerdict:
-    if t == 3 and N == n:
-        # symmetric 2-design constituent
-        params = DesignParams(n, r, lam, 2)
-        return symmetric_square_test(params) if n % 2 == 0 else brc_test(params)
-    # strength-4 rows have 3-design constituents
-    return driessen_test(DesignParams(n, r, lam, 3))
+def _shell_verdict(n: int, r: int, lam: int, t: int) -> NonexistenceVerdict:
+    # each shell of a strength-t row is a (t-1)-design: symmetric 2-designs
+    # (N = n blocks) at t = 3, 3-designs at t = 4
+    return nonexistence_test(DesignParams(n, r, lam, t - 1))
 
 
 def annotate_existence(rows) -> list:
@@ -276,8 +274,7 @@ def annotate_existence(rows) -> list:
         FeasibleRow(
             row.t, row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2,
             row.ratio, row.pairs, row.case, row.star,
-            (verdict(row.n, row.r1, row.lam1, row.N1, row.t),
-             verdict(row.n, row.r2, row.lam2, row.N2, row.t)),
+            (verdict(row.n, row.r1, row.lam1, row.t), verdict(row.n, row.r2, row.lam2, row.t)),
         )
         for row in rows
     ]
@@ -323,7 +320,7 @@ def scan_tsv(t: int, max_n: int, cases=frozenset({1, 2, 3, 4}), annotate: bool =
         verdict, verdicts = functools.cache(_shell_verdict), ()
         for n, r1, r2, N1, N2, lam1, lam2, star, lines in _splits(t, max_n, cases):
             if annotate:
-                verdicts = (verdict(n, r1, lam1, N1, t), verdict(n, r2, lam2, N2, t))
+                verdicts = (verdict(n, r1, lam1, t), verdict(n, r2, lam2, t))
             yield _tsv_lines(n, r1, r2, N1, N2, lam1, lam2, star, lines, verdicts)
 
     return chunks()

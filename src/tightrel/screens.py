@@ -3,8 +3,11 @@ conditions, the perfect-square test for symmetric designs on an even number
 of points, the ternary-form test for an odd number, and the congruence test
 for triple systems with lam = 2 of triangular-number shape.
 
-Each test returns a NonexistenceVerdict.  The arithmetic is exact and on
-ints only, so this module needs nothing beyond math and _base.py.
+Each test returns a NonexistenceVerdict.  nonexistence_test, at the end of
+this module, is the one place that picks the test for a parameter set: the
+nonexist verb and the scans' annotation both call it.  The arithmetic is
+exact and on ints only, so this module needs nothing beyond math and
+_base.py.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "brc_test",
     "legendre_solvable",
     "driessen_test",
+    "nonexistence_test",
 ]
 
 
@@ -163,85 +167,48 @@ def _rho_factor(q: int, budget: list) -> int:
     raise AssertionError(f"no divisor of {q} found")
 
 
-def _squarefree(m: int) -> int:
-    """m divided by its largest square divisor, sign preserved."""
-    if m == 0:
-        return 0
-    out = -1 if m < 0 else 1
-    for p, e in _prime_factors(abs(m)):
-        if e % 2:
-            out *= p
-    return out
-
-
-def _is_qr(a: int, m: int) -> bool:
-    """Whether a is a square modulo the squarefree m >= 1.
-
-    By the Chinese remainder theorem it is one modulo each prime p | m:
-    every residue mod 2 is a square, 0 is, and for odd p Euler's criterion
-    a^((p-1)/2) = 1 (mod p) decides the rest.
-    """
-    factors = _prime_factors(m)
-    if any(e > 1 for _, e in factors):
-        raise ValueError(f"modulus {m} is not squarefree")
-    return all(p == 2 or a % p == 0 or pow(a, (p - 1) // 2, p) == 1 for p, _ in factors)
-
-
 def legendre_solvable(a: int, b: int, c: int) -> bool:
     """Whether a x^2 + b y^2 + c z^2 = 0 has a nontrivial integer solution.
 
-    The coefficients must be nonzero and squarefree.  A prime dividing two
-    of them is divided out first (the descent substitution preserves
-    solvability); Legendre's criterion then decides.
+    The coefficients must be nonzero and squarefree; one factorisation of
+    each both validates it and feeds _isotropic.
     """
     if 0 in (a, b, c):
         raise ValueError("coefficients must be nonzero")
-    # one factorisation of each coefficient both validates and normalises it
-    squarefree = (_squarefree(a), _squarefree(b), _squarefree(c))
-    if squarefree != (a, b, c):
+    factored = [_prime_factors(abs(x)) for x in (a, b, c)]
+    if any(e > 1 for f in factored for _, e in f):
         raise ValueError("coefficients must be squarefree")
-    return _legendre(*_coprime(*squarefree))
+    return _isotropic((a, b, c), factored)
 
 
-def _legendre(a: int, b: int, c: int) -> bool:
-    """Legendre's criterion on squarefree pairwise-coprime coefficients:
-    solvable iff the signs are mixed and -bc, -ac, -ab are squares mod |a|,
-    |b|, |c| respectively."""
-    if a > 0 and b > 0 and c > 0:
+def _isotropic(coeffs: tuple, factored: list) -> bool:
+    """Whether sum c_i x_i^2 = 0 has a nontrivial integer solution, for three
+    nonzero coefficients c_i given with their _prime_factors.
+
+    Each c_i keeps its sign and the set of its primes of odd exponent: a
+    square factor moves into x_i.  A prime p in two of the sets leaves both
+    and is toggled in the third, since (p a) x^2 + (p b) y^2 + c z^2 times p
+    is a (p x)^2 + b (p y)^2 + (p c) z^2.  One pass leaves the sets pairwise
+    disjoint, and Legendre's criterion decides: the signs are mixed, and at
+    each prime p of one coefficient minus the product of the other two is a
+    square mod p, which Euler's criterion decides (at p = 2 its exponent is
+    0, and every residue is a square).
+    """
+    signs = [-1 if x < 0 else 1 for x in coeffs]
+    if len(set(signs)) == 1:
         return False
-    if a < 0 and b < 0 and c < 0:
-        return False
-    return (
-        _is_qr(-b * c, abs(a))
-        and _is_qr(-a * c, abs(b))
-        and _is_qr(-a * b, abs(c))
+    primes = [{p for p, e in f if e % 2} for f in factored]
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        shared = primes[i] & primes[j]
+        primes[i] -= shared
+        primes[j] -= shared
+        primes[k] ^= shared
+    a, b, c = (s * math.prod(ps) for s, ps in zip(signs, primes))
+    return all(
+        pow(-rest, (p - 1) // 2, p) == 1
+        for ps, rest in zip(primes, (b * c, a * c, a * b))
+        for p in ps
     )
-
-
-def _normalize_ternary(a: int, b: int, c: int) -> tuple:
-    """Reduce to squarefree pairwise-coprime coefficients with the same
-    solvability: strip square parts, then make them coprime (_coprime)."""
-    return _coprime(_squarefree(a), _squarefree(b), _squarefree(c))
-
-
-def _coprime(a: int, b: int, c: int) -> tuple:
-    """Make squarefree coefficients pairwise coprime with the same
-    solvability: repeatedly divide a common prime out of two coefficients
-    while multiplying it into the third."""
-    while True:
-        g = math.gcd(a, b)
-        if g > 1:
-            a, b, c = a // g, b // g, _squarefree(c * g)
-            continue
-        g = math.gcd(a, c)
-        if g > 1:
-            a, c, b = a // g, c // g, _squarefree(b * g)
-            continue
-        g = math.gcd(b, c)
-        if g > 1:
-            b, c, a = b // g, c // g, _squarefree(a * g)
-            continue
-        return a, b, c
 
 
 def brc_form(p: DesignParams) -> tuple:
@@ -260,7 +227,7 @@ def brc_test(p: DesignParams) -> NonexistenceVerdict:
     eps_term = f"+ {p.lam}z^2" if c < 0 else f"- {p.lam}z^2"
     form = f"x^2 = {p.k - p.lam}y^2 {eps_term}"
     # k = lam leaves y free, so (0, 1, 0) solves the form
-    if b == 0 or _legendre(*_normalize_ternary(a, b, c)):
+    if b == 0 or _isotropic((a, b, c), [_prime_factors(abs(x)) for x in (a, b, c)]):
         return NonexistenceVerdict("BRCOdd", "Passes", f"{form} : solvable")
     return NonexistenceVerdict("BRCOdd", "RuledOut", f"{form} : insolvable")
 
@@ -313,3 +280,15 @@ def driessen_test(p: DesignParams) -> NonexistenceVerdict:
     return NonexistenceVerdict(
         "Driessen", "RuledOut", f"u={u} ({which}): u mod 48 = {u % 48} fails the congruence conditions"
     )
+
+
+def nonexistence_test(p: DesignParams) -> NonexistenceVerdict:
+    """The verdict on p: the counting conditions of admissibility_test, then,
+    if they hold, the test that matches p: symmetric_square_test at t = 2
+    and even v, brc_test at t = 2 and odd v, driessen_test otherwise."""
+    verdict = admissibility_test(p)
+    if verdict.outcome != "Passes":
+        return verdict
+    if p.t != 2:
+        return driessen_test(p)
+    return symmetric_square_test(p) if p.v % 2 == 0 else brc_test(p)

@@ -519,6 +519,36 @@ def test_nonexist_bad_params(capsys):
     assert main(["nonexist", "--params", "29,8,2", "--t", "4"]) == 2
 
 
+def _test_named_by(detail):
+    """The test=outcome that nonexist's one line of detail names."""
+    if detail.startswith("k-lam="):
+        return "SquareEven=" + ("RuledOut" if " is not " in detail else "Passes")
+    if detail.startswith("x^2 = "):
+        return "BRCOdd=" + ("RuledOut" if detail.endswith(" : insolvable") else "Passes")
+    if detail.startswith("u="):
+        return "Driessen=" + ("RuledOut" if detail.endswith(" fails the congruence conditions") else "Passes")
+    assert detail.endswith(" has no matching shape"), detail
+    return "Driessen=NotApplicable"
+
+
+@pytest.mark.parametrize("verb, max_n, t", [("scan-3", "100", "2"), ("scan-4", "50", "3")])
+def test_nonexist_agrees_with_the_scan_annotations(capsys, verb, max_n, t):
+    # the verb and the scans' verdict column both come from
+    # screens.nonexistence_test: on each distinct shell they name one verdict
+    assert main([verb, "--max-n", max_n, "--annotate"]) == 0
+    shells = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        col = line.split("\t")
+        for r, lam, verdict in zip(col[1:3], col[5:7], col[11].split(";")):
+            assert verdict.startswith(f"r{r}.")
+            shells[col[0], r, lam] = verdict.split(".", 1)[1]
+    assert len(shells) > 20
+    for (n, r, lam), verdict in shells.items():
+        code = main(["nonexist", "--params", f"{n},{r},{lam}", "--t", t])
+        named = _test_named_by(capsys.readouterr().out.rstrip("\n"))
+        assert (named, code) == (verdict, int(verdict.endswith("=RuledOut"))), (n, r, lam)
+
+
 def test_construct_fano_stdout(capsys, fano):
     assert main(["construct", "fano"]) == 0
     assert capsys.readouterr().out == design_text(fano)

@@ -285,6 +285,10 @@ def test_regular_twise_balanced_mixed_sizes(fano):
     assert not ok and lams is None
     ok, lams = is_regular_twise_balanced(union, {3: 1, 4: 2}, 2)
     assert ok and lams == [11, 5]
+    # past j = n there are no j-subsets, so every level from n + 1 on is 0
+    ok, lams = is_regular_twise_balanced(Design(3, (3, 5, 6)), {2: 1}, 5)
+    assert ok and lams == [2, 1, 0, 0, 0]
+    assert all(type(lam) is Fraction for lam in lams)
 
 
 def test_regular_twise_balanced_weight_validation(fano):

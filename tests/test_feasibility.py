@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tightrel import feasibility
+from tightrel import feasibility, screens
 
 from tightrel import (
     DesignParams,
@@ -24,7 +24,7 @@ from tightrel import (
     tight_size,
 )
 from tightrel.feasibility import TSV_HEADER, _line_points
-from tightrel.screens import brc_form, _is_qr, _normalize_ternary, _squarefree
+from tightrel.screens import brc_form
 
 
 def test_square_test_frozen():
@@ -49,26 +49,23 @@ def test_brc_frozen():
     assert (v.outcome, v.detail) == ("NotApplicable", "v=16 is even")
 
 
-def test_brc_factors_k_minus_lam_at_most_twice(monkeypatch):
-    # once to normalise the form and once for Euler's criterion modulo k-lam
-    from tightrel import screens
-
+def test_brc_factors_k_minus_lam_once(monkeypatch):
+    # the one factorisation of each coefficient both reduces the form and
+    # gives the primes for Euler's criterion
     d = 1009 * 1013
     real, calls = screens._prime_factors, []
     monkeypatch.setattr(screens, "_prime_factors", lambda m: calls.append(m) or real(m))
     assert brc_test(DesignParams(d + 2, d + 1, 1)).outcome == "Passes"
-    assert 1 <= calls.count(d) <= 2
+    assert calls == [1, d, 1]
 
 
-def test_legendre_solvable_factors_each_coefficient_at_most_twice(monkeypatch):
-    # once to validate and normalise, once for Euler's criterion modulo |b|
-    from tightrel import screens
-
+def test_legendre_solvable_factors_each_coefficient_once(monkeypatch):
+    # the one factorisation of each coefficient validates it as well
     d = 1009 * 1013
     real, calls = screens._prime_factors, []
     monkeypatch.setattr(screens, "_prime_factors", lambda m: calls.append(m) or real(m))
     assert legendre_solvable(1, -d, -1)
-    assert 1 <= calls.count(d) <= 2
+    assert calls == [1, d, 1]
 
 
 @pytest.mark.parametrize("v", [3, 5, 9])
@@ -103,6 +100,40 @@ def test_brc_agrees_with_bounded_search():
                 if (x, y, z) != (0, 0, 0)
             )
             assert found == (brc_test(p).outcome == "Passes"), p
+
+
+def _is_squarefree(m):
+    return all(m % (f * f) for f in range(2, math.isqrt(abs(m)) + 1))
+
+
+def _normalize_by_gcds(a, b, c):
+    """The ternary form reduced to squarefree, pairwise coprime coefficients
+    by trial division and gcds: a square factor of a coefficient is dropped,
+    and a common factor g of two is divided out of both and multiplied into
+    the third.  The reference for the prime-set reduction in screens."""
+
+    def squarefree(m):
+        f = 2
+        while f * f <= abs(m):
+            if m % (f * f) == 0:
+                m //= f * f
+            else:
+                f += 1
+        return m
+
+    a, b, c = squarefree(a), squarefree(b), squarefree(c)
+    while True:
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            coeffs = [a, b, c]
+            g = math.gcd(coeffs[i], coeffs[j])
+            if g > 1:
+                coeffs[i] //= g
+                coeffs[j] //= g
+                coeffs[k] = squarefree(coeffs[k] * g)
+                a, b, c = coeffs
+                break
+        else:
+            return a, b, c
 
 
 def _odd_primes_of(m):
@@ -154,7 +185,7 @@ def test_brc_matches_local_conditions_to_100():
             if key in seen:
                 continue
             seen.add(key)
-            a, b, c = _normalize_ternary(*brc_form(p))
+            a, b, c = _normalize_by_gcds(*brc_form(p))
             expect = _locally_solvable_everywhere(a, b, c)
             assert legendre_solvable(a, b, c) == expect, key
             assert (brc_test(p).outcome == "Passes") == expect, key
@@ -188,6 +219,11 @@ def test_legendre_validation():
         legendre_solvable(4, 1, -1)
     with pytest.raises(ValueError):
         legendre_solvable(1, 18, -1)
+    # a square factor in any position, on either sign, is refused
+    for m in (4, 9, 12, 1800):
+        for coeffs in ((m, 1, -1), (1, -m, 1), (-1, 1, m)):
+            with pytest.raises(ValueError):
+                legendre_solvable(*coeffs)
 
 
 def _is_qr_reference(a, m):
@@ -195,13 +231,32 @@ def _is_qr_reference(a, m):
     return any((w * w - a) % m == 0 for w in range(m))
 
 
-@given(a=st.integers(-10**6, 10**6), m=st.integers(1, 2000).filter(lambda m: _squarefree(m) == m))
-@example(a=0, m=1)
-@example(a=3, m=2)
-@example(a=-1, m=1155)
-@example(a=4, m=1999)
-def test_is_qr_matches_search(a, m):
-    assert _is_qr(a, m) == _is_qr_reference(a, m)
+def _coprime_triple(coeffs):
+    # dividing out common factors keeps squarefree coefficients squarefree
+    a, b, c = coeffs
+    b //= math.gcd(a, b)
+    return a, b, c // math.gcd(a * b, c)
+
+
+_squarefree_nonzero = st.integers(-3000, 3000).filter(lambda x: x != 0 and _is_squarefree(x))
+
+
+@given(st.tuples(_squarefree_nonzero, _squarefree_nonzero, _squarefree_nonzero).map(_coprime_triple))
+@example((1, -1, -1))
+@example((3, 5, -2))
+@example((-1, 1155, 1))
+@example((1, -1999, -2))
+@example((-2, 3, 2999))
+def test_is_qr_matches_search(coeffs):
+    # on squarefree pairwise coprime coefficients nothing is reduced, so this
+    # checks Euler's criterion at each prime of |a|, |b|, |c| against a
+    # search for a square root modulo the whole coefficient
+    a, b, c = coeffs
+    mixed = min(coeffs) < 0 < max(coeffs)
+    expect = mixed and all(
+        _is_qr_reference(-u * w, abs(m)) for m, u, w in ((a, b, c), (b, a, c), (c, a, b))
+    )
+    assert legendre_solvable(a, b, c) == expect
 
 
 def _hilbert(a, b, p):
@@ -230,7 +285,13 @@ def _hilbert(a, b, p):
     return (-1) ** (alpha * beta * (p - 1) // 2) * legendre(a) ** beta * legendre(b) ** alpha
 
 
-_squarefree_nonzero = st.integers(-3000, 3000).filter(lambda x: x != 0 and _squarefree(x) == x)
+def _isotropic_by_hilbert_symbols(a, b, c):
+    # a x^2 + b y^2 + c z^2 is isotropic over Q_v iff (-ac, -bc)_v = 1, and
+    # both entries are v-adic units at every odd prime not dividing abc
+    places = {0, 2, *_odd_primes_of(a), *_odd_primes_of(b), *_odd_primes_of(c)}
+    symbols = [_hilbert(-a * c, -b * c, v) for v in sorted(places)]
+    assert math.prod(symbols) == 1  # Hilbert's product formula
+    return all(h == 1 for h in symbols)
 
 
 @given(a=_squarefree_nonzero, b=_squarefree_nonzero, c=_squarefree_nonzero)
@@ -238,18 +299,7 @@ _squarefree_nonzero = st.integers(-3000, 3000).filter(lambda x: x != 0 and _squa
 @example(a=1, b=-6, c=-2)
 @example(a=3, b=5, c=-2)
 def test_legendre_matches_hilbert_symbols(a, b, c):
-    # a x^2 + b y^2 + c z^2 is isotropic over Q_v iff (-ac, -bc)_v = 1, and
-    # both entries are v-adic units at every odd prime not dividing abc
-    places = {0, 2, *_odd_primes_of(a), *_odd_primes_of(b), *_odd_primes_of(c)}
-    symbols = [_hilbert(-a * c, -b * c, v) for v in sorted(places)]
-    assert math.prod(symbols) == 1  # Hilbert's product formula
-    assert legendre_solvable(a, b, c) == all(h == 1 for h in symbols)
-
-
-def test_is_qr_rejects_square_moduli():
-    for m in (4, 9, 12, 1800):
-        with pytest.raises(ValueError):
-            _is_qr(1, m)
+    assert legendre_solvable(a, b, c) == _isotropic_by_hilbert_symbols(a, b, c)
 
 
 def test_legendre_large_coefficients_fast():
@@ -273,21 +323,22 @@ def test_admissibility():
     assert admissibility_test(DesignParams(7, 4, 2, 3)).detail.startswith("lam_0=35/2 ")
 
 
-def test_normalize_ternary():
-    a, b, c = _normalize_ternary(1, -6, -2)
-    assert math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
-    # descent preserves solvability; spot check against naive search
-    for coeffs in ((1, -6, -2), (6, 10, -15), (2, -3, -5)):
-        na, nb, nc = _normalize_ternary(*coeffs)
-        bound = 30
-        direct = any(
-            coeffs[0] * x * x + coeffs[1] * y * y + coeffs[2] * z * z == 0
-            for x in range(bound)
-            for y in range(bound)
-            for z in range(bound)
-            if (x, y, z) != (0, 0, 0)
-        )
-        assert legendre_solvable(na, nb, nc) == direct, coeffs
+_nonzero = st.integers(-3000, 3000).filter(bool)
+
+
+@given(a=_nonzero, b=_nonzero, c=_nonzero)
+@example(a=1, b=-6, c=-2)
+@example(a=6, b=10, c=-15)
+@example(a=2, b=-3, c=-5)
+@example(a=4, b=-9, c=-1)
+@example(a=12, b=18, c=-75)
+@example(a=30, b=-42, c=70)
+@example(a=-8, b=-27, c=2700)
+def test_normalize_ternary(a, b, c):
+    # square factors dropped and shared primes moved: the reduced form is
+    # solvable exactly when the original one is, at every place
+    factored = [screens._prime_factors(abs(x)) for x in (a, b, c)]
+    assert screens._isotropic((a, b, c), factored) == _isotropic_by_hilbert_symbols(a, b, c)
 
 
 def test_driessen_frozen_ruled_out():
