@@ -270,7 +270,7 @@ def driessen_test(p: DesignParams) -> NonexistenceVerdict:
     shape = _driessen_shape(p)
     if shape is None:
         return NonexistenceVerdict(
-            "Driessen", "NotApplicable", f"3-({p.v},{p.k},{p.lam}) has no matching shape"
+            "Driessen", "NotApplicable", f"{p.t}-({p.v},{p.k},{p.lam}) has no matching shape"
         )
     u, which = shape
     if _driessen_u_admissible(u):

@@ -33,7 +33,7 @@ from tightrel import (
     scan_relative3,
     scan_relative4,
 )
-from tightrel.cli import _VERBS, _build_parser, main
+from tightrel.cli import _VERBS, _build_parser, _parse_plain, entry, main
 from tightrel.commands._output import _blocks
 from tightrel.commands.construct import _CONSTRUCTIONS, _TRANSFORMS
 from tightrel.designs import MAX_RANKS, mask_of
@@ -683,7 +683,7 @@ print(sorted(m for m in sys.modules if m.startswith("tightrel.")))
 import tightrel.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = tightrel.cli.main(sys.argv[1:])
-watched = ("dataclasses", "fractions", "inspect")
+watched = ("argparse", "dataclasses", "fractions", "gettext", "inspect", "locale")
 print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in watched))
 """
 
@@ -691,8 +691,10 @@ print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in w
 _COMMON = ["tightrel._base", "tightrel.cli", "tightrel.commands"]
 _SCAN = [*_COMMON, "tightrel.commands._output", "tightrel.commands.scan", "tightrel.feasibility",
          "tightrel.screens"]
-_CONSTRUCT = [*_COMMON, "tightrel._design", "tightrel.commands._output",
-              "tightrel.commands.construct", "tightrel.constructions"]
+# sub-verbs are parsed by argparse, which translates its messages through
+# gettext and so loads locale
+_CONSTRUCT = [*_COMMON, "argparse", "gettext", "locale", "tightrel._design",
+              "tightrel.commands._output", "tightrel.commands.construct", "tightrel.constructions"]
 
 
 @pytest.fixture()
@@ -744,7 +746,9 @@ def verb_files(tmp_path):
 def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
     # `import tightrel` loads no submodule; a verb loads its own command
     # module and the modules it runs, no verb here pays for dataclasses and
-    # inspect, and only the weighted candidates of check-relative need fractions
+    # inspect, only the weighted candidates of check-relative need fractions,
+    # and a valid command line of a verb without sub-verbs is parsed without
+    # argparse, so without gettext and locale
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
         capture_output=True, text=True, cwd=verb_files, env=_child_env(),
@@ -858,6 +862,233 @@ def test_parser_fills_in_only_the_named_verbs():
     assert code == 2 and "invalid choice: 'verify'" in err
 
 
+@pytest.mark.parametrize("argv,code", _parser_cases(), ids=map(_case_id, _parser_cases()))
+def test_plain_parse_matches_argparse_on_the_parser_cases(argv, code):
+    # main parses a plain command line without argparse: it declines every
+    # line argparse answers with help or a usage error, and every sub-verb,
+    # and returns argparse's namespace for the valid lines of the other verbs
+    plain = _parse_plain(argv)
+    if code is not None or argv[0] in ("construct", "transform"):
+        assert plain is None
+    else:
+        assert vars(plain) == _parse_outcome(_build_parser(argv), argv)[3]
+
+
+_WORD = st.sampled_from(["f.blk", "corpus", "", "a b", "x=1", "verify", "7", "1,3"])
+# int() takes spaces, underscores and non-ASCII digits, as argparse does through it
+_INT = st.integers(0, 99).map(str) | st.sampled_from([" 7", "1_0", "٣"])
+# verb: (positionals, {option: (values, required)}); values is None for a flag
+_GRAMMAR = {
+    "verify": (1, {"--t": (_INT, True)}),
+    "check-relative": (1, {"--t": (_INT, False), "--tight": (None, False),
+                           "--allow-trivial": (None, False)}),
+    "lambda-seq": (1, {"--t": (_INT, True)}),
+    "scan-3": (0, {"--max-n": (_INT, True), "--cases": (_WORD, False), "--annotate": (None, False),
+                   "--threads": (_INT, False), "--out": (_WORD, False)}),
+    "scan-4": (0, {"--max-n": (_INT, True), "--annotate": (None, False), "--threads": (_INT, False),
+                   "--out": (_WORD, False)}),
+    "nonexist": (0, {"--params": (_WORD, True), "--t": (st.sampled_from(["2", "3"]), False)}),
+    "conjecture2": (1, {"--t": (_INT, True), "--out": (_WORD, False)}),
+}
+
+
+@st.composite
+def _plain_lines(draw):
+    """A valid command line of a verb without sub-verbs: the verb and its
+    pieces (the positional, and each option with its value) in a drawn order."""
+    verb = draw(st.sampled_from(sorted(_GRAMMAR)))
+    positionals, options = _GRAMMAR[verb]
+    pieces = [[draw(_WORD)] for _ in range(positionals)]
+    for option, (values, required) in options.items():
+        if required or draw(st.booleans()):
+            pieces.append([option] if values is None else [option, draw(values)])
+    return verb, draw(st.permutations(pieces))
+
+
+@st.composite
+def _mutated_lines(draw):
+    """A valid line with one to three changes that argparse may still take
+    or may refuse: an abbreviated option, --opt=value, a negative or missing
+    value, a repeated piece, or a stray token such as -h or --."""
+    verb, pieces = draw(_plain_lines())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces) - 1)) if pieces else 0
+        piece = pieces[i] if pieces else []
+        kind = draw(st.sampled_from(["abbreviate", "equals", "negative", "drop", "repeat", "stray"]))
+        if kind == "abbreviate" and piece and piece[0].startswith("--") and len(piece[0]) > 3:
+            pieces[i] = [piece[0][:draw(st.integers(3, len(piece[0]) - 1))], *piece[1:]]
+        elif kind == "equals" and len(piece) == 2:
+            pieces[i] = ["=".join(piece)]
+        elif kind == "negative" and len(piece) == 2:
+            pieces[i] = [piece[0], "-" + piece[1]]
+        elif kind == "drop" and piece:
+            pieces[i] = piece[:-1]
+        elif kind == "repeat" and piece:
+            pieces.insert(draw(st.integers(0, len(pieces))), list(piece))
+        else:
+            stray = draw(st.sampled_from(["-h", "--help", "--", "-", "-1", "--no-such-flag",
+                                          "extra", "--t", "--out", "--tight"]))
+            pieces.insert(draw(st.integers(0, len(pieces))), [stray])
+    return verb, pieces
+
+
+def _line_argv(line):
+    verb, pieces = line
+    return [verb, *itertools.chain.from_iterable(pieces)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_lines())
+@example(("scan-3", [["--max-n", "40"]]))
+@example(("check-relative", [["--tight"], ["f.rel"], ["--t", "3"]]))
+def test_plain_parse_takes_valid_lines_as_argparse_does(line):
+    argv = _line_argv(line)
+    plain = _parse_plain(argv)
+    assert plain is not None
+    assert vars(plain) == _parse_outcome(_build_parser(argv), argv)[3]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_lines())
+@example(("verify", [["f.blk"], ["--t", "2"], ["--t", "3"]]))
+@example(("verify", [["f.blk"], ["--t=2"]]))
+@example(("scan-4", [["--max"], ["40"]]))
+@example(("scan-4", [["--max-n", "-40"]]))
+@example(("nonexist", [["--params", "7,3,1"], ["--t", "4"]]))
+@example(("lambda-seq", [["f.blk"], ["--t", "3"], ["-h"]]))
+@example(("conjecture2", [["--"], ["corpus"], ["--t", "3"]]))
+def test_plain_parse_declines_what_argparse_refuses(line):
+    # declining is always safe, since argparse then parses the line; taking
+    # a line is safe only when argparse would take it with the same namespace
+    argv = _line_argv(line)
+    plain = _parse_plain(argv)
+    _, _, code, namespace = _parse_outcome(_build_parser(argv), argv)
+    if code is not None:
+        assert plain is None
+    if plain is not None:
+        assert vars(plain) == namespace
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "f.blk", "--t", "2", "--t", "3"], ["check-relative", "f.rel", "--tight", "--tight"],
+     ["verify", "f.blk", "--t=2"], ["scan-4", "--max", "40"], ["scan-4", "--max-n", "-40"],
+     ["scan-4", "--max-n", "40", "--"], ["nonexist", "--params"], ["verify", "f.blk", "--t", "x"],
+     ["nonexist", "--params", "7,3,1", "--t", "4"], ["lambda-seq", "f.blk", "--t", "3", "-h"],
+     ["construct", "paley", "7"], ["verify", "f.blk", "g.blk", "--t", "2"], ["--t", "2"]],
+)
+def test_plain_parse_declines(argv):
+    # some of these argparse takes (a repeated option, --opt=value, an
+    # abbreviation, a negative value): they are left to it all the same
+    assert _parse_plain(argv) is None
+
+
+_ARGPARSE_EXITS = [case for case in _parser_cases() if case[1] is not None]
+
+
+@pytest.mark.parametrize("argv,code", _ARGPARSE_EXITS, ids=map(_case_id, _ARGPARSE_EXITS))
+def test_main_prints_argparse_help_and_usage_errors(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, _, _ = _parse_outcome(_build_parser(argv), argv)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+# A site hook for the exit tests: it records each run of the atexit callbacks
+# in a file, and reports an exit through os._exit on stderr.
+_EXIT_SITECUSTOMIZE = """
+import atexit, os, sys
+
+def _mark():
+    with open(os.environ["TIGHTREL_ATEXIT_MARK"], "a") as fh:
+        fh.write("atexit\\n")
+
+def _exit(code, _exit=os._exit):
+    sys.stderr.write(f"os._exit({code})\\n")
+    sys.stderr.flush()
+    _exit(code)
+
+atexit.register(_mark)
+os._exit = _exit
+"""
+
+
+def _hooked_run(tmp_path, prefix, argv):
+    """Run `<prefix> <argv>` in tmp_path with _EXIT_SITECUSTOMIZE installed;
+    returns the process and what its atexit callback recorded."""
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(_EXIT_SITECUSTOMIZE)
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "site"), env["PYTHONPATH"]])
+    env["COLUMNS"] = "80"
+    env["TIGHTREL_ATEXIT_MARK"] = str(tmp_path / "mark")
+    proc = subprocess.run([*prefix, *argv], capture_output=True, text=True, cwd=tmp_path, env=env)
+    return proc, (tmp_path / "mark").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [(["nonexist", "--params", "29,8,2"], 1, "x^2 = 6y^2 + 2z^2 : insolvable\n", ""),
+     (["nonexist", "--params", "29,8"], 2, "", "error: --params must be v,k,lam; got '29,8'\n")],
+)
+def test_module_entry_ends_without_teardown_after_the_atexit_callbacks(tmp_path, argv, code,
+                                                                      out, err):
+    proc, mark = _hooked_run(tmp_path, [sys.executable, "-m", "tightrel.cli"], argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + f"os._exit({code})\n")
+    assert mark == "atexit\n"
+
+
+def test_module_entry_prints_argparse_output_before_its_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code in (["--help"], 0), (["verify", "f.blk", "--t", "x"], 2):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        proc, mark = _hooked_run(tmp_path, [sys.executable, "-m", "tightrel.cli"], argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + f"os._exit({code})\n")
+        assert mark == "atexit\n"
+        shutil.rmtree(tmp_path / "site")
+        (tmp_path / "mark").unlink()
+
+
+def test_module_entry_under_cprofile_exits_as_the_interpreter_does(tmp_path):
+    # a profiler is watching, so the process takes the interpreter's own
+    # exit: cProfile prints its table after main, and the atexit callback
+    # runs once, at the interpreter's exit
+    proc, mark = _hooked_run(tmp_path, [sys.executable, "-m", "cProfile", "-m", "tightrel.cli"],
+                             ["nonexist", "--params", "29,8,2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("x^2 = 6y^2 + 2z^2 : insolvable\n")
+    assert re.search(r"\d+ function calls .*in [\d.]+ seconds", proc.stdout)
+    assert mark == "atexit\n"
+
+
+def test_module_entry_reports_a_closed_pipe(tmp_path):
+    # the reader leaves after 100 bytes of an 11 MB table: the write fails,
+    # main reports it and exits 3, and the exit adds nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tightrel.cli", "scan-3", "--max-n", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=_child_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (3, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_module_entry_pipes_the_whole_table(tmp_path):
+    from tightrel.feasibility import scan_tsv
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightrel.cli", "scan-3", "--max-n", "1000"],
+        capture_output=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = hashlib.sha256("".join(scan_tsv(3, 1000)).encode()).hexdigest()
+    assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
 def test_package_names_resolve_lazily():
     for name in tightrel.__all__:
         value = getattr(tightrel, name)
@@ -965,7 +1196,7 @@ def test_console_script_and_module_entry(tmp_path, fano):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["tightrel"]
     ep = EntryPoint(name="tightrel", value=target, group="console_scripts")
-    assert ep.load() is main
+    assert ep.load() is entry
     # The launcher pip writes for a console script, run without installing it.
     launcher = (
         f"import sys; from {ep.module} import {ep.attr}; "

@@ -114,3 +114,20 @@ def test_prime_factors_refuse_what_they_cannot_prove(monkeypatch):
     monkeypatch.setattr(screens, "_RHO_STEPS", 1000)
     with pytest.raises(ValueError, match="within 1000 Pollard rho steps"):
         screens._prime_factors(998244353 * 1000000007)
+
+
+@pytest.mark.parametrize(
+    "p,detail",
+    [
+        (DesignParams(8, 4, 1, 3), "3-(8,4,1) has no matching shape"),
+        (DesignParams(23, 7, 1, 4), "4-(23,7,1) has no matching shape"),
+        (DesignParams(24, 8, 1, 5), "5-(24,8,1) has no matching shape"),
+    ],
+)
+def test_driessen_detail_names_the_strength(p, detail):
+    # the 3-(8,4,1) and the Witt 4-(23,7,1) and 5-(24,8,1) pass the counting
+    # conditions, so nonexistence_test reaches the Driessen test, which finds
+    # no shape there
+    verdict = screens.nonexistence_test(p)
+    assert (verdict.test, verdict.outcome, verdict.detail) == ("Driessen", "NotApplicable", detail)
+    assert screens.driessen_test(p) == verdict
