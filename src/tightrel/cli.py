@@ -104,16 +104,6 @@ class _Namespace:
         self.__dict__.update(values)
 
 
-def _value(spec, token):
-    """token converted and checked as argparse does; ValueError or
-    TypeError when argparse would report a usage error."""
-    _, _, convert, choices, _, _ = spec
-    value = token if convert is None else convert(token)
-    if choices is not None and value not in choices:
-        raise ValueError(token)
-    return value
-
-
 def _parse_plain(argv):
     """The namespace argparse would return for argv, when argv is a plain
     command line: a verb, then only exact option strings with their values
@@ -147,7 +137,11 @@ def _parse_plain(argv):
                 spec = next(positionals, None)
                 if spec is None:
                     return None
-            values[spec[0]] = _value(spec, token)
+            dest, _, convert, choices, _, _ = spec
+            value = token if convert is None else convert(token)
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
         for dest, _, convert, _, required, default in (*recorder.options.values(),
                                                        *recorder.positionals):
             if dest in values:
@@ -158,7 +152,7 @@ def _parse_plain(argv):
             if convert is not None and isinstance(default, str):
                 default = convert(default)
             values[dest] = default
-    except (_Unsupported, TypeError, ValueError):
+    except (_Unsupported, TypeError, ValueError):  # a failed conversion is a usage error
         return None
     return _Namespace({"verb": verb, **recorder.defaults, **values, "func": command.run})
 
