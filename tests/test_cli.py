@@ -1006,16 +1006,20 @@ os._exit = _exit
 """
 
 
-def _hooked_run(tmp_path, prefix, argv):
-    """Run `<prefix> <argv>` in tmp_path with _EXIT_SITECUSTOMIZE installed;
-    returns the process and what its atexit callback recorded."""
+def _hooked_run(tmp_path, prefix, argv, close_stdout=False):
+    """Run `<prefix> <argv>` in tmp_path with _EXIT_SITECUSTOMIZE installed,
+    and with file descriptor 1 closed if close_stdout; returns the process
+    and what its atexit callback recorded."""
     (tmp_path / "site").mkdir()
     (tmp_path / "site" / "sitecustomize.py").write_text(_EXIT_SITECUSTOMIZE)
     env = _child_env()
     env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "site"), env["PYTHONPATH"]])
     env["COLUMNS"] = "80"
     env["TIGHTREL_ATEXIT_MARK"] = str(tmp_path / "mark")
-    proc = subprocess.run([*prefix, *argv], capture_output=True, text=True, cwd=tmp_path, env=env)
+    proc = subprocess.run(
+        [*prefix, *argv], stdout=None if close_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, cwd=tmp_path, env=env, preexec_fn=(lambda: os.close(1)) if close_stdout else None,
+    )
     return proc, (tmp_path / "mark").read_text()
 
 
@@ -1047,6 +1051,16 @@ def test_module_entry_under_cprofile_exits_as_the_interpreter_does(tmp_path):
     assert proc.stderr == ""
     assert proc.stdout.startswith("x^2 = 6y^2 + 2z^2 : insolvable\n")
     assert re.search(r"\d+ function calls .*in [\d.]+ seconds", proc.stdout)
+    assert mark == "atexit\n"
+
+
+def test_module_entry_without_stdout_exits_as_the_interpreter_does(tmp_path):
+    # with descriptor 1 closed, sys.stdout is None and its flush fails: the
+    # process takes the interpreter's own exit, where the atexit callback,
+    # run once already, does not run again
+    proc, mark = _hooked_run(tmp_path, [sys.executable, "-m", "tightrel.cli"],
+                             ["nonexist", "--params", "29,8,2"], close_stdout=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
     assert mark == "atexit\n"
 
 
