@@ -24,8 +24,7 @@ _EXPORTS = {
         scan_relative4 scan_tsv""",
     "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle
         save_candidate shell_moment""",
-    "profiles": """LambdaSequence MultiplicityGraph conjecture2_scan lambda_sequence
-        multiplicity_graph sequences_equal""",
+    "profiles": "LambdaSequence conjecture2_scan lambda_sequence",
     "screens": """NonexistenceVerdict admissibility_test brc_test driessen_test
         legendre_solvable nonexistence_test symmetric_square_test""",
 }

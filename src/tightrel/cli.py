@@ -6,57 +6,12 @@ verdicts (so shell scripts can branch on the result), 2 for usage errors,
 3 for I/O and parse errors.
 """
 
-from __future__ import annotations
-
 import os
 import sys
+import types  # already loaded by site
 
 from ._base import FormatError
-
-# One (name, help, module) row per verb.  The module, in tightrel.commands,
-# holds the verb's arguments and its adapter; it is imported only when its
-# verb is registered, so a process compiles only the code of its own verb.
-_VERBS = (
-    ("verify", "check a block file for t-design balance", "verify"),
-    ("check-relative", "run the two-shell moment oracle on a candidate file", "check_relative"),
-    ("lambda-seq", "print the coverage-count histogram as count*value tokens", "lambda_seq"),
-    ("scan-3", "feasible strength-3 parameter rows as TSV", "scan"),
-    ("scan-4", "feasible strength-4 parameter rows as TSV", "scan"),
-    ("nonexist", "apply the nonexistence test matching v,k,lam", "nonexist"),
-    ("construct", "generate a design file", "construct"),
-    ("transform", "derive a design from an existing file", "construct"),
-    ("conjecture2", "pairs in a corpus directory with equal coverage histograms", "conjecture2"),
-)
-
-
-def _command(module):
-    # __import__, unlike importlib.import_module, shows in -X importtime
-    return __import__(f"tightrel.commands.{module}", fromlist=("run",))
-
-
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The tightrel parser.  When argv[0] names a verb, only that verb is
-    registered: argparse hands the rest of the command line to the sub-parser
-    of the first positional argument alone, and the metavar keeps the usage
-    line of the parser with every verb.  Otherwise every verb is registered,
-    with no metavar, which would also stand for `verb` in its error messages."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="tightrel",
-        description="verify, construct, and scan block designs and two-shell relative designs",
-    )
-    verbs, metavar = _VERBS, None
-    named = [row for row in _VERBS if argv and row[0] == argv[0]]
-    if named:
-        verbs, metavar = named, "{" + ",".join(name for name, _, _ in _VERBS) + "}"
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name, help_text, module in verbs:
-        command = _command(module)
-        p = sub.add_parser(name, help=help_text)
-        command.add_arguments(p, name)
-        p.set_defaults(func=command.run)
-    return parser
+from .commands import _VERBS, _command
 
 
 class _Unsupported(Exception):
@@ -95,13 +50,6 @@ class _Recorder:
 
     def add_subparsers(self, **kwargs):
         raise _Unsupported("sub-verbs")
-
-
-class _Namespace:
-    """Parsed arguments as attributes, as on argparse.Namespace."""
-
-    def __init__(self, values):
-        self.__dict__.update(values)
 
 
 def _parse_plain(argv):
@@ -154,13 +102,16 @@ def _parse_plain(argv):
             values[dest] = default
     except (_Unsupported, TypeError, ValueError):  # a failed conversion is a usage error
         return None
-    return _Namespace({"verb": verb, **recorder.defaults, **values, "func": command.run})
+    return types.SimpleNamespace(**{"verb": verb, **recorder.defaults, **values,
+                                    "func": command.run})
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_plain(argv)
     if args is None:
+        from .commands._parser import _build_parser
+
         try:
             args = _build_parser(argv).parse_args(argv)
         except SystemExit as exc:  # argparse exits on --help and usage errors

@@ -180,13 +180,15 @@ def is_t_design(design: Design, t: int):
     """Whether every j-subset (j=1..t) lies in a constant number of blocks.
 
     Returns (True, [lam_0, ..., lam_t]) with lam_0 the block count, or
-    (False, None).  Blocks must all have one size r >= t.  Only level t is
-    counted: with uniform blocks a t-design is a j-design for every j < t,
-    with lam_j = lam_t C(n-j,t-j) / C(r-j,t-j).
+    (False, None).  Blocks must all have one size r >= t; with no blocks,
+    t <= n.  Only level t is counted: with uniform blocks a t-design is a
+    j-design for every j < t, with lam_j = lam_t C(n-j,t-j) / C(r-j,t-j).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if design.num_blocks == 0:
+        if t > design.n:
+            raise ValueError("t exceeds the point count")
         return True, [0] * (t + 1)
     r = design.uniform_size()
     if t > r:

@@ -65,9 +65,6 @@ __all__ = [
 ]
 
 
-_setattr = object.__setattr__  # past the record's frozen __setattr__
-
-
 class FeasibleRow(_Record):
     """One feasible parameter set.
 
@@ -85,24 +82,10 @@ class FeasibleRow(_Record):
         "verdicts",
     )
 
-    # one statement per field, not _set's loop: the scans and annotate_existence
-    # build a row per table line, tens of thousands of them at larger max_n
     def __init__(self, t: int, n: int, r1: int, r2: int, N1: int, N2: int, lam1: int,
                  lam2: int, ratio, pairs: tuple, case: int, star: bool,
                  verdicts: tuple = ()):
-        _setattr(self, "t", t)
-        _setattr(self, "n", n)
-        _setattr(self, "r1", r1)
-        _setattr(self, "r2", r2)
-        _setattr(self, "N1", N1)
-        _setattr(self, "N2", N2)
-        _setattr(self, "lam1", lam1)
-        _setattr(self, "lam2", lam2)
-        _setattr(self, "ratio", ratio)
-        _setattr(self, "pairs", pairs)
-        _setattr(self, "case", case)
-        _setattr(self, "star", star)
-        _setattr(self, "verdicts", verdicts)
+        self._set(t, n, r1, r2, N1, N2, lam1, lam2, ratio, pairs, case, star, verdicts)
 
 
 # ---------------------------------------------------------------------------

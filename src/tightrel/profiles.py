@@ -1,24 +1,16 @@
-"""Coverage-count histograms over all t-subsets, the weighted triple graph,
-and detection of distinct designs sharing a histogram.  Counts come from
-the coverage walk of designs.py; a t-subset it does not visit counts 0."""
+"""Coverage-count histograms over all t-subsets, and detection of distinct
+designs sharing a histogram.  Counts come from the coverage walk of
+designs.py; a t-subset it does not visit counts 0."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 
 from ._base import _Record
-from .designs import Design, _coverage, coverage_map
+from .designs import Design, _coverage
 
-__all__ = [
-    "LambdaSequence",
-    "MultiplicityGraph",
-    "lambda_sequence",
-    "sequences_equal",
-    "multiplicity_graph",
-    "conjecture2_scan",
-]
+__all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
 
 class LambdaSequence(_Record):
@@ -51,6 +43,10 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     Cost is a walk over the t-subsets that some block contains, rather
     than a scan of all C(n,t) subsets against the block list.
     """
+    if not design.blocks:  # every t-subset counts 0
+        if not 1 <= t <= design.n:
+            raise ValueError("need 1 <= t <= point count")
+        return LambdaSequence(t, ((0, math.comb(design.n, t)),))
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
@@ -67,53 +63,6 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     if seq.weighted_total() != design.num_blocks * math.comb(r, t):
         raise RuntimeError("lambda sequence does not count every block's t-subsets once")
     return seq
-
-
-def sequences_equal(a: LambdaSequence, b: LambdaSequence) -> bool:
-    return a.t == b.t and a.entries == b.entries
-
-
-class MultiplicityGraph(_Record):
-    """Triple graph of a design: vertices are the 3-subsets of the point set
-    in lexicographic order, two vertices adjacent when they share 2 points,
-    each vertex weighted by its coverage count."""
-
-    __slots__ = ("n", "vertices", "weights")
-
-    def __init__(self, n: int, vertices: tuple, weights: tuple):
-        self._set(n, vertices, weights)
-
-    def vertex_index(self, triple) -> int:
-        """The lex rank of a < b < c: the triples with a first point below a,
-        or first point a and a second below b, or a, b and a third below c."""
-        a, b, c = triple
-        n = self.n
-        if not 0 <= a < b < c < n:
-            raise KeyError(tuple(triple))
-        below_a = math.comb(n, 3) - math.comb(n - a, 3)
-        return below_a + math.comb(n - a - 1, 2) - math.comb(n - b, 2) + c - b - 1
-
-    def neighbors(self, i: int) -> tuple:
-        """Indices of the 3(n-3) vertices sharing exactly 2 points."""
-        triple = self.vertices[i]
-        return tuple(sorted(
-            self.vertex_index(sorted({*triple, add} - {drop}))
-            for drop in triple for add in range(self.n) if add not in triple
-        ))
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
-    def weight_multiset(self) -> tuple:
-        return tuple(sorted(Counter(self.weights).items()))
-
-
-def multiplicity_graph(design: Design) -> MultiplicityGraph:
-    if design.uniform_size() < 3:
-        raise ValueError("block size must be at least 3")
-    vertices = tuple(combinations(range(design.n), 3))  # in lex order
-    counts = coverage_map(design, 3)
-    return MultiplicityGraph(design.n, vertices, tuple(counts.get(v, 0) for v in vertices))
 
 
 def conjecture2_scan(designs, t: int):
@@ -136,6 +85,6 @@ def conjecture2_scan(designs, t: int):
     pairs = []
     for i in range(len(designs)):
         for j in range(i + 1, len(designs)):
-            if sets[i] != sets[j] and sequences_equal(seqs[i], seqs[j]):
+            if sets[i] != sets[j] and seqs[i] == seqs[j]:
                 pairs.append((i, j))
     return pairs

@@ -27,7 +27,6 @@ from tightrel import (
     row_ruled_out,
     scan_relative3,
     scan_relative4,
-    sequences_equal,
     tight_size,
 )
 from tightrel.designs import mask_of

@@ -33,7 +33,9 @@ from tightrel import (
     scan_relative3,
     scan_relative4,
 )
-from tightrel.cli import _VERBS, _build_parser, _parse_plain, entry, main
+from tightrel.cli import _parse_plain, entry, main
+from tightrel.commands import _VERBS
+from tightrel.commands._parser import _build_parser
 from tightrel.commands._output import _blocks
 from tightrel.commands.construct import _CONSTRUCTIONS, _TRANSFORMS
 from tightrel.designs import MAX_RANKS, mask_of
@@ -204,6 +206,33 @@ def test_file_integers_are_ascii_digits(capsys, fano_file, fano_pair_file, spell
 def test_verify_bad_t(capsys, fano_file):
     assert main(["verify", str(fano_file), "--t", "9"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def empty_file(tmp_path):
+    p = tmp_path / "empty.blk"
+    p.write_text("DESIGN v1\nn=7 b=0\n")
+    return p
+
+
+def test_verify_design_without_blocks(capsys, empty_file):
+    # every t-subset lies in no block, so each t up to the point count holds
+    # with all lambdas 0; past it, t is refused as t > r is with blocks
+    assert main(["verify", str(empty_file), "--t", "7"]) == 0
+    assert capsys.readouterr().out == "t-design: true  lambda=[0,0,0,0,0,0,0,0]\n"
+    assert main(["verify", str(empty_file), "--t", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: t exceeds the point count\n"
+
+
+def test_lambda_seq_design_without_blocks(capsys, empty_file):
+    for t, line in (("1", "7*0"), ("3", "35*0"), ("7", "1*0")):
+        assert main(["lambda-seq", str(empty_file), "--t", t]) == 0
+        assert capsys.readouterr().out == line + "\n"
+    for t in ("0", "8"):
+        assert main(["lambda-seq", str(empty_file), "--t", t]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: need 1 <= t <= point count\n"
 
 
 def test_check_relative_true(capsys, fano_pair_file):
@@ -694,7 +723,8 @@ _SCAN = [*_COMMON, "tightrel.commands._output", "tightrel.commands.scan", "tight
 # sub-verbs are parsed by argparse, which translates its messages through
 # gettext and so loads locale
 _CONSTRUCT = [*_COMMON, "argparse", "gettext", "locale", "tightrel._design",
-              "tightrel.commands._output", "tightrel.commands.construct", "tightrel.constructions"]
+              "tightrel.commands._output", "tightrel.commands._parser",
+              "tightrel.commands.construct", "tightrel.constructions"]
 
 
 @pytest.fixture()

@@ -264,6 +264,9 @@ def test_is_t_design_rejects_bad_t(fano):
 
 def test_is_t_design_empty_design():
     assert is_t_design(Design(7, ()), 2) == (True, [0, 0, 0])
+    assert is_t_design(Design(7, ()), 7) == (True, [0] * 8)
+    with pytest.raises(ValueError, match="point count"):
+        is_t_design(Design(7, ()), 8)
 
 
 def test_is_t_design_detects_uncovered_subset():

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -14,10 +13,8 @@ from tightrel import (
     complement,
     conjecture2_scan,
     lambda_sequence,
-    multiplicity_graph,
-    sequences_equal,
 )
-from tightrel.designs import bits_of, mask_of
+from tightrel.designs import coverage_map, mask_of
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
 
@@ -67,9 +64,7 @@ def test_lambda_sequence_matches_reference(design):
     for t in cheap_levels(design, r):
         assert lambda_sequence(design, t).entries == _reference_lambda_sequence(design, t)
     if 3 <= r <= 11 and design.n <= 65:
-        cov = reference_coverage(design, 3)
-        expect = tuple(cov.get(v, 0) for v in itertools.combinations(range(design.n), 3))
-        assert multiplicity_graph(design).weights == expect
+        assert coverage_map(design, 3) == reference_coverage(design, 3)
 
 
 def test_lambda_sequence_near_block_size(biplane37):
@@ -132,14 +127,14 @@ def test_lambda_sequence_label_invariance(fano):
         perm = list(range(7))
         rng.shuffle(perm)
         moved = relabel(fano, dict(enumerate(perm)))
-        assert sequences_equal(lambda_sequence(moved, 3), base)
+        assert lambda_sequence(moved, 3) == base
 
 
 def test_sequences_equal_requires_same_t(fano):
     a = lambda_sequence(fano, 2)
     b = LambdaSequence(3, a.entries)
-    assert not sequences_equal(a, b)
-    assert sequences_equal(a, lambda_sequence(fano, 2))
+    assert a != b
+    assert a == lambda_sequence(fano, 2)
 
 
 def test_biplane_reflection(biplane37):
@@ -152,68 +147,6 @@ def test_biplane_reflection(biplane37):
     assert comp.entries == tuple(
         sorted((K - v, c) for v, c in seq.entries)
     )
-
-
-def test_multiplicity_graph_fano(fano):
-    g = multiplicity_graph(fano)
-    assert len(g.vertices) == 35
-    assert g.weight_multiset() == lambda_sequence(fano, 3).entries
-    i = g.vertex_index((0, 1, 3))
-    assert g.weights[i] == 1
-    assert g.degree(i) == 3 * (7 - 3)
-    assert all(g.degree(j) == 12 for j in range(35))
-    # neighbors share exactly two points
-    for j in g.neighbors(i):
-        assert len(set(g.vertices[j]) & {0, 1, 3}) == 2
-
-
-def test_multiplicity_graph_biplane_degree(biplane37):
-    g = multiplicity_graph(biplane37)
-    assert len(g.vertices) == math.comb(37, 3)
-    assert g.degree(0) == 3 * (37 - 3)
-
-
-def test_multiplicity_graph_vertex_index_round_trip(fano):
-    g = multiplicity_graph(fano)
-    for i, v in enumerate(g.vertices):
-        assert g.vertex_index(v) == i
-        assert g.vertex_index(list(v)) == i
-
-
-def test_multiplicity_graph_indexes_without_a_table():
-    # the closed-form lex rank of a triple against combinations, and the
-    # neighbours of a vertex at n = 128 found without an index of the
-    # 341,376 vertices
-    for n in range(4, 13):
-        g = multiplicity_graph(Design(n, (mask_of(range(4)),)))
-        assert [g.vertex_index(v) for v in g.vertices] == list(range(math.comb(n, 3)))
-    g = multiplicity_graph(Design(128, (mask_of(range(4)), mask_of(range(124, 128)))))
-    assert g.weight_multiset() == ((0, math.comb(128, 3) - 8), (1, 8))
-    assert g.weights[g.vertex_index((125, 126, 127))] == 1
-    with pytest.raises(KeyError):
-        g.vertex_index((1, 0, 2))
-    g.neighbors(1)  # anything a first call sets up is not counted
-    tracemalloc.start()
-    try:
-        near = g.neighbors(0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
-    assert len(near) == 3 * 125
-    assert all(len(set(g.vertices[j]) & {0, 1, 2}) == 2 for j in near)
-
-
-def test_multiplicity_graph_is_frozen(fano):
-    g = multiplicity_graph(fano)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.n = 8
-
-
-def test_multiplicity_graph_needs_triples():
-    pairs = Design(5, (mask_of((0, 1)), mask_of((2, 3))))
-    with pytest.raises(ValueError):
-        multiplicity_graph(pairs)
 
 
 def test_conjecture2_scan_finds_relabelled_twin(fano, fano_swapped):

@@ -1,6 +1,6 @@
-"""The nine immutable records (Design, DesignParams, RelativeCandidate,
+"""The eight immutable records (Design, DesignParams, RelativeCandidate,
 ShellReport, KageyamaReport, NonexistenceVerdict, LambdaSequence,
-MultiplicityGraph, FeasibleRow) keep the semantics they had as frozen dataclasses: field
+FeasibleRow) keep the semantics they had as frozen dataclasses: field
 equality within one class, a hash and a repr of the field tuple, no
 assignment, and copies rebuilt through the validating constructor."""
 
@@ -18,7 +18,6 @@ from tightrel import (
     FeasibleRow,
     KageyamaReport,
     LambdaSequence,
-    MultiplicityGraph,
     NonexistenceVerdict,
     RelativeCandidate,
     ShellReport,
@@ -29,7 +28,6 @@ from tightrel import (
     construct_paley_hadamard,
     kageyama_constituents,
     lambda_sequence,
-    multiplicity_graph,
     scan_relative3,
     scan_relative4,
 )
@@ -75,11 +73,6 @@ def _records():
         ),
         (lambda_sequence(fano, 2), "LambdaSequence(t=2, entries=((1, 21),))"),
         (
-            multiplicity_graph(Design(4, (mask_of((0, 1, 2)),))),
-            "MultiplicityGraph(n=4, vertices=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "
-            "weights=(1, 0, 0, 0))",
-        ),
-        (
             annotate_existence([r for r in scan_relative3(7) if r.n == 7])[0],
             "FeasibleRow(t=3, n=7, r1=3, r2=4, N1=7, N2=7, lam1=1, lam2=2, "
             "ratio=Fraction(1, 1), pairs=((0, 1), (1, 0)), case=1, star=True, "
@@ -107,7 +100,6 @@ FIELDS = {
     KageyamaReport: ("applicable", "t", "weighted_lambda", "shells"),
     NonexistenceVerdict: ("test", "outcome", "detail"),
     LambdaSequence: ("t", "entries"),
-    MultiplicityGraph: ("n", "vertices", "weights"),
     FeasibleRow: ("t", "n", "r1", "r2", "N1", "N2", "lam1", "lam2", "ratio", "pairs", "case",
                   "star", "verdicts"),
 }
