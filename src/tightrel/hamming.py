@@ -29,6 +29,23 @@ there the oracle checks that balance at every size from m on instead.
 The scan is bit-sliced over blocks (_design._columns); a depth-first walk
 carries the blocks missing at most 0 and 1 points of the prefix as two
 masks stacked in one int, and weighs popcounts with exact integers.
+
+A size can also be decided at once, from the block pairs (_pairs).  With
+integer shell weights W, let D(S) be the weighted block sum at S less its
+average T_s.  Summed over the s-subsets, D(S)^2 gives
+
+    sum_{B,B'} W W' K_s(|B|, |B'|, |B cap B'|) - C(n,s) T_s^2,
+
+where K_s(r, r', i), the sum over S of the two blocks' products, is the
+z^s coefficient of (1+aa'z)^i (1+ab'z)^(r-i) (1+ba'z)^(r'-i)
+(1+bb'z)^(n-r-r'+i) with a, b = n-2r+2, n-2r-2 and a', b' from r'; for the
+balance sizes it is C(i, s).  One count of the ordered block pairs by
+their shells and i thus decides every size, and the first size with a
+nonzero sum is the first failing one; the walk then names the witness at
+that size alone.  With N blocks the walk takes C(n,s) subsets at size s,
+each 4 ANDs and popcounts of N bits; the profile scans one byte per block
+pair and intersection size, once for all sizes.  The oracle walks the
+sizes that are cheap next to the profile and leaves the rest to it.
 """
 
 from __future__ import annotations
@@ -223,6 +240,26 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
+def _walk_work(n: int, sizes, blocks: int) -> int:
+    """Estimated cost of walking every subset of the given sizes, in about
+    nanoseconds on a 2-vCPU x86 host: a subset takes 4 ANDs and popcounts."""
+    return sum(math.comb(n, s) for s in sizes) * (500 + 150 * (blocks >> 6))
+
+
+def _pair_work(cand: RelativeCandidate, t: int) -> int:
+    """Estimated cost of the pair profile, in the unit of _walk_work: the
+    import of _pairs (2-3 ms, compiled from source), a sum of byte
+    columns per block, a bytes.count pass per intersection size and the
+    moments of each size."""
+    n, n1, n2 = cand.n, cand.design1.num_blocks, cand.design2.num_blocks
+    top = min(t, n // 2)
+    work = 3_000_000 + 1_000 * (2 * n1 + n2) + 720 * top * (n // 2 + 1 + top)
+    for m, r, q in ((n1 * n1 // 2, cand.r1, cand.r1), (n1 * n2, cand.r1, cand.r2),
+                    (n2 * n2 // 2, cand.r2, cand.r2)):
+        work += 2 * m * (min(r, q) - max(0, r + q - n))
+    return work
+
+
 def relative_design_oracle(cand: RelativeCandidate, t: int):
     """Check the two-shell moment identity for every subset size s = 1..t.
 
@@ -230,7 +267,9 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     subset of the smallest failing size; an s-subset costs 4 ANDs and
     popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
     of the union (a failing subset is one whose blocks' weight is off the
-    average), which the identities at those sizes need not imply.
+    average), which the identities at those sizes need not imply.  Sizes
+    whose walk would cost more than the pair profile are decided by the
+    profile; the witness always comes from the walk.
     """
     n = cand.n
     if not 1 <= t <= n:
@@ -240,7 +279,8 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     size = cand.total_size
     full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
     high, cols = full ^ low, _columns(cand.design1.blocks + cand.design2.blocks, n)
-    for s in range(1, t + 1):
+
+    def level(s, probe=False):  # the lex-first failing s-subset, or None
         # the terms m <= u drop out: below half both shells are (s-2)-designs by
         # now, and from half on u = s-1 leaves the weighted balance alone
         u = s - 1 if s >= half else max(s - 2, 0)
@@ -279,6 +319,33 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
                     return s, prefix + (i,)
             return None
 
-        if found := walk((), stack, 0):
+        ms, prefix = stack, ()
+        if probe:  # only the first n-s+1 subsets: those holding 0..s-2
+            for j in range(s - 1):
+                ms, prefix = ms & reps[j] | ms << size & stack, prefix + (j,)
+        return walk(prefix, ms, len(prefix))
+
+    # the walk takes the sizes whose subsets cost little next to one pass over
+    # the block pairs, and the first few subsets of the next size; the pair
+    # profile decides the rest, and the walk names the witness where it fails
+    pair_work, walked = _pair_work(cand, t), 0
+    walk_all = _walk_work(n, range(1, t + 1), size) <= pair_work
+    for s in range(1, t + 1):
+        walked += _walk_work(n, (s,), size)
+        if not walk_all and 4 * walked > pair_work:
+            break
+        if found := level(s):
             return False, found
-    return True, None
+    else:
+        return True, None
+    if found := level(s, probe=True):
+        return False, found
+    from ._pairs import first_failing_size
+
+    shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
+    s = first_failing_size(n, shells, s, t, half)
+    if s is None:
+        return True, None
+    if found := level(s):
+        return False, found
+    raise RuntimeError(f"the pair profile fails at size {s}, but no {s}-subset does")

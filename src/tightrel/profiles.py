@@ -69,17 +69,17 @@ def conjecture2_scan(designs, t: int):
     """All unordered index pairs (i, j) whose designs have different block
     sets but identical lambda_t-sequences.
 
-    Every input must share the same point count and block size.  Designs
-    that are equal as block sets are never reported, even if listed twice.
+    Every input must share the same point count, and every input with
+    blocks the same block size; a design with no blocks has the histogram
+    C(n,t)*0.  Designs that are equal as block sets are never reported,
+    even if listed twice.
     """
     designs = list(designs)
     if not designs:
         return []
     n = designs[0].n
-    r = designs[0].uniform_size()
-    for d in designs[1:]:
-        if d.n != n or d.uniform_size() != r:
-            raise ValueError("all designs must share the same (n, block size)")
+    if any(d.n != n for d in designs) or len({d.uniform_size() for d in designs if d.blocks}) > 1:
+        raise ValueError("all designs must share the same (n, block size)")
     seqs = [lambda_sequence(d, t) for d in designs]
     sets = [frozenset(d.blocks) for d in designs]
     pairs = []

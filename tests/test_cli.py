@@ -672,6 +672,24 @@ def test_conjecture2(capsys, tmp_path, fano, fano_swapped):
     assert capsys.readouterr().out == "a.blk\tb.blk\n"
 
 
+def test_conjecture2_designs_without_blocks(capsys, tmp_path):
+    # two empty designs are one block set, so no pair, and an empty design
+    # takes no part in the shared block size: its histogram is C(n,t)*0
+    empty = "DESIGN v1\nn=7 b=0\n"
+    (tmp_path / "a.blk").write_text(empty)
+    (tmp_path / "b.blk").write_text(empty)
+    assert main(["conjecture2", str(tmp_path), "--t", "3"]) == 0
+    assert capsys.readouterr() == ("", "")
+    paley = construct_paley_hadamard(19)
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "e.blk").write_text("DESIGN v1\nn=19 b=0\n")
+    save_design(paley, mixed / "p.blk")
+    save_design(relabel(paley, {0: 1, 1: 0}), mixed / "q.blk")
+    assert main(["conjecture2", str(mixed), "--t", "3"]) == 0
+    assert capsys.readouterr() == ("p.blk\tq.blk\n", "")
+
+
 def test_conjecture2_empty_dir(capsys, tmp_path):
     assert main(["conjecture2", str(tmp_path), "--t", "3"]) == 3
 
@@ -730,10 +748,13 @@ _CONSTRUCT = [*_COMMON, "argparse", "gettext", "locale", "tightrel._design",
 @pytest.fixture()
 def verb_files(tmp_path):
     """tmp_path with paley.blk (Paley(19)), pair.rel (it and its complement
-    at t = 3) and corpus/ (holding paley.blk)."""
+    at t = 3), fano.rel (the same for Paley(7)) and corpus/ (holding
+    paley.blk)."""
     paley = construct_paley_hadamard(19)
     save_design(paley, tmp_path / "paley.blk")
     save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
+    fano = construct_paley_hadamard(7)
+    save_candidate(RelativeCandidate.from_designs(fano, complement(fano)), 3, tmp_path / "fano.rel")
     (tmp_path / "corpus").mkdir()
     save_design(paley, tmp_path / "corpus" / "paley.blk")
     return tmp_path
@@ -749,6 +770,10 @@ def verb_files(tmp_path):
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.analysis",
                  "tightrel.commands.check_relative", "tightrel.hamming"])),
         (["check-relative", "pair.rel"], 0,
+         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
+                 "tightrel.hamming"])),
+        # a small candidate stays on the subset walk, without the pair profile
+        (["check-relative", "fano.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
         (["verify", "paley.blk", "--t", "2"], 0,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tightrel import (
     FormatError,
     RelativeCandidate,
     complement,
+    construct_paley_hadamard,
     is_regular_twise_balanced,
     is_t_design,
     krawtchouk,
@@ -20,6 +22,7 @@ from tightrel import (
     save_candidate,
     shell_moment,
 )
+from tightrel import _pairs, hamming
 from tightrel.designs import bits_of, mask_of
 
 from conftest import candidates, six_point_pair, weights
@@ -405,13 +408,15 @@ def test_oracle_on_trivial_shells(fano):
     assert relative_design_oracle(empty, 2) == _reference_oracle(empty, 2) == (True, None)
 
 
-def test_oracle_memory_is_its_block_columns():
+def test_oracle_memory_is_its_block_columns(monkeypatch):
     # the complete 6- and 7-shells on 14 points, 6,435 blocks: the columns
-    # take 14 * 6,435 bits, so the scan's peak stays far below a megabyte
+    # take 14 * 6,435 bits, so the scan's peak stays far below a megabyte.
+    # Their 41 million block pairs cost more than 469 subsets: no pair profile
     shells = [
         Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
     ]
     cand = RelativeCandidate.from_designs(*shells)
+    monkeypatch.setattr(_pairs, "first_failing_size", lambda *args: pytest.fail("profile used"))
     relative_design_oracle(cand, 1)  # anything a first call sets up is not counted
     tracemalloc.start()
     try:
@@ -425,3 +430,86 @@ def test_oracle_memory_is_its_block_columns():
 def test_oracle_validates_t(fano_pair):
     with pytest.raises(ValueError):
         relative_design_oracle(fano_pair, 0)
+
+
+def _on_route(cand, t, pair_work):
+    """The oracle's answer with its pair-work estimate set: 0 leaves every
+    size to the pair profile, 2**200 every size to the subset walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamming, "_pair_work", lambda cand, t: pair_work)
+        return relative_design_oracle(cand, t)
+
+
+def _complete(n, r):
+    return Design(n, tuple(mask_of(c) for c in itertools.combinations(range(n), r)))
+
+
+def _fano_less_a_block():
+    fano = construct_paley_hadamard(7)
+    return RelativeCandidate.from_designs(Design(7, fano.blocks[1:]), complement(fano), 1, 2)
+
+
+@st.composite
+def _wide_candidates(draw):
+    """n = 128, the most points a block holds, at t <= 2: complete, empty or
+    full shells and random blocks with repeats, so that two full blocks
+    share all 128 points, under unequal rational weights."""
+    n = 128
+    full = (1 << n) - 1
+
+    def shell(r):
+        if r == 1 or r == n - 1:
+            blocks = [1 << i for i in range(n)]
+            blocks = blocks if r == 1 else [full ^ b for b in blocks]
+            if draw(st.booleans()):  # one singleton moved, one complement too
+                blocks[draw(st.integers(0, n - 1))] = blocks[draw(st.integers(0, n - 1))]
+            return Design(n, tuple(blocks))
+        if r in (0, n):
+            return Design(n, ((1 << r) - 1,) * draw(st.integers(1, 3)))
+        return draw(_shell(n, r))
+
+    r1, r2 = sorted(draw(st.lists(st.sampled_from([0, 1, 2, 64, 126, 127, n]), min_size=2,
+                                  max_size=2, unique=True)))
+    w1, w2 = draw(weights), draw(weights)
+    cand = RelativeCandidate.from_designs(shell(r1), shell(r2), w1, w2, allow_trivial=True)
+    return cand, draw(st.integers(1, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(candidates(st.integers(1, 4)) | _small_candidates() | _wide_candidates())
+@example((six_point_pair(), 6))  # the moment identities hold where balance fails
+@example((RelativeCandidate.from_designs(_complete(8, 3), _complete(8, 5), 2, 3), 8))  # t = n = 2m
+@example((_fano_less_a_block(), 3))  # the target at s = 1 is 30/7 + 6
+def test_pair_profile_matches_walk(case):
+    # the profile decides the first failing size from the block pairs alone;
+    # the walk then names the witness at that size, which must be the one
+    # the walk finds when it scans every size itself
+    cand, t = case
+    walked = _on_route(cand, t, 2**200)
+    assert _on_route(cand, t, 0) == walked
+    if cand.n <= 23:
+        assert walked == _reference_oracle(cand, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidates(st.integers(1, 4), with_witt=True), st.data())
+def test_pair_profile_first_failing_size(case, data):
+    # first_failing_size from any start: the walk's first failing size at or
+    # after it, once the sizes before it pass
+    cand, t = case
+    ok, witness = _on_route(cand, t, 2**200)
+    first = None if ok else witness[0]
+    start = data.draw(st.integers(1, first or t), label="start")
+    half = cand.n // 2 if cand.n % 2 == 0 and cand.n >= 4 else cand.n + 1
+    scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
+    shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
+    assert _pairs.first_failing_size(cand.n, shells, start, t, half) == first
+
+
+def test_oracle_complete_shells_take_the_pair_profile():
+    # the complete 2- and 22-shells on 24 points pass at t = 12; the walk
+    # would scan the 9.7 million subsets of sizes 1..12
+    cand = RelativeCandidate.from_designs(_complete(24, 2), _complete(24, 22))
+    start = time.perf_counter()
+    assert relative_design_oracle(cand, 12) == (True, None)
+    assert time.perf_counter() - start < 2
