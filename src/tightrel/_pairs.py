@@ -47,7 +47,8 @@ def _count(rows, cols, n: int, lo: int, hi: int) -> list:
     for first in range(0, len(rows), per):
         data = b"".join(map(row, range(first, min(first + per, len(rows)))))
         for i in range(lo, hi):
-            cnt[i] += data.count(i)
+            if i in data:  # a memchr; designs have few intersection sizes
+                cnt[i] += data.count(i)
     cnt[hi] = (m * (m - 1) // 2 if same else len(rows) * m) - sum(cnt)
     if same:  # each unordered pair both ways, and each block with itself
         cnt = [2 * c for c in cnt]

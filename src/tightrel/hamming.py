@@ -240,23 +240,15 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
-def _walk_work(n: int, sizes, blocks: int) -> int:
-    """Estimated cost of walking every subset of the given sizes, in about
-    nanoseconds on a 2-vCPU x86 host: a subset takes 4 ANDs and popcounts."""
-    return sum(math.comb(n, s) for s in sizes) * (500 + 150 * (blocks >> 6))
-
-
-def _pair_work(cand: RelativeCandidate, t: int) -> int:
-    """Estimated cost of the pair profile, in the unit of _walk_work: the
-    import of _pairs (2-3 ms, compiled from source), a sum of byte
-    columns per block, a bytes.count pass per intersection size and the
-    moments of each size."""
-    n, n1, n2 = cand.n, cand.design1.num_blocks, cand.design2.num_blocks
-    top = min(t, n // 2)
-    work = 3_000_000 + 1_000 * (2 * n1 + n2) + 720 * top * (n // 2 + 1 + top)
-    for m, r, q in ((n1 * n1 // 2, cand.r1, cand.r1), (n1 * n2, cand.r1, cand.r2),
-                    (n2 * n2 // 2, cand.r2, cand.r2)):
-        work += 2 * m * (min(r, q) - max(0, r + q - n))
+def _pair_work(cand: RelativeCandidate) -> int:
+    """Estimated cost of the pair profile, in about nanoseconds on a 2-vCPU
+    x86 host: the import of _pairs (2-3 ms, compiled from source), a sum of
+    byte columns per block and a bytes.count pass per possible intersection
+    size."""
+    n, n1, n2, r1, r2 = cand.n, cand.design1.num_blocks, cand.design2.num_blocks, cand.r1, cand.r2
+    work = 3_000_000 + 1_000 * (2 * n1 + n2)
+    for pairs, r, q in ((n1 * n1, r1, r1), (2 * n1 * n2, r1, r2), (n2 * n2, r2, r2)):
+        work += pairs * (min(r, q) - max(0, r + q - n))
     return work
 
 
@@ -327,11 +319,12 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
 
     # the walk takes the sizes whose subsets cost little next to one pass over
     # the block pairs, and the first few subsets of the next size; the pair
-    # profile decides the rest, and the walk names the witness where it fails
-    pair_work, walked = _pair_work(cand, t), 0
-    walk_all = _walk_work(n, range(1, t + 1), size) <= pair_work
+    # profile decides the rest, and the walk names the witness where it fails.
+    # A subset costs about 500 ns plus 150 ns per 64 blocks (_pair_work's unit)
+    unit, walked, pair_work = 500 + 150 * (size >> 6), 0, _pair_work(cand)
+    walk_all = unit * sum(math.comb(n, s) for s in range(1, t + 1)) <= pair_work
     for s in range(1, t + 1):
-        walked += _walk_work(n, (s,), size)
+        walked += unit * math.comb(n, s)
         if not walk_all and 4 * walked > pair_work:
             break
         if found := level(s):

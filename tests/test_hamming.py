@@ -436,7 +436,7 @@ def _on_route(cand, t, pair_work):
     """The oracle's answer with its pair-work estimate set: 0 leaves every
     size to the pair profile, 2**200 every size to the subset walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamming, "_pair_work", lambda cand, t: pair_work)
+        mp.setattr(hamming, "_pair_work", lambda cand: pair_work)
         return relative_design_oracle(cand, t)
 
 
@@ -504,6 +504,26 @@ def test_pair_profile_first_failing_size(case, data):
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
     shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
     assert _pairs.first_failing_size(cand.n, shells, start, t, half) == first
+
+
+def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
+    # Paley(47) at t = 3: the profile decides size 3 of the balanced pair,
+    # but unequal weights fail at (0, 1, 2), among the first subsets of size
+    # 3, which the walk tries before the profile
+    paley = construct_paley_hadamard(47)
+    balanced = RelativeCandidate.from_designs(paley, complement(paley))
+    profile, calls = _pairs.first_failing_size, []
+
+    def spy(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(_pairs, "first_failing_size", spy)
+    assert relative_design_oracle(balanced, 3) == (True, None)
+    assert len(calls) == 1
+    unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
+    assert relative_design_oracle(unequal, 3) == (False, (3, (0, 1, 2)))
+    assert len(calls) == 1
 
 
 def test_oracle_complete_shells_take_the_pair_profile():
