@@ -267,6 +267,10 @@ def test_is_t_design_empty_design():
     assert is_t_design(Design(7, ()), 7) == (True, [0] * 8)
     with pytest.raises(ValueError, match="point count"):
         is_t_design(Design(7, ()), 8)
+    # the inputs that test_is_t_design_matches_reference once drew
+    with pytest.raises(ValueError, match="t exceeds the point count"):
+        is_t_design(Design(1, ()), 2)
+    assert is_t_design(Design(3, ()), 2) == (True, [0, 0, 0])
 
 
 def test_is_t_design_detects_uncovered_subset():
@@ -409,16 +413,10 @@ def test_coverage_map_matches_reference(design):
 def test_is_t_design_matches_reference(design, data):
     if design.num_blocks and design.uniform_size() == 0:
         return
-    # with no blocks any t <= n is valid, and t > n is refused (see below)
+    # with no blocks any t <= n is valid, and t > n is refused
     top = design.uniform_size() if design.num_blocks else min(3, design.n)
     t = data.draw(st.sampled_from(cheap_levels(design, top, prefix=True)), label="t")
     assert is_t_design(design, t) == _reference_is_t_design(design, t)
-
-
-def test_is_t_design_without_blocks():
-    with pytest.raises(ValueError, match="t exceeds the point count"):
-        is_t_design(Design(1, ()), 2)
-    assert is_t_design(Design(3, ()), 2) == (True, [0, 0, 0])
 
 
 @settings(max_examples=60, deadline=None)
