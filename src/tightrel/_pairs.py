@@ -35,7 +35,7 @@ def _count(rows, cols, n: int, lo: int, hi: int) -> list:
     grid = _bits(cols, n)
     columns = [int.from_bytes(grid[n - 1 - j :: n], "big") for j in range(n)]
     # a block's selector lists its points from point 0 up, as compress wants
-    selectors = _bits(rows, n)[::-1]
+    selectors = (grid if same else _bits(rows, n))[::-1]
 
     def row(k):  # block k's intersection sizes, with every block or with those after it
         skip = k + 1 if same else 0
