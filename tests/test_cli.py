@@ -772,10 +772,6 @@ def verb_files(tmp_path):
         (["check-relative", "pair.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
-        # a small candidate stays on the subset walk, without the pair profile
-        (["check-relative", "fano.rel"], 0,
-         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
-                 "tightrel.hamming"])),
         (["verify", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
@@ -796,6 +792,10 @@ def verb_files(tmp_path):
         (["conjecture2", "corpus", "--t", "3"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands._output",
                  "tightrel.commands.conjecture2", "tightrel.designs", "tightrel.profiles"])),
+        # a small candidate stays on the subset walk, without the pair profile
+        (["check-relative", "fano.rel"], 0,
+         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
+                 "tightrel.hamming"])),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
