@@ -1,59 +1,18 @@
 """The pair profile of a two-shell candidate: its ordered block pairs
 counted by their two shells and the size of their intersection, and the
 subset sizes at which the moment identity fails, decided from those counts
-(see the hamming docstring for the identity).  Only the oracle's pair
-route imports this module.
-
-Point j's byte column holds one byte per block, 1 where the block holds j;
-the columns of a block's points add up to the intersection sizes of that
-block with every other one, a byte each, since n <= 128 < 256 leaves no
-carry.  bytes.count then counts each possible size.
+(see the hamming docstring for the identity).  The pairs are counted by
+_design._pair_counts; this module holds the moment polynomials of the
+oracle, and only the oracle's pair route imports it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 
+from ._design import _pair_counts
 from .hamming import shell_moment
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to the bytes 0 and 1
-_CHUNK = 1 << 18  # bytes of intersection sizes counted per bytes.count pass
-
-
-def _bits(blocks, n: int) -> bytes:
-    """The blocks' indicator bytes, n per block, last block first and
-    point n-1 first within a block."""
-    return "".join(format(b, f"0{n}b") for b in reversed(blocks)).encode().translate(_DIGITS)
-
-
-def _count(rows, cols, n: int, lo: int, hi: int) -> list:
-    """cnt[i], i = lo..hi (zero below lo): the ordered pairs of a block of
-    `rows` and a block of `cols` that share i points."""
-    m, same = len(cols), rows is cols
-    grid = _bits(cols, n)
-    columns = [int.from_bytes(grid[n - 1 - j :: n], "big") for j in range(n)]
-    # a block's selector lists its points from point 0 up, as compress wants
-    selectors = (grid if same else _bits(rows, n))[::-1]
-
-    def row(k):  # block k's intersection sizes, with every block or with those after it
-        skip = k + 1 if same else 0
-        sizes = sum(compress(columns, selectors[k * n : k * n + n])) >> 8 * skip
-        return sizes.to_bytes(m - skip, "little")
-
-    cnt = [0] * (hi + 1)
-    per = max(1, _CHUNK // m)
-    for first in range(0, len(rows), per):
-        data = b"".join(map(row, range(first, min(first + per, len(rows)))))
-        for i in range(lo, hi):
-            if i in data:  # a memchr; designs have few intersection sizes
-                cnt[i] += data.count(i)
-    cnt[hi] = (m * (m - 1) // 2 if same else len(rows) * m) - sum(cnt)
-    if same:  # each unordered pair both ways, and each block with itself
-        cnt = [2 * c for c in cnt]
-        cnt[hi] += m
-    return cnt
 
 
 def _pair_moments(n: int, r: int, q: int, lo: int, hi: int, top: int) -> list:
@@ -98,7 +57,11 @@ def first_failing_size(n: int, shells, start: int, t: int, half: int):
         (blocks2, r2, blocks2, r2, w2 * w2),
     ):
         lo, hi = max(0, r + q - n), min(r, q)
-        counts = _count(rows, cols, n, lo, hi)
+        counts = _pair_counts(rows, cols, n, lo, hi)
+        if rows is cols:  # each unordered pair both ways
+            counts = [2 * c for c in counts]
+        # the rest share hi points, each block with itself among them
+        counts.append(len(rows) * len(cols) - sum(counts))
         profile.append((factor, lo, counts, _pair_moments(n, r, q, lo, hi, top)))
     sizes = ((r1, len(blocks1), w1), (r2, len(blocks2), w2))
     for s in range(start, t + 1):

@@ -30,7 +30,8 @@ The scan is bit-sliced over blocks (_design._columns); a depth-first walk
 carries the blocks missing at most 0 and 1 points of the prefix as two
 masks stacked in one int, and weighs popcounts with exact integers.
 
-A size can also be decided at once, from the block pairs (_pairs).  With
+A size can also be decided at once, from the block pairs (_pairs, which
+counts them with _design._pair_counts).  With
 integer shell weights W, let D(S) be the weighted block sum at S less its
 average T_s.  Summed over the s-subsets, D(S)^2 gives
 
@@ -55,7 +56,7 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _ascii_int, _columns
+from ._design import Design, _INT, _ascii_int, _columns, _count_work, _walk_work
 from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
@@ -240,16 +241,23 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
+# The fixed cost of the pair profile: importing _pairs (1.2-1.8 ms, compiled
+# from source) and, on its first call, the moment polynomials and Fraction
+# targets, which the row and byte figures leave out.  Together 2.1-3.1 ms
+# past those figures, in fresh processes on the Witt, n = 22 and Paley(43)
+# and (47) pairs (2 vCPU, Python 3.11.7).
+_PAIRS_FIXED_NS = 3_000_000
+
+
 def _pair_work(cand: RelativeCandidate) -> int:
-    """Estimated cost of the pair profile, in about nanoseconds on a 2-vCPU
-    x86 host: the import of _pairs (2-3 ms, compiled from source), a sum of
-    byte columns per block and a bytes.count pass per possible intersection
-    size."""
+    """Estimated cost of the pair profile, in _design's cost units: its
+    fixed cost, a sum of byte columns per block and a bytes.count pass per
+    possible intersection size."""
     n, n1, n2, r1, r2 = cand.n, cand.design1.num_blocks, cand.design2.num_blocks, cand.r1, cand.r2
-    work = 3_000_000 + 1_000 * (2 * n1 + n2)
+    units = 0
     for pairs, r, q in ((n1 * n1, r1, r1), (2 * n1 * n2, r1, r2), (n2 * n2, r2, r2)):
-        work += pairs * (min(r, q) - max(0, r + q - n))
-    return work
+        units += pairs * (min(r, q) - max(0, r + q - n))
+    return _PAIRS_FIXED_NS + _count_work(2 * n1 + n2, units)
 
 
 def relative_design_oracle(cand: RelativeCandidate, t: int):
@@ -319,12 +327,11 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
 
     # the walk takes the sizes whose subsets cost little next to one pass over
     # the block pairs, and the first few subsets of the next size; the pair
-    # profile decides the rest, and the walk names the witness where it fails.
-    # A subset costs about 500 ns plus 150 ns per 64 blocks (_pair_work's unit)
-    unit, walked, pair_work = 500 + 150 * (size >> 6), 0, _pair_work(cand)
-    walk_all = unit * sum(math.comb(n, s) for s in range(1, t + 1)) <= pair_work
+    # profile decides the rest, and the walk names the witness where it fails
+    walked, pair_work = 0, _pair_work(cand)
+    walk_all = _walk_work(size, sum(math.comb(n, s) for s in range(1, t + 1))) <= pair_work
     for s in range(1, t + 1):
-        walked += unit * math.comb(n, s)
+        walked += _walk_work(size, math.comb(n, s))
         if not walk_all and 4 * walked > pair_work:
             break
         if found := level(s):

@@ -1,6 +1,8 @@
 """Coverage-count histograms over all t-subsets, and detection of distinct
-designs sharing a histogram.  Counts come from the coverage walk of
-designs.py; a t-subset it does not visit counts 0."""
+designs sharing a histogram.  Where one count of block pairs shows that the
+counts take two adjacent values a and a+1 (designs._two_values), that count
+gives the histogram; otherwise the counts come from the coverage walk of
+designs.py, and a t-subset it does not visit counts 0."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import math
 from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _coverage
+from .designs import Design, _coverage, _pairs_cheaper, _two_values
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -40,8 +42,11 @@ class LambdaSequence(_Record):
 def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     """Exact histogram of coverage counts over all C(n,t) t-subsets.
 
-    Cost is a walk over the t-subsets that some block contains, rather
-    than a scan of all C(n,t) subsets against the block list.
+    When it costs less than the walk, one pass over the block pairs comes
+    first, and decides the histogram when its values are a and a+1.
+    Otherwise the cost is a walk over the t-subsets that some block
+    contains, rather than a scan of all C(n,t) subsets against the block
+    list.
     """
     if not design.blocks:  # every t-subset counts 0
         if not 1 <= t <= design.n:
@@ -50,15 +55,20 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    # only the counts: the covered subsets stream past and are dropped
-    counts = Counter(m.bit_count() for _, m in _coverage(design.n, design.blocks, t))
-    entries = tuple(sorted(counts.items()))
-    zeros = math.comb(design.n, t) - counts.total()
-    if zeros:
-        entries = ((0, zeros),) + entries
+    n, blocks, total = design.n, design.blocks, math.comb(design.n, t)
+    two = _two_values(n, blocks, t) if _pairs_cheaper(n, blocks, t) else None
+    if two:
+        a, h = two
+        entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
+    else:
+        # only the counts: the covered subsets stream past and are dropped
+        counts = Counter(m.bit_count() for _, m in _coverage(n, blocks, t))
+        entries = tuple(sorted(counts.items()))
+        if zeros := total - counts.total():
+            entries = ((0, zeros),) + entries
     seq = LambdaSequence(t, entries)
     # the two double-counting identities are cheap, so always check them
-    if seq.total_count() != math.comb(design.n, t):
+    if seq.total_count() != total:
         raise RuntimeError("lambda sequence does not count every t-subset once")
     if seq.weighted_total() != design.num_blocks * math.comb(r, t):
         raise RuntimeError("lambda sequence does not count every block's t-subsets once")

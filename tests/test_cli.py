@@ -337,23 +337,45 @@ def test_lambda_seq(capsys, fano_file):
     assert capsys.readouterr().out == "21*1\n"
 
 
-def test_lambda_seq_oversized_coverage(capsys, tmp_path):
-    # one 30-block has C(30,15) = 155,117,520 15-subsets: refused before
-    # anything is allocated, as a usage error
-    p = tmp_path / "big.blk"
-    p.write_text("DESIGN v1\nn=128 b=1\n" + " ".join(map(str, range(30))) + "\n")
-
+def _lambda_seq_traced(path, t):
+    """Exit code, tracemalloc peak and seconds of lambda-seq on path at t."""
     tracemalloc.start()
     try:
-        code = main(["lambda-seq", str(p), "--t", "15"])
+        start = time.perf_counter()
+        code = main(["lambda-seq", str(path), "--t", str(t)])
+        seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak, seconds
+
+
+def test_lambda_seq_oversized_coverage(capsys, tmp_path):
+    # one 30-block has C(30,15) = 155,117,520 15-subsets, each in it once:
+    # the counts take two adjacent values, which one count of block pairs
+    # decides without a walk
+    p = tmp_path / "big.blk"
+    p.write_text("DESIGN v1\nn=128 b=1\n" + " ".join(map(str, range(30))) + "\n")
+    code, peak, seconds = _lambda_seq_traced(p, 15)
+    assert code == 0
+    assert peak < 2**20
+    assert seconds < 1
+    out = capsys.readouterr()
+    assert out.out == f"{math.comb(128, 15) - math.comb(30, 15)}*0 {math.comb(30, 15)}*1\n"
+    assert out.out == "13216710966395279280*0 155117520*1\n"
+    assert out.err == ""
+
+    # three overlapping 30-blocks give the 15-subsets counts 0, 1 and 2, so
+    # the walk must count them: refused before anything is allocated, as a
+    # usage error
+    p.write_text("DESIGN v1\nn=128 b=3\n" + "".join(
+        " ".join(map(str, range(k, k + 30))) + "\n" for k in (0, 10, 20)))
+    code, peak, _ = _lambda_seq_traced(p, 15)
     assert code == 2
     assert peak < 2**20
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: counting 15-subsets of 1 block(s) of size 30 ")
+    assert out.err.startswith("error: counting 15-subsets of 3 block(s) of size 30 ")
     assert "Traceback" not in out.err
 
 
@@ -772,8 +794,16 @@ def verb_files(tmp_path):
         (["check-relative", "pair.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
+        # verify and lambda-seq decide Paley(19) at t = 2, and verify at t = 3,
+        # from one count of its block pairs; lambda-seq at t = 3 finds three
+        # values there and walks.  No route loads hamming, _pairs or fractions
         (["verify", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
+        (["verify", "paley.blk", "--t", "3"], 1,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
+        (["lambda-seq", "paley.blk", "--t", "2"], 0,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
+                 "tightrel.profiles"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
                  "tightrel.profiles"])),

@@ -28,7 +28,8 @@ from tightrel import (
     residual,
     save_design,
 )
-from tightrel.designs import _first_unbalanced, _first_uncovered, bits_of, mask_of, parse_block_line
+from tightrel.designs import _first_unbalanced, _first_uncovered, _pairs_cheaper, bits_of, mask_of
+from tightrel.designs import parse_block_line
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
 
@@ -523,6 +524,18 @@ def test_coverage_at_large_ranks(n, size, j):
 def test_full_block_is_a_design_at_high_strength(n, t):
     full = Design(n, ((1 << n) - 1,))
     assert is_t_design(full, t) == (True, [1] * (t + 1))
+
+
+def test_coverage_routes():
+    # the Witt design and its complement, and Paley designs at t = 2, cost
+    # less as one count of block pairs than as a walk; the complete
+    # 10-uniform design on 20 points (184,756 blocks, 34 billion pairs) walks
+    witt = construct_witt_23()
+    for d, t in [(witt, 4), (witt, 5), (complement(witt), 4), (complement(witt), 5),
+                 (construct_paley_hadamard(19), 2), (construct_paley_hadamard(47), 2)]:
+        assert _pairs_cheaper(d.n, d.blocks, t)
+    complete = tuple(map(mask_of, itertools.combinations(range(20), 10)))
+    assert not any(_pairs_cheaper(20, complete, t) for t in range(1, 11))
 
 
 def test_coverage_refuses_oversized_size_class(monkeypatch, fano):

@@ -14,6 +14,7 @@ from tightrel import (
     RelativeCandidate,
     complement,
     construct_paley_hadamard,
+    construct_witt_23,
     is_regular_twise_balanced,
     is_t_design,
     krawtchouk,
@@ -524,6 +525,31 @@ def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
     assert relative_design_oracle(unequal, 3) == (False, (3, (0, 1, 2)))
     assert len(calls) == 1
+
+
+def _witt_pair():
+    witt = construct_witt_23()
+    return RelativeCandidate.from_designs(witt, complement(witt))
+
+
+def _paley_pair(q):
+    paley = construct_paley_hadamard(q)
+    return RelativeCandidate.from_designs(paley, complement(paley))
+
+
+@pytest.mark.parametrize(
+    "pair,t,start",
+    [(_witt_pair, 5, 3), (lambda: _paley_pair(43), 3, 3), (lambda: _paley_pair(47), 3, 3),
+     (lambda: _paley_pair(23), 3, None)],
+)
+def test_oracle_routes(monkeypatch, pair, t, start):
+    # the Witt pair at t = 5 and the Paley(43) and Paley(47) pairs at t = 3
+    # walk sizes 1 and 2, probe size 3 and leave sizes 3..t to the pair
+    # profile; the Paley(23) pair at t = 3 walks every size
+    starts = []
+    monkeypatch.setattr(_pairs, "first_failing_size", lambda n, shells, s, *rest: starts.append(s))
+    assert relative_design_oracle(pair(), t) == (True, None)
+    assert starts == ([] if start is None else [start])
 
 
 def test_oracle_complete_shells_take_the_pair_profile():

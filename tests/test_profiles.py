@@ -5,16 +5,18 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from tightrel import (
     Design,
     LambdaSequence,
     complement,
     conjecture2_scan,
+    construct_paley_hadamard,
     lambda_sequence,
 )
-from tightrel.designs import coverage_map, mask_of
+from tightrel import designs as designs_module, profiles
+from tightrel.designs import _two_values, coverage_map, is_t_design, mask_of
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
 
@@ -67,6 +69,68 @@ def test_lambda_sequence_matches_reference(design):
         assert coverage_map(design, 3) == reference_coverage(design, 3)
 
 
+@st.composite
+def _uniform_designs(draw):
+    """A design of one block size r >= 1 and a strength t <= r: blocks drawn
+    from a pool of at most four (so that blocks repeat), the full point set
+    repeated, a complete design or a relabelled Paley design; on n <= 12
+    points, or n = 128 with blocks of at most 6 points."""
+    n = draw(st.sampled_from([*range(1, 13), 128]))
+    kind = draw(st.sampled_from(["pool", "pool", "full", "complete", "paley"]))
+    if kind == "paley" and n in (7, 11):
+        perm = draw(st.permutations(range(n)))
+        blocks = relabel(construct_paley_hadamard(n), dict(enumerate(perm))).blocks
+    elif kind == "complete" and n <= 10:
+        blocks = tuple(map(mask_of, itertools.combinations(range(n), draw(st.integers(1, n)))))
+    elif kind == "full" and n <= 12:
+        blocks = ((1 << n) - 1,) * draw(st.integers(1, 3))
+    else:
+        r = draw(st.integers(1, min(n, 6)))
+        block = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(mask_of)
+        pool = draw(st.lists(block, min_size=1, max_size=4))
+        blocks = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    design = Design(n, blocks)
+    return design, draw(st.integers(1, design.uniform_size()))
+
+
+def _on_route(design, t, pairs):
+    """lambda_sequence's entries and is_t_design's answer, with the route
+    set: pairs=True takes the pair count (and falls back to the walk when
+    the counts take other values than a and a+1), pairs=False the walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "_pairs_cheaper", lambda *args: pairs)
+        mp.setattr(designs_module, "_pairs_cheaper", lambda *args: pairs)
+        return lambda_sequence(design, t).entries, is_t_design(design, t)
+
+
+_FANO = construct_paley_hadamard(7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uniform_designs())
+@example((Design(7, _FANO.blocks * 2), 2))  # duplicate blocks: one value, 2
+@example((_FANO, 3))  # t = r: 0 and 1
+@example((Design(5, (31,) * 3), 2))  # blocks of size n: one value, 3
+@example((Design(6, (0b111, 0b1110, 0b11100)), 2))  # 0, 1 and 2
+@example((Design(5, (7, 7)), 2))  # 0 and 2, not adjacent
+@example((construct_paley_hadamard(11), 3))  # 0 and 1
+def test_pair_route_matches_walk(case):
+    # the pair count decides the histogram when its values are a and a+1,
+    # and declines it otherwise; each route is run on its own, and the walk
+    # is checked against a count of every block's t-subsets
+    design, t = case
+    walked, verdict = _on_route(design, t, False)
+    assert walked == _reference_lambda_sequence(design, t)
+    values = [v for v, _ in walked]
+    if values[-1] - values[0] <= 1:
+        expect = (values[0], walked[1][1] if len(walked) == 2 else 0)
+    else:
+        expect = None
+    assert _two_values(design.n, design.blocks, t) == expect
+    assert verdict[0] == (expect is not None and expect[1] == 0)
+    assert _on_route(design, t, True) == (walked, verdict)
+
+
 def test_lambda_sequence_near_block_size(biplane37):
     # the 27-subsets of 37 blocks of size 28, any two of which share 21
     # points: deep prefixes that several blocks contain
@@ -82,15 +146,16 @@ def test_lambda_sequence_beyond_int64():
     assert seq.entries == _reference_lambda_sequence(block, 19)
 
 
-def test_lambda_sequence_checks_raise(fano, monkeypatch):
+def test_lambda_sequence_checks_raise(monkeypatch):
     # the double-counting checks raise, so python -O keeps them: a kernel
-    # that drops a covered t-subset trips the weighted total check
+    # that drops a covered t-subset trips the weighted total check.  The
+    # triples of Paley(19) lie in 1, 2 or 3 blocks, so the walk counts them
     import tightrel.profiles as profiles
 
     real = profiles._coverage
     monkeypatch.setattr(profiles, "_coverage", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
-        lambda_sequence(fano, 2)
+        lambda_sequence(construct_paley_hadamard(19), 3)
 
 
 def test_lambda_sequence_keeps_only_the_counts():
