@@ -794,16 +794,12 @@ def verb_files(tmp_path):
         (["check-relative", "pair.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
-        # verify and lambda-seq decide Paley(19) at t = 2, and verify at t = 3,
-        # from one count of its block pairs; lambda-seq at t = 3 finds three
-        # values there and walks.  No route loads hamming, _pairs or fractions
+        # verify and lambda-seq decide Paley(19) at t = 2, and verify at t = 3
+        # (the last two rows), from one count of its block pairs; lambda-seq
+        # at t = 3 finds three values there and walks.  No route loads
+        # hamming, _pairs or fractions
         (["verify", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
-        (["verify", "paley.blk", "--t", "3"], 1,
-         sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
-        (["lambda-seq", "paley.blk", "--t", "2"], 0,
-         sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
-                 "tightrel.profiles"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
                  "tightrel.profiles"])),
@@ -826,6 +822,12 @@ def verb_files(tmp_path):
         (["check-relative", "fano.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
+        # appended last, so the existing parameter ids keep their rows
+        (["verify", "paley.blk", "--t", "3"], 1,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
+        (["lambda-seq", "paley.blk", "--t", "2"], 0,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
+                 "tightrel.profiles"])),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
