@@ -1,11 +1,12 @@
 """The Design record on points 0..n-1, its bit helpers, its DESIGN v1 text
 format, its bit-sliced block columns and the count of block pairs by the
-size of their intersection, with the cost units that choose between that
-count and a walk over subsets.  Blocks are int bitsets, so membership tests
-and complements are single integer operations.  This module imports only
-the leaf `_base` from tightrel, so a verb that reads design files and runs
-the moment oracle compiles no coverage kernel, and the coverage questions
-count block pairs without the oracle's modules.
+size of their intersection, with the price that weighs that count against
+a walk over subsets and the test that reads a verdict from it.  Blocks are
+int bitsets, so membership tests and complements are single integer
+operations.  This module imports only the leaf `_base` from tightrel, so a
+verb that reads design files and runs the moment oracle compiles no
+coverage kernel, and the coverage questions count block pairs without the
+oracle's modules.
 """
 
 from __future__ import annotations
@@ -131,15 +132,37 @@ def _pair_counts(blocks, others, n: int, lo: int, hi: int) -> list:
 
 # Cost units for choosing between a walk over subsets and one count of block
 # pairs, in about nanoseconds on a 2-vCPU x86 host.  A walk costs about 500 ns
-# plus 150 ns per 64 blocks per subset.  _pair_counts costs about 1 us per
-# block row and 1 ns per ordered block pair per unit of work on it: a point
-# that a row sums, or an intersection size that bytes.count scans for.
+# plus 150 ns per 64 blocks per subset, and 500 ns per prefix it stacks.
+# _pair_counts costs about 1 us per block row and 1 ns per ordered block pair
+# per unit of work on it: a point that a row sums, or an intersection size
+# that bytes.count scans for.
 def _walk_work(blocks: int, subsets: int) -> int:
     return (500 + 150 * (blocks >> 6)) * subsets
 
 
-def _count_work(rows: int, pair_units: int) -> int:
-    return 1_000 * rows + pair_units
+def _pair_work(n: int, shells, t: int = 0) -> int:
+    """The cost of one count of the pairs of blocks of `shells`, a list of
+    (r, block count): a row per block for its own shell and each later one,
+    and per ordered pair the r points of its first block and the
+    intersection sizes from t up that the two block sizes allow."""
+    rows = units = 0
+    for k, (r, b) in enumerate(shells):
+        rows += b * (len(shells) - k)
+        for q, c in shells:
+            units += b * c * (r + min(r, q) + 1 - max(t, r + q - n))
+    return 1_000 * rows + units
+
+
+def _two_values(m0: int, m1: int, m2: int):
+    """(a, h) when m0 integers with sum m1 and sum of squares m2 all equal
+    a or a+1, h of them a+1; None when they take other values.  With
+    a = m1 // m0 the sum of (x-a)(x-a-1) over the integers x,
+    m2 - (2a+1) m1 + a(a+1) m0, has no negative term, so it is 0 exactly
+    when every x is a or a+1."""
+    a = m1 // m0
+    if m2 - (2 * a + 1) * m1 + a * (a + 1) * m0:
+        return None
+    return a, m1 - a * m0
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@
 counted by their two shells and the size of their intersection, and the
 subset sizes at which the moment identity fails, decided from those counts
 (see the hamming docstring for the identity).  The pairs are counted by
-_design._pair_counts; this module holds the moment polynomials of the
+_design._pair_counts and each size is judged in integers by
+_design._two_values; this module holds the moment polynomials of the
 oracle, and only the oracle's pair route imports it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from ._design import _pair_counts
-from .hamming import shell_moment
+from ._design import _pair_counts, _two_values
 
 
 def _pair_moments(n: int, r: int, q: int, lo: int, hi: int, top: int) -> list:
@@ -46,39 +45,36 @@ def first_failing_size(n: int, shells, start: int, t: int, half: int):
     shells holds two (r, blocks, W) with integer weights W.  Below `half`
     the check at S is the moment identity, from `half` on the weighted
     balance of the union, as in hamming.relative_design_oracle.  A level
-    passes when its defects, squared and summed over the s-subsets, give 0.
+    passes when the block sums X(S) of its s-subsets S, all integers, take
+    one value, as _design._two_values tells from their sum and sum of
+    squares.
     """
-    (r1, blocks1, w1), (r2, blocks2, w2) = shells
     top = min(t, half - 1)  # the moment-identity sizes
-    profile = []  # (weight of the pair, lo, counts, moments)
-    for rows, r, cols, q, factor in (
-        (blocks1, r1, blocks1, r1, w1 * w1),
-        (blocks1, r1, blocks2, r2, 2 * w1 * w2),  # the (2, 1) pairs count alike
-        (blocks2, r2, blocks2, r2, w2 * w2),
-    ):
-        lo, hi = max(0, r + q - n), min(r, q)
-        counts = _pair_counts(rows, cols, n, lo, hi)
-        if rows is cols:  # each unordered pair both ways
-            counts = [2 * c for c in counts]
-        # the rest share hi points, each block with itself among them
-        counts.append(len(rows) * len(cols) - sum(counts))
-        profile.append((factor, lo, counts, _pair_moments(n, r, q, lo, hi, top)))
-    sizes = ((r1, len(blocks1), w1), (r2, len(blocks2), w2))
+    profile = []  # (weight of the pair, lo, counts, K_s(r, q, i) in row i - lo)
+    for j, (r, rows, w) in enumerate(shells):
+        for q, cols, v in shells[j:]:
+            lo, hi = max(0, r + q - n), min(r, q)
+            counts = _pair_counts(rows, cols, n, lo, hi)
+            if rows is cols:  # each unordered pair both ways
+                counts = [2 * c for c in counts]
+            # the rest share hi points, each block with itself among them
+            counts.append(len(rows) * len(cols) - sum(counts))
+            kernels = [k + [math.comb(i, s) for s in range(half, t + 1)]  # the balance sizes
+                       for i, k in enumerate(_pair_moments(n, r, q, lo, hi, top), lo)]
+            # the pairs of a later shell with an earlier one count alike
+            profile.append((w * v * (1 if rows is cols else 2), lo, counts, kernels))
     for s in range(start, t + 1):
-        if s < half:
-            target = sum(
-                Fraction(w * m * shell_moment(n, s, r), math.comb(n, r)) for r, m, w in sizes
-            )
-            pairs = sum(
-                factor * sum(c * k[s] for c, k in zip(cnt[lo:], moments))
-                for factor, lo, cnt, moments in profile
-            )
-        else:
-            target = Fraction(sum(w * m * math.comb(r, s) for r, m, w in sizes), math.comb(n, s))
-            pairs = sum(
-                factor * sum(c * math.comb(i, s) for i, c in enumerate(cnt))
-                for factor, _, cnt, _ in profile
-            )
-        if target.denominator != 1 or pairs != math.comb(n, s) * target.numerator**2:
+        # the sums over the s-subsets S of the weighted block sum X(S), and of
+        # X(S)^2; a block's product at S is a^|B cap S| b^(s-|B cap S|), with
+        # a, b = 1, 0 at the balance sizes, where a block counts when it holds S
+        m1 = m2 = 0
+        for r, blocks, w in shells:
+            a, b = (n - 2 * r + 2, n - 2 * r - 2) if s < half else (1, 0)
+            m1 += w * len(blocks) * sum(math.comb(r, x) * math.comb(n - r, s - x)
+                                        * a**x * b ** (s - x) for x in range(s + 1))
+        for factor, lo, cnt, kernels in profile:
+            m2 += factor * sum(c * k[s] for c, k in zip(cnt[lo:], kernels))
+        two = _two_values(math.comb(n, s), m1, m2)
+        if two is None or two[1]:
             return s
     return None

@@ -6,8 +6,8 @@ bit k says whether block k holds it): it visits, in lex order, the subsets
 that some block contains, and ANDs their points' columns to get the blocks
 that contain them.  When it costs less, is_t_design and lambda_sequence
 first count the ordered block pairs by the size of their intersection
-(_two_values): that gives the first two moments of the coverage counts, and
-the integer variance bound then says whether the counts take only two
+(_pair_values): that gives the first two moments of the coverage counts,
+from which _design._two_values says whether the counts take only two
 adjacent values, and how often each.  The Design record, its text format
 and the pair count live in the leaf module `_design`, and the transforms
 and constructions in `constructions`; the record and format names are also
@@ -23,7 +23,7 @@ from operator import and_
 
 from ._design import MAX_POINTS, Design, _columns, bits_of, mask_of  # noqa: F401
 from ._design import design_text, load_design, parse_block_line, save_design  # noqa: F401
-from ._design import _count_work, _pair_counts, _walk_work
+from ._design import _pair_counts, _pair_work, _two_values, _walk_work
 
 # Bound on the coverage walk's work for one block size r: the C(r, j)
 # j-subsets of all blocks of that size, and the j positions of each j-subset
@@ -172,32 +172,22 @@ def _first_uncovered(n: int, blocks, sets, j: int):
     return None
 
 
-def _pairs_cheaper(n: int, blocks, t: int) -> bool:
-    """Whether one count of the pairs of `blocks` (one size r >= t), whose
-    rows each sum r byte columns, costs less than the walk over the
-    t-subsets that the blocks cover."""
+def _pair_values(n: int, blocks, t: int):
+    """_two_values of the counts lambda(S) of the t-subsets S of range(n)
+    in `blocks` (one size r >= t), from one count of the block pairs:
+    m0 = C(n,t), m1 = sum_B C(r,t) and m2 = sum_{B,B'} C(|B cap B'|,t).
+    False, with nothing counted, when the walk over the covered t-subsets
+    costs less."""
     r, b = blocks[0].bit_count(), len(blocks)
+    # the covered t-subsets, and on each block's path one stacked prefix per
+    # level above the last two, at the base cost
     walk = _walk_work(b, min(math.comb(n, t), b * math.comb(r, t)))
-    return _count_work(b, b * b * r) < walk
-
-
-def _two_values(n: int, blocks, t: int):
-    """(a, h) when every t-subset of range(n) lies in a or a+1 of `blocks`
-    (one size r >= t), h of them in a+1; None when the counts take other
-    values.  Decided from one count of block pairs: over the t-subsets S,
-    m0 = C(n,t), m1 = sum lambda(S) = sum_B C(r,t) and m2 = sum lambda(S)^2
-    = sum_{B,B'} C(|B cap B'|,t), and with a = m1 // m0 the sum of
-    (lambda(S)-a)(lambda(S)-a-1), m2 - (2a+1) m1 + a(a+1) m0, has no
-    negative term, so it is 0 exactly when every lambda(S) is a or a+1."""
-    r = blocks[0].bit_count()
-    m0, m1 = math.comb(n, t), len(blocks) * math.comb(r, t)
+    if _pair_work(n, [(r, b)], t) >= walk + _walk_work(0, b * max(t - 2, 0)):
+        return False
+    m0, m1 = math.comb(n, t), b * math.comb(r, t)
     # each block with itself, then the pairs k < k' both ways
     cnt = _pair_counts(blocks, blocks, n, max(t, 2 * r - n), r + 1)
-    m2 = m1 + 2 * sum(c * math.comb(i, t) for i, c in enumerate(cnt))
-    a = m1 // m0
-    if m2 - (2 * a + 1) * m1 + a * (a + 1) * m0:
-        return None
-    return a, m1 - a * m0
+    return _two_values(m0, m1, m1 + 2 * sum(c * math.comb(i, t) for i, c in enumerate(cnt)))
 
 
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
@@ -230,11 +220,11 @@ def is_t_design(design: Design, t: int):
     if t > r:
         raise ValueError("t exceeds the block size")
     n, blocks = design.n, design.blocks
-    if _pairs_cheaper(n, blocks, t):  # balanced: every count is a, none a+1
-        two = _two_values(n, blocks, t)
-        balanced = two is not None and two[1] == 0
-    else:
+    two = _pair_values(n, blocks, t)
+    if two is False:
         balanced = _first_unbalanced(n, blocks, t, {r: 1}) is None
+    else:  # balanced: every count is a, none a+1
+        balanced = two is not None and two[1] == 0
     if not balanced:
         return False, None
     # balanced: every t-subset has the double-counting share b C(r,t) / C(n,t)

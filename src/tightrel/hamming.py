@@ -31,22 +31,22 @@ carries the blocks missing at most 0 and 1 points of the prefix as two
 masks stacked in one int, and weighs popcounts with exact integers.
 
 A size can also be decided at once, from the block pairs (_pairs, which
-counts them with _design._pair_counts).  With
-integer shell weights W, let D(S) be the weighted block sum at S less its
-average T_s.  Summed over the s-subsets, D(S)^2 gives
-
-    sum_{B,B'} W W' K_s(|B|, |B'|, |B cap B'|) - C(n,s) T_s^2,
-
+counts them with _design._pair_counts).  With integer shell weights W the
+weighted block sum X(S) at an s-subset S is an integer, and the identity
+holds at every S exactly when X(S) takes one value.  Over the s-subsets, X
+sums to m1 = sum_B W M_s(|B|), where M_s(r) = sum_x C(r,x) C(n-r,s-x)
+a^x b^(s-x), and X^2 to m2 = sum_{B,B'} W W' K_s(|B|, |B'|, |B cap B'|),
 where K_s(r, r', i), the sum over S of the two blocks' products, is the
 z^s coefficient of (1+aa'z)^i (1+ab'z)^(r-i) (1+ba'z)^(r'-i)
-(1+bb'z)^(n-r-r'+i) with a, b = n-2r+2, n-2r-2 and a', b' from r'; for the
-balance sizes it is C(i, s).  One count of the ordered block pairs by
-their shells and i thus decides every size, and the first size with a
-nonzero sum is the first failing one; the walk then names the witness at
-that size alone.  With N blocks the walk takes C(n,s) subsets at size s,
-each 4 ANDs and popcounts of N bits; the profile scans one byte per block
-pair and intersection size, once for all sizes.  The oracle walks the
-sizes that are cheap next to the profile and leaves the rest to it.
+(1+bb'z)^(n-r-r'+i) with a, b = n-2r+2, n-2r-2 and a', b' from r'; at the
+balance sizes a, b = a', b' = 1, 0, so M_s(r) = C(r, s) and K_s = C(i, s).
+_design._two_values tells from C(n,s), m1 and m2 whether X takes one
+value, so one count of the ordered block pairs by their shells and i
+decides every size; the walk then names the witness at the first failing
+size alone.  With N blocks the walk takes C(n,s) subsets at size s, each 4
+ANDs and popcounts of N bits; the profile scans one byte per block pair
+and intersection size, once for all sizes.  The oracle walks the sizes
+that are cheap next to the profile and leaves the rest to it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _ascii_int, _columns, _count_work, _walk_work
+from ._design import Design, _INT, _ascii_int, _columns, _pair_work, _walk_work
 from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
@@ -241,23 +241,12 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
-# The fixed cost of the pair profile: importing _pairs (1.2-1.8 ms, compiled
-# from source) and, on its first call, the moment polynomials and Fraction
-# targets, which the row and byte figures leave out.  Together 2.1-3.1 ms
-# past those figures, in fresh processes on the Witt, n = 22 and Paley(43)
-# and (47) pairs (2 vCPU, Python 3.11.7).
-_PAIRS_FIXED_NS = 3_000_000
-
-
-def _pair_work(cand: RelativeCandidate) -> int:
-    """Estimated cost of the pair profile, in _design's cost units: its
-    fixed cost, a sum of byte columns per block and a bytes.count pass per
-    possible intersection size."""
-    n, n1, n2, r1, r2 = cand.n, cand.design1.num_blocks, cand.design2.num_blocks, cand.r1, cand.r2
-    units = 0
-    for pairs, r, q in ((n1 * n1, r1, r1), (2 * n1 * n2, r1, r2), (n2 * n2, r2, r2)):
-        units += pairs * (min(r, q) - max(0, r + q - n))
-    return _PAIRS_FIXED_NS + _count_work(2 * n1 + n2, units)
+# The fixed cost of the pair profile: importing _pairs (1.4-1.9 ms, compiled
+# from source) and, on its first call, the moment polynomials, which the row
+# and byte figures leave out.  Together 1.4-2.8 ms past those figures, 2.5 ms
+# in the median (quartiles of 15 fresh processes on each of the Witt, n = 22
+# and Paley(43) and (47) pairs, 2 vCPU, Python 3.11.7).
+_PAIRS_FIXED_NS = 2_500_000
 
 
 def relative_design_oracle(cand: RelativeCandidate, t: int):
@@ -328,7 +317,8 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     # the walk takes the sizes whose subsets cost little next to one pass over
     # the block pairs, and the first few subsets of the next size; the pair
     # profile decides the rest, and the walk names the witness where it fails
-    walked, pair_work = 0, _pair_work(cand)
+    pair_work = _PAIRS_FIXED_NS + _pair_work(n, [(r, d.num_blocks) for r, d, _ in cand.shells()])
+    walked = 0
     walk_all = _walk_work(size, sum(math.comb(n, s) for s in range(1, t + 1))) <= pair_work
     for s in range(1, t + 1):
         walked += _walk_work(size, math.comb(n, s))

@@ -1,6 +1,6 @@
 """Coverage-count histograms over all t-subsets, and detection of distinct
 designs sharing a histogram.  Where one count of block pairs shows that the
-counts take two adjacent values a and a+1 (designs._two_values), that count
+counts take two adjacent values a and a+1 (designs._pair_values), that count
 gives the histogram; otherwise the counts come from the coverage walk of
 designs.py, and a t-subset it does not visit counts 0."""
 
@@ -10,7 +10,7 @@ import math
 from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _coverage, _pairs_cheaper, _two_values
+from .designs import Design, _coverage, _pair_values
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -56,8 +56,7 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
     n, blocks, total = design.n, design.blocks, math.comb(design.n, t)
-    two = _two_values(n, blocks, t) if _pairs_cheaper(n, blocks, t) else None
-    if two:
+    if two := _pair_values(n, blocks, t):
         a, h = two
         entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
     else:

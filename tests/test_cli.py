@@ -844,6 +844,19 @@ def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded
     assert proc.stdout.splitlines() == ["[]", f"{code} {loaded}"]
 
 
+def test_pair_profile_loads_neither_hamming_nor_fractions(tmp_path):
+    # the pair profile decides its sizes with _design's integer criterion,
+    # so it needs neither the oracle's module nor fractions
+    code = ("import sys, tightrel._pairs; "
+            "print(sorted(m for m in sys.modules if m.startswith('tightrel') or m == 'fractions'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["tightrel", "tightrel._base", "tightrel._design",
+                                       "tightrel._pairs"])
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [(["verify", "paley.blk", "--t", "2"], 0), (["check-relative", "pair.rel", "--tight"], 0),

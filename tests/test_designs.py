@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 import sys
 import tempfile
@@ -28,7 +29,7 @@ from tightrel import (
     residual,
     save_design,
 )
-from tightrel.designs import _first_unbalanced, _first_uncovered, _pairs_cheaper, bits_of, mask_of
+from tightrel.designs import _first_unbalanced, _first_uncovered, _pair_values, bits_of, mask_of
 from tightrel.designs import parse_block_line
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
@@ -526,16 +527,25 @@ def test_full_block_is_a_design_at_high_strength(n, t):
     assert is_t_design(full, t) == (True, [1] * (t + 1))
 
 
-def test_coverage_routes():
+def test_coverage_routes(fano):
     # the Witt design and its complement, and Paley designs at t = 2, cost
     # less as one count of block pairs than as a walk; the complete
-    # 10-uniform design on 20 points (184,756 blocks, 34 billion pairs) walks
+    # 10-uniform design on 20 points (184,756 blocks, 34 billion pairs)
+    # walks at every t.  _pair_values counts nothing, and gives False, when
+    # the walk costs less
     witt = construct_witt_23()
     for d, t in [(witt, 4), (witt, 5), (complement(witt), 4), (complement(witt), 5),
                  (construct_paley_hadamard(19), 2), (construct_paley_hadamard(47), 2)]:
-        assert _pairs_cheaper(d.n, d.blocks, t)
+        assert _pair_values(d.n, d.blocks, t) is not False
     complete = tuple(map(mask_of, itertools.combinations(range(20), 10)))
-    assert not any(_pairs_cheaper(20, complete, t) for t in range(1, 11))
+    assert all(_pair_values(20, complete, t) is False for t in range(1, 11))
+    # Fano at t = 3 walks: 7 covered triples, and one stacked prefix per block
+    assert _pair_values(7, fano.blocks, 3) is False
+    # 200 random 64-point blocks on 128 points at t = 64 cover only 200
+    # subsets, but the walk stacks 62 prefixes on its way into each block
+    rng = random.Random(1)
+    wide = tuple(mask_of(rng.sample(range(128), 64)) for _ in range(200))
+    assert _pair_values(128, wide, 64) == (0, 200)
 
 
 def test_coverage_refuses_oversized_size_class(monkeypatch, fano):

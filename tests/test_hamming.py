@@ -437,7 +437,8 @@ def _on_route(cand, t, pair_work):
     """The oracle's answer with its pair-work estimate set: 0 leaves every
     size to the pair profile, 2**200 every size to the subset walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamming, "_pair_work", lambda cand: pair_work)
+        mp.setattr(hamming, "_PAIRS_FIXED_NS", 0)
+        mp.setattr(hamming, "_pair_work", lambda n, shells: pair_work)
         return relative_design_oracle(cand, t)
 
 

@@ -15,8 +15,9 @@ from tightrel import (
     construct_paley_hadamard,
     lambda_sequence,
 )
-from tightrel import designs as designs_module, profiles
-from tightrel.designs import _two_values, coverage_map, is_t_design, mask_of
+from tightrel import designs as designs_module
+from tightrel._design import _two_values
+from tightrel.designs import _pair_values, coverage_map, is_t_design, mask_of
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
 
@@ -94,13 +95,14 @@ def _uniform_designs(draw):
 
 
 def _on_route(design, t, pairs):
-    """lambda_sequence's entries and is_t_design's answer, with the route
-    set: pairs=True takes the pair count (and falls back to the walk when
-    the counts take other values than a and a+1), pairs=False the walk."""
+    """lambda_sequence's entries, is_t_design's answer and the pair count's
+    (a, h), with the route set: pairs=True takes the pair count (and
+    lambda_sequence falls back to the walk when the counts take other
+    values than a and a+1), pairs=False the walk, which counts no pairs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(profiles, "_pairs_cheaper", lambda *args: pairs)
-        mp.setattr(designs_module, "_pairs_cheaper", lambda *args: pairs)
-        return lambda_sequence(design, t).entries, is_t_design(design, t)
+        mp.setattr(designs_module, "_pair_work", lambda *args: 0 if pairs else 2**200)
+        return (lambda_sequence(design, t).entries, is_t_design(design, t),
+                _pair_values(design.n, design.blocks, t))
 
 
 _FANO = construct_paley_hadamard(7)
@@ -119,16 +121,37 @@ def test_pair_route_matches_walk(case):
     # and declines it otherwise; each route is run on its own, and the walk
     # is checked against a count of every block's t-subsets
     design, t = case
-    walked, verdict = _on_route(design, t, False)
+    walked, verdict, uncounted = _on_route(design, t, False)
+    assert uncounted is False
     assert walked == _reference_lambda_sequence(design, t)
     values = [v for v, _ in walked]
     if values[-1] - values[0] <= 1:
         expect = (values[0], walked[1][1] if len(walked) == 2 else 0)
     else:
         expect = None
-    assert _two_values(design.n, design.blocks, t) == expect
     assert verdict[0] == (expect is not None and expect[1] == 0)
-    assert _on_route(design, t, True) == (walked, verdict)
+    assert _on_route(design, t, True) == (walked, verdict, expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=30)
+    | st.builds(lambda a, bits: [a + b for b in bits], st.integers(-(2**70), 2**70),
+                st.lists(st.integers(0, 1), min_size=1, max_size=30))
+)
+@example([0])  # m0 = 1
+@example([-5])
+@example([-3, -2, -2])  # negative, as the moment sums are when r > n/2 - 1
+@example([-1, 0, -1, 0])
+@example([4, 4, 4])
+@example([2, 4])  # not adjacent, but the same sum as [3, 3]
+@example([-1, 1])
+def test_two_values_matches_histogram(xs):
+    # (a, h) from the count, sum and sum of squares alone, against the values
+    hist = collections.Counter(xs)
+    low, high = min(hist), max(hist)
+    expect = (low, hist[low + 1]) if high - low <= 1 else None
+    assert _two_values(len(xs), sum(xs), sum(x * x for x in xs)) == expect
 
 
 def test_lambda_sequence_near_block_size(biplane37):
