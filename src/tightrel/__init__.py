@@ -20,8 +20,8 @@ _EXPORTS = {
     "constructions": """complement construct_paley_hadamard construct_witt_23 derived
         extend_pair residual""",
     "designs": "coverage_map is_regular_twise_balanced is_t_design lambda_count",
-    "feasibility": """FeasibleRow annotate_existence row_ruled_out rows_to_tsv scan_relative3
-        scan_relative4 scan_tsv""",
+    "feasibility": """FeasibleRow annotate_existence rows_to_tsv scan_relative3 scan_relative4
+        scan_tsv""",
     "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle
         save_candidate shell_moment""",
     "profiles": "LambdaSequence conjecture2_scan lambda_sequence",

@@ -4,8 +4,6 @@ imports nothing from tightrel, so a verb that needs only these pays for
 nothing else.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -9,8 +9,6 @@ coverage kernel, and the coverage questions count block pairs without the
 oracle's modules.
 """
 
-from __future__ import annotations
-
 import re
 from itertools import compress
 

@@ -7,8 +7,6 @@ _design._two_values; this module holds the moment polynomials of the
 oracle, and only the oracle's pair route imports it.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._design import _pair_counts, _two_values

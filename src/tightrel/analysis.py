@@ -5,8 +5,6 @@ complement index transfer, tightness, and the outside-triple coverage
 condition for complementary tight 3-designs.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -81,7 +79,7 @@ def _shell_lambdas(design: Design, t: int):
     return lams + [0] * (t - len(lams)) if ok else None
 
 
-def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
+def kageyama_constituents(cand: "RelativeCandidate", t: int) -> KageyamaReport:
     from .designs import is_regular_twise_balanced
 
     if t < 2:
@@ -109,7 +107,7 @@ def kageyama_constituents(cand: RelativeCandidate, t: int) -> KageyamaReport:
     return KageyamaReport(True, t, (lam_tm1, lam_t), tuple(reports))
 
 
-def check_via_thm34(cand: RelativeCandidate, t: int):
+def check_via_thm34(cand: "RelativeCandidate", t: int):
     """Balance-sum criterion: both shells must be (t-1)-designs and every
     t-subset T must satisfy
 
@@ -189,7 +187,7 @@ def complement_lambda_t(n: int, r: int, N: int, t: int, lambda_t_value) -> Fract
 # tightness
 
 
-def is_tight(cand: RelativeCandidate, t: int) -> bool:
+def is_tight(cand: "RelativeCandidate", t: int) -> bool:
     """Total size meets the bound and the candidate is a relative t-design."""
     if cand.total_size != tight_size(t, cand.n):
         return False
@@ -197,7 +195,7 @@ def is_tight(cand: RelativeCandidate, t: int) -> bool:
     return ok
 
 
-def complementary_pair(design: Design) -> RelativeCandidate:
+def complementary_pair(design: Design) -> "RelativeCandidate":
     """The design and its complement as a two-shell candidate, unit weights.
 
     Block size r must differ from n-r; shells come out ordered by size.
@@ -211,7 +209,7 @@ def complementary_pair(design: Design) -> RelativeCandidate:
     return RelativeCandidate.from_designs(design, complement(design))
 
 
-def prop44_check(cand: RelativeCandidate):
+def prop44_check(cand: "RelativeCandidate"):
     """Outside-triple coverage condition for complementary-shell candidates.
 
     Requires r1 + r2 = n, equal weights, and a tight relative 3-design;

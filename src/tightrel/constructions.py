@@ -5,8 +5,6 @@ length-23 residue code).  Only the construct and transform verbs load this
 module.
 """
 
-from __future__ import annotations
-
 from ._design import MAX_POINTS, Design, mask_of
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ and constructions in `constructions`; the record and format names are also
 importable from here.
 """
 
-from __future__ import annotations
-
 import math
 from functools import reduce
 from itertools import combinations, groupby

@@ -38,8 +38,6 @@ Every output is a view of one split stream (_splits): scan_tsv formats its
 TSV lines directly, with no FeasibleRow or Fraction, and the rows use it too.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 
@@ -263,10 +261,6 @@ def annotate_existence(rows) -> list:
     ]
 
 
-def row_ruled_out(row: FeasibleRow) -> bool:
-    return any(v.outcome == "RuledOut" for v in row.verdicts)
-
-
 TSV_HEADER = "n\tr1\tr2\tN1\tN2\tlam1\tlam2\tratio\tpairs\tcase\tstar\tverdicts"
 
 
@@ -281,15 +275,13 @@ def _tsv_lines(n, r1, r2, N1, N2, lam1, lam2, star, lines, verdicts) -> str:
     )
 
 
-def rows_to_tsv(rows, header: bool = True) -> str:
-    chunks = [TSV_HEADER + "\n"] if header else []
-    chunks += [
+def rows_to_tsv(rows) -> str:
+    return TSV_HEADER + "\n" + "".join(
         _tsv_lines(row.n, row.r1, row.r2, row.N1, row.N2, row.lam1, row.lam2, row.star,
                    ((row.ratio.numerator, row.ratio.denominator, row.pairs, row.case),),
                    row.verdicts)
         for row in rows
-    ]
-    return "".join(chunks) or "\n"  # no header and no rows: one empty line
+    )
 
 
 def scan_tsv(t: int, max_n: int, cases=frozenset({1, 2, 3, 4}), annotate: bool = False):

@@ -49,8 +49,6 @@ and intersection size, once for all sizes.  The oracle walks the sizes
 that are cheap next to the profile and leaves the rest to it.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction
@@ -143,7 +141,7 @@ class RelativeCandidate(_Record):
                 f"shells ({ra},{rb}) leave the window 2 <= r1 < r2 <= n-2; "
                 "pass allow_trivial to accept"
             )
-        return cls(d_a.n, ra, rb, d_a, d_b, Fraction(w_a), Fraction(w_b))
+        return cls(d_a.n, ra, rb, d_a, d_b, w_a, w_b)
 
     @property
     def total_size(self) -> int:

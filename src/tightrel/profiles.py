@@ -4,8 +4,6 @@ counts take two adjacent values a and a+1 (designs._pair_values), that count
 gives the histogram; otherwise the counts come from the coverage walk of
 designs.py, and a t-subset it does not visit counts 0."""
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 

@@ -10,8 +10,6 @@ exact and on ints only, so this module needs nothing beyond math and
 _base.py.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._base import DesignParams, _Record

@@ -24,7 +24,6 @@ from tightrel import (
     p_ell_t_formula,
     relative_design_oracle,
     annotate_existence,
-    row_ruled_out,
     scan_relative3,
     scan_relative4,
     tight_size,
@@ -137,7 +136,8 @@ def test_criterion_04_case1_table_to_100():
     assert len(CASE1_TABLE) == 79 and len(rows) == 79
     assert {(r.n, r.r1, r.lam1) for r in rows} == CASE1_TABLE
     ruled = {
-        (r.n, r.r1) for r in annotate_existence(rows) if row_ruled_out(r)
+        (r.n, r.r1) for r in annotate_existence(rows)
+        if any(v.outcome == "RuledOut" for v in r.verdicts)
     }
     assert ruled == CASE1_RULED
     _done("criterion 04", started, 5.0)
@@ -243,7 +243,7 @@ def test_criterion_07_strength4_table_to_50(tmp_path):
     ruled = {
         (r.n, r.r1, r.r2)
         for r in annotate_existence(rows)
-        if row_ruled_out(r)
+        if any(v.outcome == "RuledOut" for v in r.verdicts)
     }
     assert ruled == STRENGTH4_RULED and len(ruled) == 17
     _done("criterion 07", started, 60.0)

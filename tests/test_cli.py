@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import io
 import itertools
 import math
@@ -752,7 +753,7 @@ print(sorted(m for m in sys.modules if m.startswith("tightrel.")))
 import tightrel.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = tightrel.cli.main(sys.argv[1:])
-watched = ("argparse", "dataclasses", "fractions", "gettext", "inspect", "locale")
+watched = ("__future__", "argparse", "dataclasses", "fractions", "gettext", "inspect", "locale")
 print(code, sorted(m for m in sys.modules if m.startswith("tightrel.") or m in watched))
 """
 
@@ -832,10 +833,10 @@ def verb_files(tmp_path):
 )
 def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
     # `import tightrel` loads no submodule; a verb loads its own command
-    # module and the modules it runs, no verb here pays for dataclasses and
-    # inspect, only the weighted candidates of check-relative need fractions,
-    # and a valid command line of a verb without sub-verbs is parsed without
-    # argparse, so without gettext and locale
+    # module and the modules it runs, no verb here pays for __future__,
+    # dataclasses and inspect, only the weighted candidates of check-relative
+    # need fractions, and a valid command line of a verb without sub-verbs is
+    # parsed without argparse, so without gettext and locale
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
         capture_output=True, text=True, cwd=verb_files, env=_child_env(),
@@ -1074,6 +1075,31 @@ def test_plain_parse_declines(argv):
     # some of these argparse takes (a repeated option, --opt=value, an
     # abbreviation, a negative value): they are left to it all the same
     assert _parse_plain(argv) is None
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("workload", ["certify-witt", "scan-tables", "corpus-small"])
+def test_benchmark_calls_take_the_plain_parse(tmp_path, workload, seed):
+    # every call the benchmark makes is parsed without argparse, so its
+    # processes load neither argparse nor gettext and locale; a workload
+    # line that falls to argparse would add their import to its timings
+    inputs = _bench_inputs()
+    assert sorted(inputs.WORKLOADS) == ["certify-witt", "corpus-small", "scan-tables"]
+    calls = inputs.build(workload, seed, tmp_path)
+    assert calls
+    for call in calls:
+        plain = _parse_plain(call.argv)
+        assert plain is not None, call.argv
+        assert vars(plain) == _parse_outcome(_build_parser(call.argv), call.argv)[3]
 
 
 _ARGPARSE_EXITS = [case for case in _parser_cases() if case[1] is not None]

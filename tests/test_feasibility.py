@@ -16,7 +16,6 @@ from tightrel import (
     brc_test,
     driessen_test,
     legendre_solvable,
-    row_ruled_out,
     rows_to_tsv,
     scan_relative3,
     scan_relative4,
@@ -545,7 +544,7 @@ def test_annotate_routes_to_symmetric_tests():
         assert len(r.verdicts) == 2
         expect = "BRCOdd" if r.n % 2 else "SquareEven"
         assert all(v.test == expect for v in r.verdicts)
-    ruled = {(r.n, r.r1) for r in rows if row_ruled_out(r)}
+    ruled = {(r.n, r.r1) for r in rows if any(v.outcome == "RuledOut" for v in r.verdicts)}
     assert ruled == {(22, 7), (29, 8)}
 
 
@@ -553,7 +552,7 @@ def test_annotate_routes_to_driessen():
     rows = annotate_existence(scan_relative4(16))
     assert all(v.test == "Driessen" for r in rows for v in r.verdicts)
     mains = [r for r in rows if r.ratio == 1]
-    assert all(row_ruled_out(r) for r in mains)
+    assert all(any(v.outcome == "RuledOut" for v in r.verdicts) for r in mains)
 
 
 def test_annotate_copies_rows():
@@ -586,8 +585,9 @@ def test_rows_to_tsv_golden_line():
 
 def test_rows_to_tsv_placeholders():
     row = FeasibleRow(4, 11, 5, 6, 33, 33, 2, 4, Fraction(1), (), 0, False)
-    line = rows_to_tsv([row], header=False).strip()
-    assert line == "11\t5\t6\t33\t33\t2\t4\t1/1\t-\t-\t-\t-"
+    assert rows_to_tsv([row]).splitlines()[1:] == [
+        "11\t5\t6\t33\t33\t2\t4\t1/1\t-\t-\t-\t-"
+    ]
 
 
 # ---------------------------------------------------------------------------
