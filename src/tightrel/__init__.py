@@ -14,16 +14,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_base": "DesignParams FormatError tight_size",
     "analysis": """KageyamaReport ShellReport check_via_thm34 complement_lambda_t
-        complementary_pair is_tight kageyama_constituents p_ell_formula p_ell_t_formula
-        prop44_check""",
+        complementary_pair is_regular_twise_balanced is_tight kageyama_constituents
+        p_ell_formula p_ell_t_formula prop44_check""",
     "_design": "Design bits_of design_text load_design mask_of save_design",
     "constructions": """complement construct_paley_hadamard construct_witt_23 derived
         extend_pair residual""",
-    "designs": "coverage_map is_regular_twise_balanced is_t_design lambda_count",
+    "designs": "coverage_map is_t_design",
     "feasibility": """FeasibleRow annotate_existence rows_to_tsv scan_relative3 scan_relative4
         scan_tsv""",
-    "hamming": """RelativeCandidate krawtchouk load_candidate relative_design_oracle
-        save_candidate shell_moment""",
+    "hamming": "RelativeCandidate load_candidate relative_design_oracle save_candidate",
     "profiles": "LambdaSequence conjecture2_scan lambda_sequence",
     "screens": """NonexistenceVerdict admissibility_test brc_test driessen_test
         legendre_solvable nonexistence_test symmetric_square_test""",

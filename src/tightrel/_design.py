@@ -1,8 +1,9 @@
 """The Design record on points 0..n-1, its bit helpers, its DESIGN v1 text
-format, its bit-sliced block columns and the count of block pairs by the
-size of their intersection, with the price that weighs that count against
-a walk over subsets and the test that reads a verdict from it.  Blocks are
-int bitsets, so membership tests and complements are single integer
+format, its bit-sliced block columns, the one walk over subsets of them,
+and the count of block pairs by the size of their intersection, with the
+test that reads a verdict from it.  The walk counts its work, and pauses
+once it has done as much as that count would (_allowance).  Blocks are int
+bitsets, so membership tests and complements are single integer
 operations.  This module imports only the leaf `_base` from tightrel, so a
 verb that reads design files and runs the moment oracle compiles no
 coverage kernel, and the coverage questions count block pairs without the
@@ -10,7 +11,9 @@ oracle's modules.
 """
 
 import re
-from itertools import compress
+from functools import reduce
+from itertools import combinations, compress
+from operator import and_
 
 from ._base import FormatError, _Record
 
@@ -128,27 +131,143 @@ def _pair_counts(blocks, others, n: int, lo: int, hi: int) -> list:
     return cnt
 
 
-# Cost units for choosing between a walk over subsets and one count of block
-# pairs, in about nanoseconds on a 2-vCPU x86 host.  A walk costs about 500 ns
-# plus 150 ns per 64 blocks per subset, and 500 ns per prefix it stacks.
-# _pair_counts costs about 1 us per block row and 1 ns per ordered block pair
-# per unit of work on it: a point that a row sums, or an intersection size
-# that bytes.count scans for.
-def _walk_work(blocks: int, subsets: int) -> int:
-    return (500 + 150 * (blocks >> 6)) * subsets
+# The one exchange rate between the two routes: the units of a count of
+# block pairs (see _allowance) that cost as much as one 64-bit word of the
+# block mask at a walk node.  In process a word costs 60-460 ns, as a node
+# costs about 500 ns whatever its width, and a unit 0.1-0.6 ns (2 vCPU,
+# Python 3.11.7).  The oracle's pair profile also imports _pairs first,
+# about 1.2 ms, so the rate stays low enough that the Paley pairs up to
+# n = 23 at t = 3 walk within their allowance.
+_UNITS_PER_WORD = 250
 
 
-def _pair_work(n: int, shells, t: int = 0) -> int:
-    """The cost of one count of the pairs of blocks of `shells`, a list of
-    (r, block count): a row per block for its own shell and each later one,
-    and per ordered pair the r points of its first block and the
-    intersection sizes from t up that the two block sizes allow."""
+def _allowance(n: int, shells, t: int = 0) -> list:
+    """The walk's allowance, in mask words, before it pauses for one count
+    of the pairs of blocks of `shells`, a list of (r, block count), in a
+    list that the walk draws down.  The count's units are the bytes it adds
+    and scans: per ordered pair the r points of its first block and the
+    intersection sizes from t up that the two block sizes allow.  Each row,
+    one per block for its own shell and each later one, adds ten thousand,
+    as a row's own cost is about 3 us."""
     rows = units = 0
     for k, (r, b) in enumerate(shells):
         rows += b * (len(shells) - k)
         for q, c in shells:
             units += b * c * (r + min(r, q) + 1 - max(t, r + q - n))
-    return 1_000 * rows + units
+    return [(10_000 * rows + units) // _UNITS_PER_WORD]
+
+
+def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: int = 0):
+    """The one subset walk: the j-subsets of `points` (ascending), j >= 1, in
+    lex order, as one (prefix, m, later) per prefix of j - 1 points.  m masks
+    the blocks of `mask` that contain the prefix, and `later` lists the
+    points after it that complete a subset, whose mask is m & cols[q]; a
+    subset in no block has mask 0.
+
+    With skip the walk visits only the prefixes that some block contains,
+    so it leaves out most subsets in no block, and callers pass over the
+    rest by their mask 0.  A prefix keeps the blocks that contain it and
+    have enough points after it to reach size j, and as candidates their
+    later points; when every candidate lies in every such block, its
+    extensions are combinations.  Without skip it visits every j-subset.
+    With a width (the block count, and no skip), m also holds, shifted up by
+    width, the blocks that miss at most one point of the prefix: point p
+    turns m0, m1 into m0 & c_p, m1 & c_p | m0 with one AND of both.
+
+    `left` is a one-item list that holds an allowance.  The walk counts the
+    masks that it and its caller build, one per node and per candidate,
+    each weighing the 64-bit words of `mask`; where their weight passes the
+    allowance it yields None, once, and goes on when resumed.
+    """
+    words = (mask.bit_length() >> 6) + 1
+    high = mask << width if width else 0
+    reps = [c | c << width for c in cols] if width else cols
+    mask |= high
+    work, limit = 0, None if left is None else left[0] // words
+
+    def paused():  # True once, where the work passes the allowance
+        nonlocal limit
+        if limit is None or work <= limit:
+            return False
+        left[0], limit = left[0] - work * words, None
+        return True
+
+    cand = list(points)
+    if skip:
+        # after[p][c]: the blocks of mask with at least c of the points after p
+        after, at_least = {}, [mask] + [0] * j
+        for p in reversed(points):
+            after[p] = at_least
+            at_least = [mask] + [a | (b & cols[p]) for a, b in zip(at_least[1:], at_least)]
+        mask = at_least[j]
+        cand = [p for p in points if cols[p] & mask]
+        work = len(points) * (j + 1)
+    prefix, stack = [], []  # one (mask, cand, k) on the stack per prefix point
+    k, fresh = 0, skip
+    while len(prefix) < j - 1:
+        need = j - len(prefix)  # at least 2
+        if fresh and reduce(and_, map(cols.__getitem__, cand), mask) == mask:
+            # each extension keeps mask: its first need - 1 points, then the rest
+            for pos in combinations(range(len(cand) - 1), need - 1):
+                later = cand[pos[-1] + 1 :]
+                work += len(later)
+                if paused():
+                    yield None
+                yield (*prefix, *map(cand.__getitem__, pos)), mask, later
+            k = len(cand)
+        while k <= len(cand) - need:
+            p = cand[k]
+            k += 1
+            work += 1
+            m = mask & reps[p] | mask << width & high
+            if skip and not (m := m & after[p][need - 1]):
+                continue
+            if need == 2:  # a prefix of j - 1 points
+                work += len(cand) - k
+                if paused():
+                    yield None
+                yield (*prefix, p), m, cand[k:]
+            else:
+                stack.append((mask, cand, k))
+                prefix.append(p)
+                mask, fresh = m, skip and m != mask
+                if fresh:
+                    work += len(cand) - k
+                    cand, k = [q for q in cand[k:] if cols[q] & m], 0
+                if paused():
+                    yield None
+                break
+        else:
+            if not stack:
+                break
+            mask, cand, k = stack.pop()
+            prefix.pop()
+            fresh = False
+    else:  # j = 1: the empty prefix
+        work += len(cand)
+        if cand:
+            if paused():
+                yield None
+            yield (), mask, cand
+    if limit is not None:
+        left[0] -= work * words
+
+
+def _first_failing(cols, points, j: int, mask: int, holds, left=None):
+    """The lex-first j-subset of `points` (ascending) whose mask m of the
+    blocks of `mask` that contain it fails holds(m), or None; False when the
+    walk pauses at its allowance `left` first.  An uncovered subset has
+    m = 0, so the walk skips such subsets only when holds(0)."""
+    if j == 0:
+        return None if holds(mask) else ()
+    for item in _walk(cols, points, j, mask, holds(0), left):
+        if item is None:
+            return False
+        prefix, m, later = item
+        for q in later:
+            if not holds(m & cols[q]):
+                return (*prefix, q)
+    return None
 
 
 def _two_values(m0: int, m1: int, m2: int):

@@ -9,12 +9,15 @@ import math
 from fractions import Fraction
 
 from ._base import _Record, tight_size
-from ._design import Design, bits_of
+from ._design import Design, _columns, _first_failing, bits_of
 
 # The coverage kernel of designs loads inside the functions that count, so
 # that check-relative --tight, which needs only tight_size, does not compile it.
 
 __all__ = [
+    "union_design",
+    "weight_by_size",
+    "is_regular_twise_balanced",
     "ShellReport",
     "KageyamaReport",
     "kageyama_constituents",
@@ -27,6 +30,49 @@ __all__ = [
     "complementary_pair",
     "prop44_check",
 ]
+
+
+def union_design(cand: "RelativeCandidate") -> Design:
+    """Both shells merged into one mixed-size design."""
+    return Design(cand.n, cand.design1.blocks + cand.design2.blocks)
+
+
+def weight_by_size(cand: "RelativeCandidate") -> dict[int, Fraction]:
+    return {cand.r1: cand.w1, cand.r2: cand.w2}
+
+
+def is_regular_twise_balanced(design: Design, weights, t: int):
+    """Weighted balance check for a design with possibly mixed block sizes.
+
+    `weights` maps block size to a positive weight.  True iff the weighted
+    coverage sum of every j-subset is constant for each j = 1..t; the
+    balanced case returns [lam_1, ..., lam_t] as exact Fractions.
+    """
+    from .designs import _first_unbalanced
+
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    wmap = {}
+    for s in design.block_sizes():
+        if s not in weights:
+            raise ValueError(f"no weight given for block size {s}")
+        w = Fraction(weights[s])
+        if w <= 0:
+            raise ValueError("weights must be positive")
+        wmap[s] = w
+    sizes = [b.bit_count() for b in design.blocks]
+    count = {r: sizes.count(r) for r in wmap}
+    lams = []
+    # with mixed block sizes, balance at level j does not imply balance below
+    # it, so every level is checked
+    for j in range(1, t + 1):
+        if _first_unbalanced(design.n, design.blocks, j, wmap) is not None:
+            return False, None
+        # balanced: every j-subset has the double-counting share; past j = n
+        # there are no j-subsets, and the sum and C(n, j) are both 0
+        total = sum(w * count[r] * math.comb(r, j) for r, w in wmap.items())
+        lams.append(Fraction(total, math.comb(design.n, j) or 1))
+    return True, lams
 
 
 class ShellReport(_Record):
@@ -80,12 +126,9 @@ def _shell_lambdas(design: Design, t: int):
 
 
 def kageyama_constituents(cand: "RelativeCandidate", t: int) -> KageyamaReport:
-    from .designs import is_regular_twise_balanced
-
     if t < 2:
         raise ValueError("t must be >= 2")
-    union = cand.union_design()
-    ok, lams = is_regular_twise_balanced(union, cand.weight_by_size(), t)
+    ok, lams = is_regular_twise_balanced(union_design(cand), weight_by_size(cand), t)
     if not ok:
         return KageyamaReport(False, t, None, None)
     lam_tm1, lam_t = lams[t - 2], lams[t - 1]
@@ -131,7 +174,7 @@ def check_via_thm34(cand: "RelativeCandidate", t: int):
     # the right side is the double-counting share of a t-subset:
     # prod_{j<t} (r-j)/(n-j) = C(r,t)/C(n,t)
     blocks = cand.design1.blocks + cand.design2.blocks
-    witness = _first_unbalanced(cand.n, blocks, t, cand.weight_by_size())
+    witness = _first_unbalanced(cand.n, blocks, t, weight_by_size(cand))
     return witness is None, witness
 
 
@@ -227,11 +270,23 @@ def prop44_check(cand: "RelativeCandidate"):
     ok, _ = check_via_thm34(cand, 3)
     if not ok:
         return "not-applicable", "not a relative 3-design"
-    from .designs import _first_uncovered
-
     full, blocks = (1 << cand.n) - 1, cand.design2.blocks
     found = _first_uncovered(cand.n, cand.design1.blocks, [full ^ b for b in blocks], 3)
     if found is None:
         return "holds", None
     i, triple = found
     return "fails", (bits_of(blocks[i]), triple)
+
+
+def _first_uncovered(n: int, blocks, sets, j: int):
+    """(i, s) for the first of `sets` that holds a j-subset s inside no
+    block, with s its lex-first such subset; None when there is none."""
+    from .designs import _check_work
+
+    _check_work(blocks, j)
+    _check_work(sets, j)
+    cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
+    for i, s in enumerate(sets):
+        if (u := _first_failing(cols, bits_of(s), j, full, bool)) is not None:
+            return i, u
+    return None

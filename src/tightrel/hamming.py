@@ -26,9 +26,10 @@ at most one point of S.  Where both shells are (s-1)-designs only m = s is
 left: the weighted balance of the union at S.  For n = 2m the theorem stops
 at m, and the identities at sizes s >= m need not imply a relative t-design;
 there the oracle checks that balance at every size from m on instead.
-The scan is bit-sliced over blocks (_design._columns); a depth-first walk
-carries the blocks missing at most 0 and 1 points of the prefix as two
-masks stacked in one int, and weighs popcounts with exact integers.
+The scan is bit-sliced over blocks (_design._columns).  It runs on the
+subset walk of _design, which carries the blocks missing at most 0 and 1
+points of the prefix as two masks stacked in one int; the oracle weighs
+their popcounts with exact integers, over the last point of each prefix.
 
 A size can also be decided at once, from the block pairs (_pairs, which
 counts them with _design._pair_counts).  With integer shell weights W the
@@ -43,10 +44,9 @@ balance sizes a, b = a', b' = 1, 0, so M_s(r) = C(r, s) and K_s = C(i, s).
 _design._two_values tells from C(n,s), m1 and m2 whether X takes one
 value, so one count of the ordered block pairs by their shells and i
 decides every size; the walk then names the witness at the first failing
-size alone.  With N blocks the walk takes C(n,s) subsets at size s, each 4
-ANDs and popcounts of N bits; the profile scans one byte per block pair
-and intersection size, once for all sizes.  The oracle walks the sizes
-that are cheap next to the profile and leaves the rest to it.
+size alone.  The oracle walks until it has done the work of that count of
+the block pairs (_design._allowance), so a candidate whose walk ends or
+fails early never counts them.
 """
 
 import math
@@ -54,50 +54,15 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _ascii_int, _columns, _pair_work, _walk_work
+from ._design import Design, _INT, _allowance, _ascii_int, _columns, _walk
 from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
     "RelativeCandidate",
-    "krawtchouk",
-    "shell_moment",
     "relative_design_oracle",
     "load_candidate",
     "save_candidate",
 ]
-
-
-def krawtchouk(n: int, k: int, x: int) -> int:
-    """Q_k(x) on H(n,2), as an exact integer.
-
-    Q_k(x) = sum_j (-1)^j C(x,j) C(n-x,k-j).
-    """
-    if not 0 <= k <= n or not 0 <= x <= n:
-        raise ValueError("need 0 <= k <= n and 0 <= x <= n")
-    return sum(
-        (-1) ** j * math.comb(x, j) * math.comb(n - x, k - j)
-        for j in range(0, k + 1)
-    )
-
-
-def shell_moment(n: int, s: int, r: int) -> int:
-    """Sum over the whole shell X_r of the degree-1 product for s coordinates.
-
-    Equals sum_{l=0}^{s} C(s,l) C(n-s,r-l) Q1(r-1)^l Q1(r+1)^{s-l}; the value
-    does not depend on which s distinct coordinates are chosen.
-    """
-    if not 1 <= s <= n:
-        raise ValueError("need 1 <= s <= n")
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    a = n - 2 * (r - 1)  # Q1(r-1)
-    b = n - 2 * (r + 1)  # Q1(r+1)
-    total = 0
-    for l in range(0, s + 1):
-        if r - l < 0:
-            break
-        total += math.comb(s, l) * math.comb(n - s, r - l) * a**l * b ** (s - l)
-    return total
 
 
 class RelativeCandidate(_Record):
@@ -152,13 +117,6 @@ class RelativeCandidate(_Record):
             (self.r1, self.design1, self.w1),
             (self.r2, self.design2, self.w2),
         )
-
-    def union_design(self) -> Design:
-        """Both shells merged into one mixed-size design."""
-        return Design(self.n, self.design1.blocks + self.design2.blocks)
-
-    def weight_by_size(self) -> dict[int, Fraction]:
-        return {self.r1: self.w1, self.r2: self.w2}
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +197,6 @@ def save_candidate(cand: RelativeCandidate, t: int, path) -> None:
 # the oracle
 
 
-# The fixed cost of the pair profile: importing _pairs (1.4-1.9 ms, compiled
-# from source) and, on its first call, the moment polynomials, which the row
-# and byte figures leave out.  Together 1.4-2.8 ms past those figures, 2.5 ms
-# in the median (quartiles of 15 fresh processes on each of the Witt, n = 22
-# and Paley(43) and (47) pairs, 2 vCPU, Python 3.11.7).
-_PAIRS_FIXED_NS = 2_500_000
-
-
 def relative_design_oracle(cand: RelativeCandidate, t: int):
     """Check the two-shell moment identity for every subset size s = 1..t.
 
@@ -254,9 +204,10 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     subset of the smallest failing size; an s-subset costs 4 ANDs and
     popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
     of the union (a failing subset is one whose blocks' weight is off the
-    average), which the identities at those sizes need not imply.  Sizes
-    whose walk would cost more than the pair profile are decided by the
-    profile; the witness always comes from the walk.
+    average), which the identities at those sizes need not imply.  Where
+    the walk spends the work of one pass over the block pairs, the pair
+    profile decides the sizes from there on, and the walk, resumed or
+    restarted at the first failing size, names the witness.
     """
     n = cand.n
     if not 1 <= t <= n:
@@ -267,7 +218,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
     high, cols = full ^ low, _columns(cand.design1.blocks + cand.design2.blocks, n)
 
-    def level(s, probe=False):  # the lex-first failing s-subset, or None
+    def level(s, left):  # yields the lex-first failing s-subset, and None where the walk pauses
         # the terms m <= u drop out: below half both shells are (s-2)-designs by
         # now, and from half on u = s-1 leaves the weighted balance alone
         u = s - 1 if s >= half else max(s - 2, 0)
@@ -285,55 +236,41 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         # block sums are integers, so a fractional target fails the first subset
         target = target.numerator if target.denominator == 1 else target
         (x0, x1), (y0, y1) = steps
-        # the low half of a walk mask holds M_0 of the prefix, the high half M_1;
-        # point j turns them into M_0 & c_j and M_1 & c_j | M_0
-        rep = 1 if u == s - 1 else 1 | 1 << size
-        stack, reps = full * rep, [c * rep for c in cols]
-
-        def walk(prefix, ms, start):  # the first failing s-subset extending prefix, or None
-            if len(prefix) < s - 1:
-                for j in range(start, n + len(prefix) + 1 - s):
-                    if found := walk(prefix + (j,), ms & reps[j] | ms << size & stack, j + 1):
-                        return found
-                return None
+        # the walk's masks: M_0 of the prefix, and above it M_1 unless u = s-1
+        for item in _walk(cols, range(n), s, full, False, left, 0 if u == s - 1 else size):
+            if item is None:
+                yield None
+                continue
             # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
+            prefix, ms, later = item
             a0, a1, b0, b1 = ms & low, ms >> size & low, ms & high, ms >> size & high
             rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
-            for i in range(start, n):
+            for i in later:
                 c = cols[i]
                 if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
                         + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
-                    return s, prefix + (i,)
-            return None
+                    yield s, (*prefix, i)
+                    return
 
-        ms, prefix = stack, ()
-        if probe:  # only the first n-s+1 subsets: those holding 0..s-2
-            for j in range(s - 1):
-                ms, prefix = ms & reps[j] | ms << size & stack, prefix + (j,)
-        return walk(prefix, ms, len(prefix))
-
-    # the walk takes the sizes whose subsets cost little next to one pass over
-    # the block pairs, and the first few subsets of the next size; the pair
-    # profile decides the rest, and the walk names the witness where it fails
-    pair_work = _PAIRS_FIXED_NS + _pair_work(n, [(r, d.num_blocks) for r, d, _ in cand.shells()])
-    walked = 0
-    walk_all = _walk_work(size, sum(math.comb(n, s) for s in range(1, t + 1))) <= pair_work
+    left = _allowance(n, [(r, d.num_blocks) for r, d, _ in cand.shells()])
     for s in range(1, t + 1):
-        walked += _walk_work(size, math.comb(n, s))
-        if not walk_all and 4 * walked > pair_work:
+        walk = level(s, left)
+        found = next(walk, False)  # a witness, None where the walk pauses, False when s passes
+        if found is None:
             break
-        if found := level(s):
+        if found:
             return False, found
     else:
         return True, None
-    if found := level(s, probe=True):
-        return False, found
+    # the walk has done the work of one pass over the block pairs: the pair
+    # profile decides the sizes from s on
     from ._pairs import first_failing_size
 
     shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
-    s = first_failing_size(n, shells, s, t, half)
-    if s is None:
+    bad = first_failing_size(n, shells, s, t, half)
+    if bad is None:
         return True, None
-    if found := level(s):
+    # the paused walk resumes at its own size, or a new one walks the failing size
+    if found := next(walk if bad == s else level(bad, None), None):
         return False, found
-    raise RuntimeError(f"the pair profile fails at size {s}, but no {s}-subset does")
+    raise RuntimeError(f"the pair profile fails at size {bad}, but no {bad}-subset does")

@@ -1,14 +1,16 @@
 """Coverage-count histograms over all t-subsets, and detection of distinct
-designs sharing a histogram.  Where one count of block pairs shows that the
-counts take two adjacent values a and a+1 (designs._pair_values), that count
-gives the histogram; otherwise the counts come from the coverage walk of
-designs.py, and a t-subset it does not visit counts 0."""
+designs sharing a histogram.  The counts come from the coverage walk of
+designs.py, where a t-subset it does not visit counts 0.  Where the walk
+spends the work of one count of block pairs, it pauses for that count
+(designs._pair_values); when the count shows that the coverage counts take
+two adjacent values a and a+1, it gives the histogram, and otherwise the
+walk resumes."""
 
 import math
 from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _coverage, _pair_values
+from .designs import Design, _allowance, _columns, _coverage, _pair_values
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -40,11 +42,10 @@ class LambdaSequence(_Record):
 def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     """Exact histogram of coverage counts over all C(n,t) t-subsets.
 
-    When it costs less than the walk, one pass over the block pairs comes
-    first, and decides the histogram when its values are a and a+1.
-    Otherwise the cost is a walk over the t-subsets that some block
-    contains, rather than a scan of all C(n,t) subsets against the block
-    list.
+    The cost is a walk over the t-subsets that some block contains, rather
+    than a scan of all C(n,t) subsets against the block list.  Where the
+    walk spends the work of one pass over the block pairs, that pass comes
+    in, and decides the histogram when its values are a and a+1.
     """
     if not design.blocks:  # every t-subset counts 0
         if not 1 <= t <= design.n:
@@ -54,12 +55,18 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
     n, blocks, total = design.n, design.blocks, math.comb(design.n, t)
-    if two := _pair_values(n, blocks, t):
-        a, h = two
-        entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
+    cols, counts = _columns(blocks, n), Counter()
+    for item in _coverage(cols, blocks, t, _allowance(n, [(r, len(blocks))], t)):
+        if item is None:  # the walk paused: one count of the block pairs
+            if two := _pair_values(n, blocks, t):
+                a, h = two
+                entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
+                break
+            continue  # three or more values: the walk resumes
+        # only the counts: the covered subsets are never built
+        prefix, m, later = item
+        counts.update([c for q in later if (c := (m & cols[q]).bit_count())])
     else:
-        # only the counts: the covered subsets stream past and are dropped
-        counts = Counter(m.bit_count() for _, m in _coverage(n, blocks, t))
         entries = tuple(sorted(counts.items()))
         if zeros := total - counts.total():
             entries = ((0, zeros),) + entries

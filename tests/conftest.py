@@ -1,7 +1,7 @@
 """Shared fixtures: the witnessing designs and a mixed corpus of passing
-and failing two-shell candidates; the dict-of-tuples coverage loop that the
-coverage walk is compared against; and hypothesis strategies for
-random designs and edited two-shell candidates."""
+and failing two-shell candidates; the dict-of-tuples coverage loop and the
+one-subset block count that the coverage walk is compared against; and
+hypothesis strategies for random designs and edited two-shell candidates."""
 
 import functools
 import itertools
@@ -110,6 +110,17 @@ def corpus(fano, paley11, witt, fano_swapped, y6, y7):
     out.append((RelativeCandidate.from_designs(complement(y6), y7), 4))
     out.append((RelativeCandidate.from_designs(y6, y7, 1, 3), 4))
     return out
+
+
+def lambda_count(design: Design, subset) -> int:
+    """Number of blocks containing every point of `subset`, with multiplicity.
+
+    `subset` is an iterable of point indices, or an int bitmask.
+    """
+    m = subset if isinstance(subset, int) else mask_of(subset)
+    if m < 0 or m >> design.n:
+        raise ValueError("subset contains a point index outside 0..n-1")
+    return sum(1 for b in design.blocks if b & m == m)
 
 
 def reference_coverage(design: Design, j: int, weight=None) -> dict:

@@ -18,7 +18,6 @@ from tightrel import (
     construct_paley_hadamard,
     coverage_map,
     is_tight,
-    lambda_count,
     lambda_sequence,
     p_ell_formula,
     p_ell_t_formula,
@@ -29,6 +28,8 @@ from tightrel import (
     tight_size,
 )
 from tightrel.designs import mask_of
+
+from conftest import lambda_count
 
 
 def _done(name: str, started: float, budget: float) -> None:

@@ -15,7 +15,6 @@ from tightrel import (
     coverage_map,
     is_tight,
     kageyama_constituents,
-    lambda_count,
     p_ell_formula,
     p_ell_t_formula,
     prop44_check,
@@ -24,7 +23,7 @@ from tightrel import (
 )
 from tightrel.designs import bits_of, mask_of
 
-from conftest import candidates
+from conftest import candidates, lambda_count
 
 
 def test_kageyama_fano_pair(fano_pair):

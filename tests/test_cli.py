@@ -1102,6 +1102,20 @@ def test_benchmark_calls_take_the_plain_parse(tmp_path, workload, seed):
         assert vars(plain) == _parse_outcome(_build_parser(call.argv), call.argv)[3]
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("workload", ["certify-witt", "scan-tables", "corpus-small"])
+def test_benchmark_calls_replay_in_process(tmp_path, capsys, workload, seed):
+    # every call the benchmark makes, run in-process, returns the exit code
+    # its construction gives and passes its own check of stdout, so the
+    # verdicts, witnesses and tables the benchmark times hold on every
+    # Python the tests run on
+    for call in _bench_inputs().build(workload, seed, tmp_path):
+        code = main(call.argv)
+        out = capsys.readouterr().out
+        assert code == call.code, call.argv
+        assert call.check(out) is None, call.argv
+
+
 _ARGPARSE_EXITS = [case for case in _parser_cases() if case[1] is not None]
 
 

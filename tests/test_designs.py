@@ -24,15 +24,17 @@ from tightrel import (
     extend_pair,
     is_regular_twise_balanced,
     is_t_design,
-    lambda_count,
     load_design,
     residual,
     save_design,
 )
-from tightrel.designs import _first_unbalanced, _first_uncovered, _pair_values, bits_of, mask_of
+from tightrel import designs as designs_module
+from tightrel._design import _pair_counts
+from tightrel.analysis import _first_uncovered
+from tightrel.designs import _first_unbalanced, _pair_values, bits_of, mask_of
 from tightrel.designs import parse_block_line
 
-from conftest import cheap_levels, designs, reference_coverage, relabel
+from conftest import cheap_levels, designs, lambda_count, reference_coverage, relabel
 
 
 def test_bits_mask_round_trip():
@@ -500,13 +502,17 @@ def test_first_uncovered_after_the_last_covered_subset(fano):
     assert _first_uncovered(7, fano.blocks, [(1 << 7) - 1], 1) is None
 
 
-def test_only_designs_sets_up_the_coverage_walk():
-    # the walk and its work check sit behind _coverage, _first_unbalanced
-    # and _first_uncovered, so no other module builds a walk by hand
+def test_one_module_holds_the_subset_walk():
+    # _design defines the one subset walk, so no other module, the oracle's
+    # included, walks subsets by hand; the work check stays with the
+    # unbounded coverage walks of designs and analysis
     src = Path(sys.modules["tightrel"].__file__).parent
-    for path in src.glob("*.py"):
-        if path.name != "designs.py":
-            assert not re.search(r"\b(_covered|_check_work)\b", path.read_text()), path.name
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        if path.name != "_design.py":
+            assert not re.search(r"def _?(walk|covered)\b", text), path.name
+        if path.name not in ("designs.py", "analysis.py"):
+            assert "_check_work" not in text, path.name
 
 
 # C(n, j) past 2**31 and 2**63, and strengths just below the block size,
@@ -527,25 +533,48 @@ def test_full_block_is_a_design_at_high_strength(n, t):
     assert is_t_design(full, t) == (True, [1] * (t + 1))
 
 
-def test_coverage_routes(fano):
-    # the Witt design and its complement, and Paley designs at t = 2, cost
-    # less as one count of block pairs than as a walk; the complete
-    # 10-uniform design on 20 points (184,756 blocks, 34 billion pairs)
-    # walks at every t.  _pair_values counts nothing, and gives False, when
-    # the walk costs less
+def _pair_count_spy(monkeypatch):
+    """The calls of the block-pair count that is_t_design and lambda_sequence make."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _pair_counts(*args)
+
+    monkeypatch.setattr(designs_module, "_pair_counts", spy)
+    return calls
+
+
+def test_coverage_routes(monkeypatch, fano):
+    # is_t_design counts the block pairs only where its walk spends the
+    # allowance of that count first: on the Witt design and its complement
+    # at t = 4.  At t = 5 both walks fail the first 5-subset; the Paley
+    # designs at t = 2, Fano at t = 3 and the complete 10-uniform design on
+    # 20 points (184,756 blocks, 34 billion pairs) at t = 1 and 2 finish
+    # within it
+    calls = _pair_count_spy(monkeypatch)
     witt = construct_witt_23()
-    for d, t in [(witt, 4), (witt, 5), (complement(witt), 4), (complement(witt), 5),
-                 (construct_paley_hadamard(19), 2), (construct_paley_hadamard(47), 2)]:
-        assert _pair_values(d.n, d.blocks, t) is not False
-    complete = tuple(map(mask_of, itertools.combinations(range(20), 10)))
-    assert all(_pair_values(20, complete, t) is False for t in range(1, 11))
-    # Fano at t = 3 walks: 7 covered triples, and one stacked prefix per block
-    assert _pair_values(7, fano.blocks, 3) is False
+    complete = Design(20, tuple(map(mask_of, itertools.combinations(range(20), 10))))
+    for d, t, counted in [(witt, 4, True), (witt, 5, False), (complement(witt), 4, True),
+                          (complement(witt), 5, False), (construct_paley_hadamard(19), 2, False),
+                          (construct_paley_hadamard(47), 2, False), (fano, 3, False),
+                          (complete, 1, False), (complete, 2, False)]:
+        calls.clear()
+        assert is_t_design(d, t)[0] == (d is not fano and t < 5)
+        assert bool(calls) == counted, (d.n, d.num_blocks, t)
+
+
+def test_is_t_design_exits_early_without_counting_pairs(monkeypatch):
     # 200 random 64-point blocks on 128 points at t = 64 cover only 200
-    # subsets, but the walk stacks 62 prefixes on its way into each block
+    # subsets, and the first 64-subset is not one of them: the walk fails it
+    # on its way into the first block, and counts no block pairs
+    calls = _pair_count_spy(monkeypatch)
     rng = random.Random(1)
-    wide = tuple(mask_of(rng.sample(range(128), 64)) for _ in range(200))
-    assert _pair_values(128, wide, 64) == (0, 200)
+    wide = Design(128, tuple(mask_of(rng.sample(range(128), 64)) for _ in range(200)))
+    assert is_t_design(wide, 64) == (False, None)
+    assert calls == []
+    # the pair count gives the same answer: 200 counts of 1, the rest 0
+    assert _pair_values(128, wide.blocks, 64) == (0, 200)
 
 
 def test_coverage_refuses_oversized_size_class(monkeypatch, fano):

@@ -17,39 +17,24 @@ from tightrel import (
     construct_witt_23,
     is_regular_twise_balanced,
     is_t_design,
-    krawtchouk,
     load_candidate,
     relative_design_oracle,
     save_candidate,
-    shell_moment,
 )
 from tightrel import _pairs, hamming
+from tightrel.analysis import union_design, weight_by_size
 from tightrel.designs import bits_of, mask_of
 
 from conftest import candidates, six_point_pair, weights
 
 
-def test_krawtchouk_known_values():
-    # Q_0 == 1, Q_1(x) = n - 2x
-    for n in (5, 7, 23):
-        for x in range(n + 1):
-            assert krawtchouk(n, 0, x) == 1
-            assert krawtchouk(n, 1, x) == n - 2 * x
-    assert krawtchouk(7, 2, 0) == math.comb(7, 2)
-    assert krawtchouk(7, 3, 1) == 5
-    assert krawtchouk(23, 2, 7) == 29
-
-
-def test_krawtchouk_orthogonality():
-    n = 9
-    for k in range(n + 1):
-        for l in range(n + 1):
-            total = sum(
-                math.comb(n, x) * krawtchouk(n, k, x) * krawtchouk(n, l, x)
-                for x in range(n + 1)
-            )
-            expect = (2**n) * math.comb(n, k) if k == l else 0
-            assert total == expect
+def shell_moment(n: int, s: int, r: int) -> int:
+    """Sum over the whole shell X_r of the degree-1 product for s coordinates:
+    sum_{l=0}^{s} C(s,l) C(n-s,r-l) Q1(r-1)^l Q1(r+1)^{s-l}, which does not
+    depend on which s distinct coordinates are chosen."""
+    a, b = n - 2 * (r - 1), n - 2 * (r + 1)  # Q1(r-1), Q1(r+1)
+    return sum(math.comb(s, l) * math.comb(n - s, r - l) * a**l * b ** (s - l)
+               for l in range(min(s, r) + 1))
 
 
 def test_shell_moment_spot_values():
@@ -90,7 +75,7 @@ def test_candidate_construction_and_accessors(fano_pair):
     assert [d.uniform_size() for _, d, _ in cand.shells()] == [3, 4]
     assert cand.total_size == 14
     assert (cand.w1, cand.w2) == (Fraction(1), Fraction(1))
-    union = cand.union_design()
+    union = union_design(cand)
     assert union.n == 7 and union.num_blocks == 14
 
 
@@ -123,7 +108,7 @@ def test_shell_window_enforced():
 
 
 def test_weight_by_size(fano_pair):
-    w = fano_pair.weight_by_size()
+    w = weight_by_size(fano_pair)
     assert w == {3: Fraction(1), 4: Fraction(1)}
 
 
@@ -380,7 +365,7 @@ def test_oracle_verdict_is_weighted_balance_on_even_n(case):
     # union, also where n = 2m <= 2t and the identities alone say too little
     cand, t = case
     ok, _ = relative_design_oracle(cand, t)
-    assert ok == is_regular_twise_balanced(cand.union_design(), cand.weight_by_size(), t)[0]
+    assert ok == is_regular_twise_balanced(union_design(cand), weight_by_size(cand), t)[0]
 
 
 @pytest.mark.parametrize("n", [64, 65, 128])
@@ -412,7 +397,8 @@ def test_oracle_on_trivial_shells(fano):
 def test_oracle_memory_is_its_block_columns(monkeypatch):
     # the complete 6- and 7-shells on 14 points, 6,435 blocks: the columns
     # take 14 * 6,435 bits, so the scan's peak stays far below a megabyte.
-    # Their 41 million block pairs cost more than 469 subsets: no pair profile
+    # The walk over 469 subsets spends little of the allowance that their 41
+    # million block pairs give: no pair profile
     shells = [
         Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
     ]
@@ -433,12 +419,12 @@ def test_oracle_validates_t(fano_pair):
         relative_design_oracle(fano_pair, 0)
 
 
-def _on_route(cand, t, pair_work):
-    """The oracle's answer with its pair-work estimate set: 0 leaves every
-    size to the pair profile, 2**200 every size to the subset walk."""
+def _on_route(cand, t, allowance):
+    """The oracle's answer with its walk's allowance set: 0 pauses the walk
+    at once and leaves every size to the pair profile, 2**200 every size to
+    the subset walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamming, "_PAIRS_FIXED_NS", 0)
-        mp.setattr(hamming, "_pair_work", lambda n, shells: pair_work)
+        mp.setattr(hamming, "_allowance", lambda *args: [allowance])
         return relative_design_oracle(cand, t)
 
 
@@ -509,9 +495,9 @@ def test_pair_profile_first_failing_size(case, data):
 
 
 def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
-    # Paley(47) at t = 3: the profile decides size 3 of the balanced pair,
-    # but unequal weights fail at (0, 1, 2), among the first subsets of size
-    # 3, which the walk tries before the profile
+    # Paley(47) at t = 3: the walk spends its allowance in size 3 of the
+    # balanced pair, which the profile then decides, but unequal weights fail
+    # at (0, 1, 2), the first subset of size 3, long before that
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
     profile, calls = _pairs.first_failing_size, []
@@ -540,13 +526,14 @@ def _paley_pair(q):
 
 @pytest.mark.parametrize(
     "pair,t,start",
-    [(_witt_pair, 5, 3), (lambda: _paley_pair(43), 3, 3), (lambda: _paley_pair(47), 3, 3),
+    [(_witt_pair, 5, 4), (lambda: _paley_pair(43), 3, 3), (lambda: _paley_pair(47), 3, 3),
      (lambda: _paley_pair(23), 3, None)],
 )
 def test_oracle_routes(monkeypatch, pair, t, start):
-    # the Witt pair at t = 5 and the Paley(43) and Paley(47) pairs at t = 3
-    # walk sizes 1 and 2, probe size 3 and leave sizes 3..t to the pair
-    # profile; the Paley(23) pair at t = 3 walks every size
+    # the walk spends the allowance of one pass over the block pairs in size
+    # 4 of the Witt pair at t = 5 and in size 3 of the Paley(43) and
+    # Paley(47) pairs at t = 3, and leaves the sizes from there to the pair
+    # profile; the Paley(23) pair at t = 3 walks every size within it
     starts = []
     monkeypatch.setattr(_pairs, "first_failing_size", lambda n, shells, s, *rest: starts.append(s))
     assert relative_design_oracle(pair(), t) == (True, None)

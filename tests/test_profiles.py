@@ -15,7 +15,7 @@ from tightrel import (
     construct_paley_hadamard,
     lambda_sequence,
 )
-from tightrel import designs as designs_module
+from tightrel import designs as designs_module, profiles
 from tightrel._design import _two_values
 from tightrel.designs import _pair_values, coverage_map, is_t_design, mask_of
 
@@ -94,15 +94,23 @@ def _uniform_designs(draw):
     return design, draw(st.integers(1, design.uniform_size()))
 
 
-def _on_route(design, t, pairs):
-    """lambda_sequence's entries, is_t_design's answer and the pair count's
-    (a, h), with the route set: pairs=True takes the pair count (and
-    lambda_sequence falls back to the walk when the counts take other
-    values than a and a+1), pairs=False the walk, which counts no pairs."""
+def _on_route(design, t, allowance):
+    """lambda_sequence's entries, is_t_design's answer and the number of
+    block-pair counts the two make, with the walks' allowance set: 0 pauses
+    each walk at once for the pair count (lambda_sequence resumes it when
+    the counts take other values than a and a+1), 2**200 leaves everything
+    to the walk, which counts no pairs."""
+    count, calls = designs_module._pair_counts, []
+
+    def spy(*args):
+        calls.append(args)
+        return count(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(designs_module, "_pair_work", lambda *args: 0 if pairs else 2**200)
-        return (lambda_sequence(design, t).entries, is_t_design(design, t),
-                _pair_values(design.n, design.blocks, t))
+        for module in (designs_module, profiles):
+            mp.setattr(module, "_allowance", lambda *args: [allowance])
+        mp.setattr(designs_module, "_pair_counts", spy)
+        return lambda_sequence(design, t).entries, is_t_design(design, t), len(calls)
 
 
 _FANO = construct_paley_hadamard(7)
@@ -121,8 +129,8 @@ def test_pair_route_matches_walk(case):
     # and declines it otherwise; each route is run on its own, and the walk
     # is checked against a count of every block's t-subsets
     design, t = case
-    walked, verdict, uncounted = _on_route(design, t, False)
-    assert uncounted is False
+    walked, verdict, counted = _on_route(design, t, 2**200)
+    assert counted == 0
     assert walked == _reference_lambda_sequence(design, t)
     values = [v for v, _ in walked]
     if values[-1] - values[0] <= 1:
@@ -130,7 +138,28 @@ def test_pair_route_matches_walk(case):
     else:
         expect = None
     assert verdict[0] == (expect is not None and expect[1] == 0)
-    assert _on_route(design, t, True) == (walked, verdict, expect)
+    assert _pair_values(design.n, design.blocks, t) == expect
+    assert _on_route(design, t, 0) == (walked, verdict, 2)
+
+
+def test_lambda_sequence_resumes_the_paused_walk(monkeypatch):
+    # Paley(19) at t = 3: the walk spends the allowance of one pair count
+    # partway through the triples, and the count finds that they lie in 1,
+    # 2 or 3 blocks; so the walk resumes where it paused, and gives the
+    # histogram it gives on its own
+    paley = construct_paley_hadamard(19)
+    walked = _on_route(paley, 3, 2**200)[0]
+    real, seen = profiles._coverage, []
+
+    def spy(*args):
+        for item in real(*args):
+            seen.append(item is None)
+            yield item
+
+    monkeypatch.setattr(profiles, "_coverage", spy)
+    assert lambda_sequence(paley, 3).entries == walked == _reference_lambda_sequence(paley, 3)
+    assert seen.count(True) == 1
+    assert 0 < seen.index(True) < len(seen) - 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,8 +202,6 @@ def test_lambda_sequence_checks_raise(monkeypatch):
     # the double-counting checks raise, so python -O keeps them: a kernel
     # that drops a covered t-subset trips the weighted total check.  The
     # triples of Paley(19) lie in 1, 2 or 3 blocks, so the walk counts them
-    import tightrel.profiles as profiles
-
     real = profiles._coverage
     monkeypatch.setattr(profiles, "_coverage", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
