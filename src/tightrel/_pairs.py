@@ -4,7 +4,8 @@ subset sizes at which the moment identity fails, decided from those counts
 (see the hamming docstring for the identity).  The pairs are counted by
 _design._pair_counts and each size is judged in integers by
 _design._two_values; this module holds the moment polynomials of the
-oracle, and only the oracle's pair route imports it.
+oracle, and only the oracle imports it, once its walk has spent the
+allowance of one count of the block pairs.
 """
 
 import math
