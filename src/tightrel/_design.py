@@ -1,15 +1,16 @@
 """The Design record on points 0..n-1, its bit helpers, its DESIGN v1 text
 format, its bit-sliced block columns, the one walk over subsets of them,
 and the count of block pairs by the size of their intersection, with the
-test that reads a verdict from it.  The walk counts its work, and pauses
-once it has done as much as that count would (_allowance).  Blocks are int
-bitsets, so membership tests and complements are single integer
-operations.  This module imports only the leaf `_base` from tightrel, so a
-verb that reads design files and runs the moment oracle compiles no
-coverage kernel, and the coverage questions count block pairs without the
-oracle's modules.
+moments of the weighted coverage that it gives and the test that reads a
+verdict from them.  The walk counts its work, and pauses once it has done
+as much as that count would (_allowance).  Blocks are int bitsets, so
+membership tests and complements are single integer operations.  This
+module imports only the leaf `_base` from tightrel, so a verb that reads
+design files and runs the moment oracle compiles no coverage kernel, and
+the coverage questions count block pairs without the oracle's modules.
 """
 
+import math
 import re
 from functools import reduce
 from itertools import combinations, compress
@@ -135,9 +136,8 @@ def _pair_counts(blocks, others, n: int, lo: int, hi: int) -> list:
 # block pairs (see _allowance) that cost as much as one 64-bit word of the
 # block mask at a walk node.  In process a word costs 60-460 ns, as a node
 # costs about 500 ns whatever its width, and a unit 0.1-0.6 ns (2 vCPU,
-# Python 3.11.7).  The oracle's pair profile also imports _pairs first,
-# about 1.2 ms, so the rate stays low enough that the Paley pairs up to
-# n = 23 at t = 3 walk within their allowance.
+# Python 3.11.7).  At this rate the Paley pairs up to n = 23 at t = 3 walk
+# within their allowance.
 _UNITS_PER_WORD = 250
 
 
@@ -280,6 +280,19 @@ def _two_values(m0: int, m1: int, m2: int):
     if m2 - (2 * a + 1) * m1 + a * (a + 1) * m0:
         return None
     return a, m1 - a * m0
+
+
+def _coverage_values(n: int, shells, pairs, j: int):
+    """_two_values of the weighted coverage X(S) = sum_k W_k lambda_k(S)
+    over the j-subsets S of range(n).  shells lists (r, block count, W) with
+    integer W, and pairs lists (W W', cnt) for each two shells, a shell with
+    itself included, cnt from _pair_counts.  X sums to m1 = sum_B W C(r, j),
+    and X^2 to m2 = sum_{B,B'} W W' C(|B cap B'|, j) over ordered pairs: each
+    block with itself, then each counted pair both ways."""
+    m1 = sum(w * b * math.comb(r, j) for r, b, w in shells)
+    m2 = sum(w * w * b * math.comb(r, j) for r, b, w in shells)
+    m2 += 2 * sum(ww * c * math.comb(i, j) for ww, cnt in pairs for i, c in enumerate(cnt))
+    return _two_values(math.comb(n, j), m1, m2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ columns to get the blocks that contain them.  is_t_design and
 lambda_sequence start on the walk with an allowance of the work of one
 count of the ordered block pairs by the size of their intersection
 (_pair_values).  Where the walk spends it, they pause it and count the
-pairs: that gives the first two moments of the coverage counts, from which
-_design._two_values says whether the counts take only two adjacent values,
-and how often each.  The Design record, its text format, the walk and the
-pair count live in the leaf module `_design`, and the transforms and
-constructions in `constructions`; the record and format names are also
-importable from here.
+pairs: that gives the first two moments of the coverage counts, the
+one-shell case of the oracle's weighted coverage (_design._coverage_values),
+from which _design._two_values says whether the counts take only two
+adjacent values, and how often each.  The Design record, its text format,
+the walk and the pair count live in the leaf module `_design`, and the
+transforms and constructions in `constructions`; the record and format
+names are also importable from here.
 """
 
 import math
@@ -21,7 +22,7 @@ from itertools import groupby
 
 from ._design import MAX_POINTS, Design, _columns, bits_of, mask_of  # noqa: F401
 from ._design import design_text, load_design, parse_block_line, save_design  # noqa: F401
-from ._design import _allowance, _first_failing, _pair_counts, _two_values, _walk
+from ._design import _allowance, _coverage_values, _first_failing, _pair_counts, _walk
 
 # Bound on the coverage walk's work for one block size r: the C(r, j)
 # j-subsets of all blocks of that size, and the j positions of each j-subset
@@ -87,13 +88,11 @@ def _first_unbalanced(n: int, blocks, j: int, weight, left=None):
 
 def _pair_values(n: int, blocks, t: int):
     """_two_values of the counts lambda(S) of the t-subsets S of range(n)
-    in `blocks` (one size r >= t), from one count of the block pairs:
-    m0 = C(n,t), m1 = sum_B C(r,t) and m2 = sum_{B,B'} C(|B cap B'|,t)."""
-    r, b = blocks[0].bit_count(), len(blocks)
-    m0, m1 = math.comb(n, t), b * math.comb(r, t)
-    # each block with itself, then the pairs k < k' both ways
+    in `blocks` (one size r >= t), from one count of the block pairs: the
+    weighted coverage of one shell of weight 1."""
+    r = blocks[0].bit_count()
     cnt = _pair_counts(blocks, blocks, n, max(t, 2 * r - n), r + 1)
-    return _two_values(m0, m1, m1 + 2 * sum(c * math.comb(i, t) for i, c in enumerate(cnt)))
+    return _coverage_values(n, [(r, len(blocks), 1)], [(1, cnt)], t)
 
 
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:

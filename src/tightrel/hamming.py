@@ -31,22 +31,22 @@ subset walk of _design, which carries the blocks missing at most 0 and 1
 points of the prefix as two masks stacked in one int; the oracle weighs
 their popcounts with exact integers, over the last point of each prefix.
 
-A size can also be decided at once, from the block pairs (_pairs, which
-counts them with _design._pair_counts).  With integer shell weights W the
-weighted block sum X(S) at an s-subset S is an integer, and the identity
-holds at every S exactly when X(S) takes one value.  Over the s-subsets, X
-sums to m1 = sum_B W M_s(|B|), where M_s(r) = sum_x C(r,x) C(n-r,s-x)
-a^x b^(s-x), and X^2 to m2 = sum_{B,B'} W W' K_s(|B|, |B'|, |B cap B'|),
-where K_s(r, r', i), the sum over S of the two blocks' products, is the
-z^s coefficient of (1+aa'z)^i (1+ab'z)^(r-i) (1+ba'z)^(r'-i)
-(1+bb'z)^(n-r-r'+i) with a, b = n-2r+2, n-2r-2 and a', b' from r'; at the
-balance sizes a, b = a', b' = 1, 0, so M_s(r) = C(r, s) and K_s = C(i, s).
-_design._two_values tells from C(n,s), m1 and m2 whether X takes one
-value, so one count of the ordered block pairs by their shells and i
-decides every size; the walk then names the witness at the first failing
-size alone.  The oracle walks until it has done the work of that count of
-the block pairs (_design._allowance), so a candidate whose walk ends or
-fails early never counts them.
+A size can also be decided at once, from the block pairs: the first size
+at which the identity fails is the first at which the weighted coverage
+X(S) = sum_k W_k lambda_k(S), with integer shell weights W, takes more than
+one value over the s-subsets S.  For an (s-1)-set U, summing delta_k(U+x)
+over the points x outside U gives (r_k-s+1) delta_k(U), so balance at s-1
+and s gives W_1 delta_1(U) + W_2 delta_2(U) = 0 and the same with the
+factors r_k-s+1; as r1 != r2 both vanish.  So balance at 1..s makes both
+shells (s-1)-designs, where the identity at S is its weighted balance; the
+theorem above gives the converse below half, and from half on the oracle
+checks balance itself.  X sums to m1 = sum_B W C(|B|, s) and X^2 to m2 =
+sum_{B,B'} W W' C(|B cap B'|, s), so one count of the block pairs by their
+shells and intersection size decides every size (_first_unbalanced_size,
+by _design._coverage_values); the walk then names the witness at the first
+failing size alone.  The oracle walks until it has done the work of that
+count (_design._allowance), so a candidate whose walk ends or fails early
+never counts the pairs.
 """
 
 import math
@@ -54,7 +54,8 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _allowance, _ascii_int, _columns, _walk
+from ._design import Design, _INT, _allowance, _ascii_int, _columns, _coverage_values
+from ._design import _pair_counts, _walk
 from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
@@ -205,9 +206,10 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
     of the union (a failing subset is one whose blocks' weight is off the
     average), which the identities at those sizes need not imply.  Where
-    the walk spends the work of one pass over the block pairs, the pair
-    profile decides the sizes from there on, and the walk, resumed or
-    restarted at the first failing size, names the witness.
+    the walk spends the work of one pass over the block pairs, the weighted
+    balance counted from those pairs decides the sizes from there on, and
+    the walk, resumed or restarted at the first failing size, names the
+    witness.
     """
     n = cand.n
     if not 1 <= t <= n:
@@ -262,15 +264,28 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
             return False, found
     else:
         return True, None
-    # the walk has done the work of one pass over the block pairs: the pair
-    # profile decides the sizes from s on
-    from ._pairs import first_failing_size
-
+    # the walk has done the work of one pass over the block pairs: the
+    # weighted balance decides the sizes from s on
     shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
-    bad = first_failing_size(n, shells, s, t, half)
+    bad = _first_unbalanced_size(n, shells, s, t)
     if bad is None:
         return True, None
     # the paused walk resumes at its own size, or a new one walks the failing size
     if found := next(walk if bad == s else level(bad, None), None):
         return False, found
-    raise RuntimeError(f"the pair profile fails at size {bad}, but no {bad}-subset does")
+    raise RuntimeError(f"the union is unbalanced at size {bad}, but no {bad}-subset fails")
+
+
+def _first_unbalanced_size(n: int, shells, start: int, t: int):
+    """The smallest s in start..t at which the weighted coverage of the
+    s-subsets is not constant, or None; shells holds two (r, blocks, W)
+    with integer W.  As C(i, s) = 0 for i < s, the pairs are counted by
+    intersection sizes from start up."""
+    pairs = [(w * v, _pair_counts(rows, cols, n, max(start, r + q - n), min(r, q) + 1))
+             for k, (r, rows, w) in enumerate(shells) for q, cols, v in shells[k:]]
+    sizes = [(r, len(rows), w) for r, rows, w in shells]
+    for s in range(start, t + 1):
+        two = _coverage_values(n, sizes, pairs, s)
+        if two is None or two[1]:
+            return s
+    return None

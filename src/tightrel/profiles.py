@@ -1,10 +1,11 @@
-"""Coverage-count histograms over all t-subsets, and detection of distinct
-designs sharing a histogram.  The counts come from the coverage walk of
-designs.py, where a t-subset it does not visit counts 0.  Where the walk
-spends the work of one count of block pairs, it pauses for that count
-(designs._pair_values); when the count shows that the coverage counts take
-two adjacent values a and a+1, it gives the histogram, and otherwise the
-walk resumes."""
+"""Coverage-count histograms over all t-subsets, and detection of designs
+with different block multisets sharing a histogram.  The counts come from
+the coverage walk of designs.py, where a t-subset it does not visit counts
+0.  Where the walk spends the work of one count of block pairs, it pauses
+for that count (designs._pair_values, the moments that the oracle's pair
+route also uses); when the count shows that the coverage counts take two
+adjacent values a and a+1, it gives the histogram, and otherwise the walk
+resumes."""
 
 import math
 from collections import Counter
@@ -81,12 +82,13 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
 
 def conjecture2_scan(designs, t: int):
     """All unordered index pairs (i, j) whose designs have different block
-    sets but identical lambda_t-sequences.
+    multisets but identical lambda_t-sequences.
 
     Every input must share the same point count, and every input with
     blocks the same block size; a design with no blocks has the histogram
-    C(n,t)*0.  Designs that are equal as block sets are never reported,
-    even if listed twice.
+    C(n,t)*0.  Designs with the same blocks, each as often, are never
+    reported, even if listed twice; designs that differ only in how often a
+    block repeats are.
     """
     designs = list(designs)
     if not designs:
@@ -95,10 +97,10 @@ def conjecture2_scan(designs, t: int):
     if any(d.n != n for d in designs) or len({d.uniform_size() for d in designs if d.blocks}) > 1:
         raise ValueError("all designs must share the same (n, block size)")
     seqs = [lambda_sequence(d, t) for d in designs]
-    sets = [frozenset(d.blocks) for d in designs]
     pairs = []
     for i in range(len(designs)):
         for j in range(i + 1, len(designs)):
-            if sets[i] != sets[j] and seqs[i] == seqs[j]:
+            # the canonical block tuples: equal exactly as multisets
+            if designs[i].blocks != designs[j].blocks and seqs[i] == seqs[j]:
                 pairs.append((i, j))
     return pairs

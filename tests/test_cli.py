@@ -26,6 +26,7 @@ from tightrel import (
     annotate_existence,
     complement,
     construct_paley_hadamard,
+    construct_witt_23,
     design_text,
     load_design,
     rows_to_tsv,
@@ -695,6 +696,18 @@ def test_conjecture2(capsys, tmp_path, fano, fano_swapped):
     assert capsys.readouterr().out == "a.blk\tb.blk\n"
 
 
+def test_conjecture2_compares_block_multisets(capsys, tmp_path):
+    # one block set, {012, 345}, but different multiplicities; both
+    # histograms at t = 2 are 9*0 3*1 3*2
+    (tmp_path / "a.blk").write_text("DESIGN v1\nn=6 b=3\n0 1 2\n0 1 2\n3 4 5\n")
+    (tmp_path / "b.blk").write_text("DESIGN v1\nn=6 b=3\n0 1 2\n3 4 5\n3 4 5\n")
+    assert main(["lambda-seq", str(tmp_path / "a.blk"), "--t", "2"]) == 0
+    assert main(["lambda-seq", str(tmp_path / "b.blk"), "--t", "2"]) == 0
+    assert capsys.readouterr().out == "9*0 3*1 3*2\n" * 2
+    assert main(["conjecture2", str(tmp_path), "--t", "2"]) == 0
+    assert capsys.readouterr() == ("a.blk\tb.blk\n", "")
+
+
 def test_conjecture2_designs_without_blocks(capsys, tmp_path):
     # two empty designs are one block set, so no pair, and an empty design
     # takes no part in the shared block size: its histogram is C(n,t)*0
@@ -771,13 +784,17 @@ _CONSTRUCT = [*_COMMON, "argparse", "gettext", "locale", "tightrel._design",
 @pytest.fixture()
 def verb_files(tmp_path):
     """tmp_path with paley.blk (Paley(19)), pair.rel (it and its complement
-    at t = 3), fano.rel (the same for Paley(7)) and corpus/ (holding
+    at t = 3), fano.rel (the same for Paley(7)), witt.blk (the Witt design),
+    witt.rel (it and its complement at t = 5) and corpus/ (holding
     paley.blk)."""
     paley = construct_paley_hadamard(19)
     save_design(paley, tmp_path / "paley.blk")
     save_candidate(RelativeCandidate.from_designs(paley, complement(paley)), 3, tmp_path / "pair.rel")
     fano = construct_paley_hadamard(7)
     save_candidate(RelativeCandidate.from_designs(fano, complement(fano)), 3, tmp_path / "fano.rel")
+    witt = construct_witt_23()
+    save_design(witt, tmp_path / "witt.blk")
+    save_candidate(RelativeCandidate.from_designs(witt, complement(witt)), 5, tmp_path / "witt.rel")
     (tmp_path / "corpus").mkdir()
     save_design(paley, tmp_path / "corpus" / "paley.blk")
     return tmp_path
@@ -795,10 +812,11 @@ def verb_files(tmp_path):
         (["check-relative", "pair.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
-        # verify and lambda-seq decide Paley(19) at t = 2, and verify at t = 3
-        # (the last two rows), from one count of its block pairs; lambda-seq
-        # at t = 3 finds three values there and walks.  No route loads
-        # hamming, _pairs or fractions
+        # verify and lambda-seq walk Paley(19) at t = 2 within their
+        # allowance, and verify at t = 3 fails the first triple; lambda-seq at
+        # t = 3 counts its block pairs, finds three values and walks on.  The
+        # Witt rows at the end take the pair route.  No route loads hamming
+        # or fractions
         (["verify", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
@@ -829,6 +847,17 @@ def verb_files(tmp_path):
         (["lambda-seq", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
                  "tightrel.profiles"])),
+        # the Witt design and pair spend their walks' allowance and count
+        # their block pairs: the coverage verbs within designs, the oracle
+        # within hamming
+        (["verify", "witt.blk", "--t", "4"], 0,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
+        (["lambda-seq", "witt.blk", "--t", "5"], 0,
+         sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
+                 "tightrel.profiles"])),
+        (["check-relative", "witt.rel"], 0,
+         sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
+                 "tightrel.hamming"])),
     ],
 )
 def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded):
@@ -843,19 +872,6 @@ def test_cli_process_loads_only_its_verbs_modules(verb_files, argv, code, loaded
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", f"{code} {loaded}"]
-
-
-def test_pair_profile_loads_neither_hamming_nor_fractions(tmp_path):
-    # the pair profile decides its sizes with _design's integer criterion,
-    # so it needs neither the oracle's module nor fractions
-    code = ("import sys, tightrel._pairs; "
-            "print(sorted(m for m in sys.modules if m.startswith('tightrel') or m == 'fractions'))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(["tightrel", "tightrel._base", "tightrel._design",
-                                       "tightrel._pairs"])
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from tightrel import (
     relative_design_oracle,
     save_candidate,
 )
-from tightrel import _pairs, hamming
+from tightrel import hamming
 from tightrel.analysis import union_design, weight_by_size
 from tightrel.designs import bits_of, mask_of
 
@@ -357,15 +357,19 @@ def test_passing_shells_are_designs_on_odd_n(case):
             assert is_t_design(d, min(passed - 1, r))[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(_small_candidates(st.sampled_from([4, 6, 8])))
+@settings(max_examples=80, deadline=None)
+@given(_small_candidates())
 @example((six_point_pair(), 3))
-def test_oracle_verdict_is_weighted_balance_on_even_n(case):
+def test_oracle_verdict_is_weighted_balance(case):
     # a relative t-design is exactly a weighted regular t-wise balanced
-    # union, also where n = 2m <= 2t and the identities alone say too little
+    # union, also where n = 2m <= 2t and the identities alone say too
+    # little; and the oracle fails first at the first unbalanced size, which
+    # its pair route takes for the first failing size
     cand, t = case
-    ok, _ = relative_design_oracle(cand, t)
-    assert ok == is_regular_twise_balanced(union_design(cand), weight_by_size(cand), t)[0]
+    ok, witness = relative_design_oracle(cand, t)
+    union, weight = union_design(cand), weight_by_size(cand)
+    unbalanced = (j for j in range(1, t + 1) if not is_regular_twise_balanced(union, weight, j)[0])
+    assert (None if ok else witness[0]) == next(unbalanced, None)
 
 
 @pytest.mark.parametrize("n", [64, 65, 128])
@@ -403,7 +407,7 @@ def test_oracle_memory_is_its_block_columns(monkeypatch):
         Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
     ]
     cand = RelativeCandidate.from_designs(*shells)
-    monkeypatch.setattr(_pairs, "first_failing_size", lambda *args: pytest.fail("profile used"))
+    monkeypatch.setattr(hamming, "_first_unbalanced_size", lambda *args: pytest.fail("profile used"))
     relative_design_oracle(cand, 1)  # anything a first call sets up is not counted
     tracemalloc.start()
     try:
@@ -482,16 +486,15 @@ def test_pair_profile_matches_walk(case):
 @settings(max_examples=40, deadline=None)
 @given(candidates(st.integers(1, 4), with_witt=True), st.data())
 def test_pair_profile_first_failing_size(case, data):
-    # first_failing_size from any start: the walk's first failing size at or
-    # after it, once the sizes before it pass
+    # _first_unbalanced_size from any start: the walk's first failing size
+    # at or after it, once the sizes before it pass
     cand, t = case
     ok, witness = _on_route(cand, t, 2**200)
     first = None if ok else witness[0]
     start = data.draw(st.integers(1, first or t), label="start")
-    half = cand.n // 2 if cand.n % 2 == 0 and cand.n >= 4 else cand.n + 1
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
     shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
-    assert _pairs.first_failing_size(cand.n, shells, start, t, half) == first
+    assert hamming._first_unbalanced_size(cand.n, shells, start, t) == first
 
 
 def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
@@ -500,13 +503,13 @@ def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     # at (0, 1, 2), the first subset of size 3, long before that
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
-    profile, calls = _pairs.first_failing_size, []
+    profile, calls = hamming._first_unbalanced_size, []
 
     def spy(*args):
         calls.append(args)
         return profile(*args)
 
-    monkeypatch.setattr(_pairs, "first_failing_size", spy)
+    monkeypatch.setattr(hamming, "_first_unbalanced_size", spy)
     assert relative_design_oracle(balanced, 3) == (True, None)
     assert len(calls) == 1
     unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
@@ -535,7 +538,8 @@ def test_oracle_routes(monkeypatch, pair, t, start):
     # Paley(47) pairs at t = 3, and leaves the sizes from there to the pair
     # profile; the Paley(23) pair at t = 3 walks every size within it
     starts = []
-    monkeypatch.setattr(_pairs, "first_failing_size", lambda n, shells, s, *rest: starts.append(s))
+    monkeypatch.setattr(hamming, "_first_unbalanced_size",
+                        lambda n, shells, s, t: starts.append(s))
     assert relative_design_oracle(pair(), t) == (True, None)
     assert starts == ([] if start is None else [start])
 
