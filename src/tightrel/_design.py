@@ -2,7 +2,8 @@
 format, its bit-sliced block columns, the one walk over subsets of them,
 and the count of block pairs by the size of their intersection, with the
 moments of the weighted coverage that it gives and the test that reads a
-verdict from them.  The walk counts its work, and pauses once it has done
+verdict from them (_pair_moments, the one place where shells become pair
+counts and moments).  The walk counts its work, and pauses once it has done
 as much as that count would (_allowance).  Blocks are int bitsets, so
 membership tests and complements are single integer operations.  This
 module imports only the leaf `_base` from tightrel, so a verb that reads
@@ -282,17 +283,24 @@ def _two_values(m0: int, m1: int, m2: int):
     return a, m1 - a * m0
 
 
-def _coverage_values(n: int, shells, pairs, j: int):
+def _pair_moments(n: int, shells, lo: int, hi: int) -> list:
     """_two_values of the weighted coverage X(S) = sum_k W_k lambda_k(S)
-    over the j-subsets S of range(n).  shells lists (r, block count, W) with
-    integer W, and pairs lists (W W', cnt) for each two shells, a shell with
-    itself included, cnt from _pair_counts.  X sums to m1 = sum_B W C(r, j),
-    and X^2 to m2 = sum_{B,B'} W W' C(|B cap B'|, j) over ordered pairs: each
-    block with itself, then each counted pair both ways."""
-    m1 = sum(w * b * math.comb(r, j) for r, b, w in shells)
-    m2 = sum(w * w * b * math.comb(r, j) for r, b, w in shells)
-    m2 += 2 * sum(ww * c * math.comb(i, j) for ww, cnt in pairs for i, c in enumerate(cnt))
-    return _two_values(math.comb(n, j), m1, m2)
+    over the j-subsets S of range(n), for j = lo..hi, from one count of the
+    block pairs.  shells lists (r, blocks, W) with integer W.  X sums to
+    m1 = sum_B W C(r, j), and X^2 to m2 = sum_{B,B'} W W' C(|B cap B'|, j)
+    over ordered pairs: each block with itself, then each counted pair both
+    ways.  The pairs of each two shells, a shell with itself included, are
+    counted by intersection sizes from max(lo, r + q - n) up, as
+    C(i, j) = 0 for i < j."""
+    pairs = [(w * v, _pair_counts(blocks, others, n, max(lo, r + q - n), min(r, q) + 1))
+             for k, (r, blocks, w) in enumerate(shells) for q, others, v in shells[k:]]
+    out = []
+    for j in range(lo, hi + 1):
+        m1 = sum(w * len(blocks) * math.comb(r, j) for r, blocks, w in shells)
+        m2 = sum(w * w * len(blocks) * math.comb(r, j) for r, blocks, w in shells)
+        m2 += 2 * sum(ww * c * math.comb(i, j) for ww, cnt in pairs for i, c in enumerate(cnt))
+        out.append(_two_values(math.comb(n, j), m1, m2))
+    return out
 
 
 # ---------------------------------------------------------------------------

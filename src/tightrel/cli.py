@@ -118,10 +118,7 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:  # FormatError is a ValueError: this clause goes first
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

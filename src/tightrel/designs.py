@@ -6,15 +6,15 @@ go through the subset walk of `_design` over bit-sliced block columns
 in lex order, the subsets that some block contains, and ANDs their points'
 columns to get the blocks that contain them.  is_t_design and
 lambda_sequence start on the walk with an allowance of the work of one
-count of the ordered block pairs by the size of their intersection
-(_pair_values).  Where the walk spends it, they pause it and count the
-pairs: that gives the first two moments of the coverage counts, the
-one-shell case of the oracle's weighted coverage (_design._coverage_values),
-from which _design._two_values says whether the counts take only two
-adjacent values, and how often each.  The Design record, its text format,
-the walk and the pair count live in the leaf module `_design`, and the
-transforms and constructions in `constructions`; the record and format
-names are also importable from here.
+count of the ordered block pairs by the size of their intersection.  Where
+the walk spends it, they pause it and count the pairs: _design._pair_moments,
+on one shell of weight 1 (the one-shell case of the oracle's weighted
+coverage), gives the first two moments of the coverage counts, and from
+them whether the counts take only two adjacent values, and how often each.
+The Design record, its text format, the walk and the pair count live in
+the leaf module `_design`, and the transforms and constructions in
+`constructions`; the record and format names are also importable from
+here.
 """
 
 import math
@@ -22,7 +22,7 @@ from itertools import groupby
 
 from ._design import MAX_POINTS, Design, _columns, bits_of, mask_of  # noqa: F401
 from ._design import design_text, load_design, parse_block_line, save_design  # noqa: F401
-from ._design import _allowance, _coverage_values, _first_failing, _pair_counts, _walk
+from ._design import _allowance, _first_failing, _pair_moments, _walk
 
 # Bound on the coverage walk's work for one block size r: the C(r, j)
 # j-subsets of all blocks of that size, and the j positions of each j-subset
@@ -86,15 +86,6 @@ def _first_unbalanced(n: int, blocks, j: int, weight, left=None):
     return _first_failing(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1, holds, left)
 
 
-def _pair_values(n: int, blocks, t: int):
-    """_two_values of the counts lambda(S) of the t-subsets S of range(n)
-    in `blocks` (one size r >= t), from one count of the block pairs: the
-    weighted coverage of one shell of weight 1."""
-    r = blocks[0].bit_count()
-    cnt = _pair_counts(blocks, blocks, n, max(t, 2 * r - n), r + 1)
-    return _coverage_values(n, [(r, len(blocks), 1)], [(1, cnt)], t)
-
-
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
     """Coverage count of every j-subset that lies in at least one block.
 
@@ -132,7 +123,7 @@ def is_t_design(design: Design, t: int):
     n, blocks = design.n, design.blocks
     witness = _first_unbalanced(n, blocks, t, {r: 1}, _allowance(n, [(r, len(blocks))], t))
     if witness is False:  # the walk paused: balanced when every count is a, none a+1
-        two = _pair_values(n, blocks, t)
+        (two,) = _pair_moments(n, [(r, blocks, 1)], t, t)
         balanced = two is not None and two[1] == 0
     else:
         balanced = witness is None

@@ -42,11 +42,10 @@ shells (s-1)-designs, where the identity at S is its weighted balance; the
 theorem above gives the converse below half, and from half on the oracle
 checks balance itself.  X sums to m1 = sum_B W C(|B|, s) and X^2 to m2 =
 sum_{B,B'} W W' C(|B cap B'|, s), so one count of the block pairs by their
-shells and intersection size decides every size (_first_unbalanced_size,
-by _design._coverage_values); the walk then names the witness at the first
-failing size alone.  The oracle walks until it has done the work of that
-count (_design._allowance), so a candidate whose walk ends or fails early
-never counts the pairs.
+shells and intersection size decides every size (_design._pair_moments);
+the walk then names the witness at the first failing size alone.  The
+oracle walks until it has done the work of that count (_design._allowance),
+so a candidate whose walk ends or fails early never counts the pairs.
 """
 
 import math
@@ -54,8 +53,7 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _allowance, _ascii_int, _columns, _coverage_values
-from ._design import _pair_counts, _walk
+from ._design import Design, _INT, _allowance, _ascii_int, _columns, _pair_moments, _walk
 from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
 
 __all__ = [
@@ -216,6 +214,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         raise ValueError("need 1 <= t <= n")
     half = n // 2 if n % 2 == 0 and n >= 4 else n + 1  # n = 2m: the theorem stops at m
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
+    shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]  # integer weights W
     size = cand.total_size
     full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
     high, cols = full ^ low, _columns(cand.design1.blocks + cand.design2.blocks, n)
@@ -225,14 +224,14 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         # now, and from half on u = s-1 leaves the weighted balance alone
         u = s - 1 if s >= half else max(s - 2, 0)
         target, steps = Fraction(0), []
-        for r, d, w in cand.shells():
+        for r, blocks, w in shells:
             terms = [(m, 4**m * (n - 2 * r - 2) ** (s - m)) for m in range(u + 1, s + 1)]
-            target += w * scale * d.num_blocks * sum(x * math.comb(s, m) * Fraction(
+            target += w * len(blocks) * sum(x * math.comb(s, m) * Fraction(
                 math.comb(r, m), math.comb(n, m)) for m, x in terms)
             # e[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of a
             # block meeting S in c points, so a shell's sum at S is e0 |M_0| + e1 |M_1|
             # with M_v its blocks missing <= v points of S (e1 = 0 when u = s-1)
-            e = [int(w * scale) * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
+            e = [w * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
                  for v in range(s - u)] + [0]
             steps.append((e[0] - e[1], e[1]))
         # block sums are integers, so a fractional target fails the first subset
@@ -254,7 +253,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
                     yield s, (*prefix, i)
                     return
 
-    left = _allowance(n, [(r, d.num_blocks) for r, d, _ in cand.shells()])
+    left = _allowance(n, [(r, len(blocks)) for r, blocks, _ in shells])
     for s in range(1, t + 1):
         walk = level(s, left)
         found = next(walk, False)  # a witness, None where the walk pauses, False when s passes
@@ -266,8 +265,8 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         return True, None
     # the walk has done the work of one pass over the block pairs: the
     # weighted balance decides the sizes from s on
-    shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
-    bad = _first_unbalanced_size(n, shells, s, t)
+    moments = enumerate(_pair_moments(n, shells, s, t), s)
+    bad = next((j for j, two in moments if two is None or two[1]), None)
     if bad is None:
         return True, None
     # the paused walk resumes at its own size, or a new one walks the failing size
@@ -275,17 +274,3 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
         return False, found
     raise RuntimeError(f"the union is unbalanced at size {bad}, but no {bad}-subset fails")
 
-
-def _first_unbalanced_size(n: int, shells, start: int, t: int):
-    """The smallest s in start..t at which the weighted coverage of the
-    s-subsets is not constant, or None; shells holds two (r, blocks, W)
-    with integer W.  As C(i, s) = 0 for i < s, the pairs are counted by
-    intersection sizes from start up."""
-    pairs = [(w * v, _pair_counts(rows, cols, n, max(start, r + q - n), min(r, q) + 1))
-             for k, (r, rows, w) in enumerate(shells) for q, cols, v in shells[k:]]
-    sizes = [(r, len(rows), w) for r, rows, w in shells]
-    for s in range(start, t + 1):
-        two = _coverage_values(n, sizes, pairs, s)
-        if two is None or two[1]:
-            return s
-    return None

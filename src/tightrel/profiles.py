@@ -2,16 +2,15 @@
 with different block multisets sharing a histogram.  The counts come from
 the coverage walk of designs.py, where a t-subset it does not visit counts
 0.  Where the walk spends the work of one count of block pairs, it pauses
-for that count (designs._pair_values, the moments that the oracle's pair
-route also uses); when the count shows that the coverage counts take two
-adjacent values a and a+1, it gives the histogram, and otherwise the walk
-resumes."""
+for that count (_design._pair_moments, which the oracle's pair route also
+uses); when the count shows that the coverage counts take two adjacent
+values a and a+1, it gives the histogram, and otherwise the walk resumes."""
 
 import math
 from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _allowance, _columns, _coverage, _pair_values
+from .designs import Design, _allowance, _columns, _coverage, _pair_moments
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -59,7 +58,7 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     cols, counts = _columns(blocks, n), Counter()
     for item in _coverage(cols, blocks, t, _allowance(n, [(r, len(blocks))], t)):
         if item is None:  # the walk paused: one count of the block pairs
-            if two := _pair_values(n, blocks, t):
+            if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
                 a, h = two
                 entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
                 break

@@ -28,10 +28,10 @@ from tightrel import (
     residual,
     save_design,
 )
-from tightrel import designs as designs_module
-from tightrel._design import _pair_counts
+from tightrel import _design
+from tightrel._design import _pair_counts, _pair_moments
 from tightrel.analysis import _first_uncovered
-from tightrel.designs import _first_unbalanced, _pair_values, bits_of, mask_of
+from tightrel.designs import _first_unbalanced, bits_of, mask_of
 from tightrel.designs import parse_block_line
 
 from conftest import cheap_levels, designs, lambda_count, reference_coverage, relabel
@@ -541,7 +541,7 @@ def _pair_count_spy(monkeypatch):
         calls.append(args)
         return _pair_counts(*args)
 
-    monkeypatch.setattr(designs_module, "_pair_counts", spy)
+    monkeypatch.setattr(_design, "_pair_counts", spy)
     return calls
 
 
@@ -574,7 +574,7 @@ def test_is_t_design_exits_early_without_counting_pairs(monkeypatch):
     assert is_t_design(wide, 64) == (False, None)
     assert calls == []
     # the pair count gives the same answer: 200 counts of 1, the rest 0
-    assert _pair_values(128, wide.blocks, 64) == (0, 200)
+    assert _pair_moments(128, [(64, wide.blocks, 1)], 64, 64) == [(0, 200)]
 
 
 def test_coverage_refuses_oversized_size_class(monkeypatch, fano):

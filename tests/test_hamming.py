@@ -22,10 +22,11 @@ from tightrel import (
     save_candidate,
 )
 from tightrel import hamming
+from tightrel._design import _pair_moments, _two_values
 from tightrel.analysis import union_design, weight_by_size
 from tightrel.designs import bits_of, mask_of
 
-from conftest import candidates, six_point_pair, weights
+from conftest import candidates, reference_coverage, six_point_pair, weights
 
 
 def shell_moment(n: int, s: int, r: int) -> int:
@@ -407,7 +408,7 @@ def test_oracle_memory_is_its_block_columns(monkeypatch):
         Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
     ]
     cand = RelativeCandidate.from_designs(*shells)
-    monkeypatch.setattr(hamming, "_first_unbalanced_size", lambda *args: pytest.fail("profile used"))
+    monkeypatch.setattr(hamming, "_pair_moments", lambda *args: pytest.fail("profile used"))
     relative_design_oracle(cand, 1)  # anything a first call sets up is not counted
     tracemalloc.start()
     try:
@@ -486,15 +487,25 @@ def test_pair_profile_matches_walk(case):
 @settings(max_examples=40, deadline=None)
 @given(candidates(st.integers(1, 4), with_witt=True), st.data())
 def test_pair_profile_first_failing_size(case, data):
-    # _first_unbalanced_size from any start: the walk's first failing size
-    # at or after it, once the sizes before it pass
+    # _pair_moments from any start: its first size whose weighted coverage
+    # takes other values than one is the walk's first failing size at or
+    # after it, once the sizes before it pass.  At each size whose subsets
+    # of blocks number at most 100,000, its moments are those of the
+    # weighted coverage counted block by block, uncovered subsets 0
     cand, t = case
     ok, witness = _on_route(cand, t, 2**200)
     first = None if ok else witness[0]
     start = data.draw(st.integers(1, first or t), label="start")
     scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
     shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]
-    assert hamming._first_unbalanced_size(cand.n, shells, start, t) == first
+    moments = _pair_moments(cand.n, shells, start, t)
+    assert len(moments) == t - start + 1
+    assert next((s for s, two in enumerate(moments, start) if two is None or two[1]), None) == first
+    union, weight = union_design(cand), {r: w for r, _, w in shells}
+    for s, two in enumerate(moments, start):
+        if sum(math.comb(b.bit_count(), s) for b in union.blocks) <= 100_000:
+            xs = reference_coverage(union, s, weight).values()
+            assert two == _two_values(math.comb(cand.n, s), sum(xs), sum(x * x for x in xs))
 
 
 def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
@@ -503,13 +514,13 @@ def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     # at (0, 1, 2), the first subset of size 3, long before that
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
-    profile, calls = hamming._first_unbalanced_size, []
+    profile, calls = hamming._pair_moments, []
 
     def spy(*args):
         calls.append(args)
         return profile(*args)
 
-    monkeypatch.setattr(hamming, "_first_unbalanced_size", spy)
+    monkeypatch.setattr(hamming, "_pair_moments", spy)
     assert relative_design_oracle(balanced, 3) == (True, None)
     assert len(calls) == 1
     unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
@@ -537,9 +548,13 @@ def test_oracle_routes(monkeypatch, pair, t, start):
     # 4 of the Witt pair at t = 5 and in size 3 of the Paley(43) and
     # Paley(47) pairs at t = 3, and leaves the sizes from there to the pair
     # profile; the Paley(23) pair at t = 3 walks every size within it
-    starts = []
-    monkeypatch.setattr(hamming, "_first_unbalanced_size",
-                        lambda n, shells, s, t: starts.append(s))
+    profile, starts = hamming._pair_moments, []
+
+    def spy(n, shells, lo, hi):
+        starts.append(lo)
+        return profile(n, shells, lo, hi)
+
+    monkeypatch.setattr(hamming, "_pair_moments", spy)
     assert relative_design_oracle(pair(), t) == (True, None)
     assert starts == ([] if start is None else [start])
 

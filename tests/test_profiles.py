@@ -15,9 +15,9 @@ from tightrel import (
     construct_paley_hadamard,
     lambda_sequence,
 )
-from tightrel import designs as designs_module, profiles
-from tightrel._design import _two_values
-from tightrel.designs import _pair_values, coverage_map, is_t_design, mask_of
+from tightrel import _design, designs as designs_module, profiles
+from tightrel._design import _pair_moments, _two_values
+from tightrel.designs import coverage_map, is_t_design, mask_of
 
 from conftest import cheap_levels, designs, reference_coverage, relabel
 
@@ -100,7 +100,7 @@ def _on_route(design, t, allowance):
     each walk at once for the pair count (lambda_sequence resumes it when
     the counts take other values than a and a+1), 2**200 leaves everything
     to the walk, which counts no pairs."""
-    count, calls = designs_module._pair_counts, []
+    count, calls = _design._pair_counts, []
 
     def spy(*args):
         calls.append(args)
@@ -109,7 +109,7 @@ def _on_route(design, t, allowance):
     with pytest.MonkeyPatch.context() as mp:
         for module in (designs_module, profiles):
             mp.setattr(module, "_allowance", lambda *args: [allowance])
-        mp.setattr(designs_module, "_pair_counts", spy)
+        mp.setattr(_design, "_pair_counts", spy)
         return lambda_sequence(design, t).entries, is_t_design(design, t), len(calls)
 
 
@@ -138,7 +138,8 @@ def test_pair_route_matches_walk(case):
     else:
         expect = None
     assert verdict[0] == (expect is not None and expect[1] == 0)
-    assert _pair_values(design.n, design.blocks, t) == expect
+    r = design.uniform_size()
+    assert _pair_moments(design.n, [(r, design.blocks, 1)], t, t) == [expect]
     assert _on_route(design, t, 0) == (walked, verdict, 2)
 
 
