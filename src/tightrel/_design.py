@@ -4,11 +4,13 @@ and the count of block pairs by the size of their intersection, with the
 moments of the weighted coverage that it gives and the test that reads a
 verdict from them (_pair_moments, the one place where shells become pair
 counts and moments).  The walk counts its work, and pauses once it has done
-as much as that count would (_allowance).  Blocks are int bitsets, so
-membership tests and complements are single integer operations.  This
-module imports only the leaf `_base` from tightrel, so a verb that reads
-design files and runs the moment oracle compiles no coverage kernel, and
-the coverage questions count block pairs without the oracle's modules.
+as much as that count would (_allowance); where no count is left to fall
+back on, it stops with ValueError at one work budget (_BUDGET).  Blocks are
+int bitsets, so membership tests and complements are single integer
+operations.  This module imports only the leaf `_base` from tightrel, so a
+verb that reads design files and runs the moment oracle compiles no
+coverage kernel, and the coverage questions count block pairs without the
+oracle's modules.
 """
 
 import math
@@ -158,7 +160,19 @@ def _allowance(n: int, shells, t: int = 0) -> list:
     return [(10_000 * rows + units) // _UNITS_PER_WORD]
 
 
-def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: int = 0):
+# The one work budget of a walk that has no count of block pairs to fall back
+# on, in units of about 1-3 ns: a step (one mask that the walk or its caller
+# builds) weighs _STEP units plus the 64-bit words of the block mask.  In
+# process a step costs 0.28-1.15 us at 1-7 words and 7.8 us at 2,887 words,
+# 0.7-2.9 ns per unit (2 vCPU, Python 3.11.7), so a walk is refused within
+# about 3 s: three overlapping 30-point blocks at t = 15 after 2.5 million
+# steps.
+_BUDGET = 10**9
+_STEP = 400
+
+
+def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: int = 0,
+          spent=None):
     """The one subset walk: the j-subsets of `points` (ascending), j >= 1, in
     lex order, as one (prefix, m, later) per prefix of j - 1 points.  m masks
     the blocks of `mask` that contain the prefix, and `later` lists the
@@ -175,22 +189,30 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
     width, the blocks that miss at most one point of the prefix: point p
     turns m0, m1 into m0 & c_p, m1 & c_p | m0 with one AND of both.
 
-    `left` is a one-item list that holds an allowance.  The walk counts the
-    masks that it and its caller build, one per node and per candidate,
-    each weighing the 64-bit words of `mask`; where their weight passes the
-    allowance it yields None, once, and goes on when resumed.
+    `left` is a one-item list that holds an allowance.  The walk counts its
+    steps, the masks that it and its caller build, one per node and per
+    candidate, each weighing the 64-bit words of `mask`; where their weight
+    passes the allowance it yields None, once, and goes on when resumed.
+    A walk with no allowance, or resumed past it, has the work budget
+    _BUDGET instead, where each step weighs _STEP units more, and raises
+    ValueError past it; walks that share a budget add their units to the
+    one-item list `spent`.
     """
     words = (mask.bit_length() >> 6) + 1
     high = mask << width if width else 0
     reps = [c | c << width for c in cols] if width else cols
     mask |= high
-    work, limit = 0, None if left is None else left[0] // words
+    step, spent = words + _STEP, [0] if spent is None else spent
+    work, limit = 0, (_BUDGET - spent[0]) // step if left is None else left[0] // words
 
-    def paused():  # True once, where the work passes the allowance
-        nonlocal limit
-        if limit is None or work <= limit:
+    def paused():  # True once, where the work passes the allowance; raises past the budget
+        nonlocal left, limit
+        if work <= limit:
             return False
-        left[0], limit = left[0] - work * words, None
+        if left is None:
+            raise ValueError(f"the {j}-subset walk passed its work budget of {_BUDGET:,} units "
+                             f"after {work:,} steps of {step:,} units")
+        left[0], left, limit = left[0] - work * words, None, (_BUDGET - spent[0]) // step
         return True
 
     cand = list(points)
@@ -250,18 +272,20 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
             if paused():
                 yield None
             yield (), mask, cand
-    if limit is not None:
+    if left is None:
+        spent[0] += work * step
+    else:
         left[0] -= work * words
 
 
-def _first_failing(cols, points, j: int, mask: int, holds, left=None):
+def _first_failing(cols, points, j: int, mask: int, holds, left=None, spent=None):
     """The lex-first j-subset of `points` (ascending) whose mask m of the
     blocks of `mask` that contain it fails holds(m), or None; False when the
     walk pauses at its allowance `left` first.  An uncovered subset has
     m = 0, so the walk skips such subsets only when holds(0)."""
     if j == 0:
         return None if holds(mask) else ()
-    for item in _walk(cols, points, j, mask, holds(0), left):
+    for item in _walk(cols, points, j, mask, holds(0), left, 0, spent):
         if item is None:
             return False
         prefix, m, later = item

@@ -62,11 +62,11 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
         wmap[s] = w
     sizes = [b.bit_count() for b in design.blocks]
     count = {r: sizes.count(r) for r in wmap}
-    lams = []
+    lams, spent = [], [0]
     # with mixed block sizes, balance at level j does not imply balance below
-    # it, so every level is checked
+    # it, so every level is checked, the walks sharing one work budget
     for j in range(1, t + 1):
-        if _first_unbalanced(design.n, design.blocks, j, wmap) is not None:
+        if _first_unbalanced(design.n, design.blocks, j, wmap, None, spent) is not None:
             return False, None
         # balanced: every j-subset has the double-counting share; past j = n
         # there are no j-subsets, and the sum and C(n, j) are both 0
@@ -280,13 +280,10 @@ def prop44_check(cand: "RelativeCandidate"):
 
 def _first_uncovered(n: int, blocks, sets, j: int):
     """(i, s) for the first of `sets` that holds a j-subset s inside no
-    block, with s its lex-first such subset; None when there is none."""
-    from .designs import _check_work
-
-    _check_work(blocks, j)
-    _check_work(sets, j)
-    cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
+    block, with s its lex-first such subset; None when there is none.  The
+    walks of all sets share one work budget."""
+    cols, full, spent = _columns(blocks, n), (1 << len(blocks)) - 1, [0]
     for i, s in enumerate(sets):
-        if (u := _first_failing(cols, bits_of(s), j, full, bool)) is not None:
+        if (u := _first_failing(cols, bits_of(s), j, full, bool, None, spent)) is not None:
             return i, u
     return None

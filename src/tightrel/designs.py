@@ -11,6 +11,9 @@ the walk spends it, they pause it and count the pairs: _design._pair_moments,
 on one shell of weight 1 (the one-shell case of the oracle's weighted
 coverage), gives the first two moments of the coverage counts, and from
 them whether the counts take only two adjacent values, and how often each.
+is_t_design never walks on past that point, so it is never refused; the
+other walks, coverage_map's and lambda_sequence's once resumed, stop with
+ValueError at the walk's one work budget (_design._BUDGET).
 The Design record, its text format, the walk and the pair count live in
 the leaf module `_design`, and the transforms and constructions in
 `constructions`; the record and format names are also importable from
@@ -18,57 +21,23 @@ here.
 """
 
 import math
-from itertools import groupby
 
 from ._design import MAX_POINTS, Design, _columns, bits_of, mask_of  # noqa: F401
 from ._design import design_text, load_design, parse_block_line, save_design  # noqa: F401
 from ._design import _allowance, _first_failing, _pair_moments, _walk
 
-# Bound on the coverage walk's work for one block size r: the C(r, j)
-# j-subsets of all blocks of that size, and the j positions of each j-subset
-# of an r-set.  Past it the walk raises ValueError before it starts.
-MAX_RANKS = 1 << 24
-
-
 # ---------------------------------------------------------------------------
 # counting and verification
 
 
-def _check_work(blocks, j: int) -> None:
-    """Refuse more than MAX_RANKS j-subsets of the blocks of one size r, or
-    j-subset positions of an r-set."""
-    for r, group in groupby(sorted(map(int.bit_count, blocks))):
-        count, per_block = len(list(group)), math.comb(r, j)
-        if per_block * max(count, j) > MAX_RANKS:
-            raise ValueError(
-                f"counting {j}-subsets of {count} block(s) of size {r} "
-                f"({per_block:,} per block) exceeds the coverage kernel's limit of "
-                f"{MAX_RANKS:,} ranks or positions"
-            )
-
-
-def _coverage(cols, blocks, j: int, left=None):
-    """The walk over the j-subsets of the points of `cols` that some block
-    of `blocks` contains, with the work check before it runs unbounded: at
-    once without an allowance, and otherwise where the walk resumes after
-    spending it."""
-    if left is None:
-        _check_work(blocks, j)
-    for item in _walk(cols, range(len(cols)), j, (1 << len(blocks)) - 1, True, left):
-        yield item
-        if item is None:
-            _check_work(blocks, j)
-
-
-def _first_unbalanced(n: int, blocks, j: int, weight, left=None):
+def _first_unbalanced(n: int, blocks, j: int, weight, left=None, spent=None):
     """The lex-first j-subset of range(n) whose coverage sum, each block
     counted weight[its size] times (an int or a Fraction), times C(n, j) is
     not the double-counting total, the sum over blocks B of
     weight[|B|] C(|B|, j); None when every j-subset has its share, and
-    False when the walk spends the allowance `left` first.  Oversized work
-    raises before an unbounded walk starts."""
-    if left is None:
-        _check_work(blocks, j)
+    False when the walk spends the allowance `left` first.  Without one the
+    walk has the work budget of _design._walk, shared by the walks that
+    share `spent`."""
     scale = math.lcm(*(w.denominator for w in weight.values()))
     sizes = [b.bit_count() for b in blocks]
     iw = {r: int(weight[r] * scale) for r in set(sizes)}
@@ -83,7 +52,8 @@ def _first_unbalanced(n: int, blocks, j: int, weight, left=None):
             share += w * (m & c).bit_count()
         return share == total
 
-    return _first_failing(_columns(blocks, n), range(n), j, (1 << len(blocks)) - 1, holds, left)
+    full = (1 << len(blocks)) - 1
+    return _first_failing(_columns(blocks, n), range(n), j, full, holds, left, spent)
 
 
 def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
@@ -96,8 +66,8 @@ def coverage_map(design: Design, j: int) -> dict[tuple[int, ...], int]:
     blocks = design.blocks
     if j == 0:
         return {(): len(blocks)} if blocks else {}
-    cols = _columns(blocks, design.n)
-    return {(*prefix, q): c for prefix, m, later in _coverage(cols, blocks, j)
+    cols, full = _columns(blocks, design.n), (1 << len(blocks)) - 1
+    return {(*prefix, q): c for prefix, m, later in _walk(cols, range(design.n), j, full)
             for q in later if (c := (m & cols[q]).bit_count())}
 
 

@@ -207,7 +207,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     the walk spends the work of one pass over the block pairs, the weighted
     balance counted from those pairs decides the sizes from there on, and
     the walk, resumed or restarted at the first failing size, names the
-    witness.
+    witness, or raises ValueError past its work budget (_design._BUDGET).
     """
     n = cand.n
     if not 1 <= t <= n:

@@ -4,13 +4,14 @@ the coverage walk of designs.py, where a t-subset it does not visit counts
 0.  Where the walk spends the work of one count of block pairs, it pauses
 for that count (_design._pair_moments, which the oracle's pair route also
 uses); when the count shows that the coverage counts take two adjacent
-values a and a+1, it gives the histogram, and otherwise the walk resumes."""
+values a and a+1, it gives the histogram, and otherwise the walk resumes,
+under the walk's work budget (_design._BUDGET)."""
 
 import math
 from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _allowance, _columns, _coverage, _pair_moments
+from .designs import Design, _allowance, _columns, _pair_moments, _walk
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -45,7 +46,8 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     The cost is a walk over the t-subsets that some block contains, rather
     than a scan of all C(n,t) subsets against the block list.  Where the
     walk spends the work of one pass over the block pairs, that pass comes
-    in, and decides the histogram when its values are a and a+1.
+    in, and decides the histogram when its values are a and a+1; otherwise
+    the walk resumes, and raises ValueError past its work budget.
     """
     if not design.blocks:  # every t-subset counts 0
         if not 1 <= t <= design.n:
@@ -55,8 +57,8 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
     n, blocks, total = design.n, design.blocks, math.comb(design.n, t)
-    cols, counts = _columns(blocks, n), Counter()
-    for item in _coverage(cols, blocks, t, _allowance(n, [(r, len(blocks))], t)):
+    cols, counts, full = _columns(blocks, n), Counter(), (1 << len(blocks)) - 1
+    for item in _walk(cols, range(n), t, full, True, _allowance(n, [(r, len(blocks))], t)):
         if item is None:  # the walk paused: one count of the block pairs
             if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
                 a, h = two

@@ -9,7 +9,12 @@ new process (src on PYTHONPATH, as the benchmark does), and prints one
 sha256 per workload and seed over the exit code, stdout and stderr of its
 calls in order, with the temporary directory's path replaced by a fixed
 token.  Two checkouts that print the same lines answer every call byte for
-byte alike.  Not a test module: pytest does not collect it.
+byte alike.  tests/replay_digest.txt pins the lines, and CI diffs the
+output against it:
+
+    python3 tests/replay_digest.py | diff tests/replay_digest.txt -
+
+Not a test module: pytest does not collect it.
 """
 
 import hashlib

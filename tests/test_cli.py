@@ -40,7 +40,7 @@ from tightrel.commands import _VERBS
 from tightrel.commands._parser import _build_parser
 from tightrel.commands._output import _blocks
 from tightrel.commands.construct import _CONSTRUCTIONS, _TRANSFORMS
-from tightrel.designs import MAX_RANKS, mask_of
+from tightrel.designs import mask_of
 
 from conftest import relabel, six_point_pair
 
@@ -287,10 +287,10 @@ def test_check_relative_even_n_moment_identities_not_enough(capsys, tmp_path):
 def test_check_relative_even_n_past_the_coverage_limit(capsys, tmp_path):
     # complete shells form a relative design at every strength; on n = 2m <=
     # 2t the oracle checks the balance at sizes m..t within its own scan, so
-    # a union the coverage kernel refuses (1140 blocks of 17 points, C(17, 9)
-    # 9-subsets each, past MAX_RANKS) still gets its verdict
+    # a large union (1140 blocks of 17 points, C(17, 9) 9-subsets each, more
+    # than 2^24 in all) gets its verdict
     shells = [Design(20, tuple(map(mask_of, itertools.combinations(range(20), r)))) for r in (2, 17)]
-    assert math.comb(17, 9) * shells[1].num_blocks > MAX_RANKS
+    assert math.comb(17, 9) * shells[1].num_blocks > 2**24
     p = tmp_path / "complete.rel"
     save_candidate(RelativeCandidate.from_designs(*shells, 1, 3), 10, p)
     assert main(["check-relative", str(p)]) == 0
@@ -368,8 +368,8 @@ def test_lambda_seq_oversized_coverage(capsys, tmp_path):
     assert out.err == ""
 
     # three overlapping 30-blocks give the 15-subsets counts 0, 1 and 2, so
-    # the walk must count them: refused before anything is allocated, as a
-    # usage error
+    # the walk must count them: refused at its work budget, with nothing
+    # allocated but the counts, as a usage error
     p.write_text("DESIGN v1\nn=128 b=3\n" + "".join(
         " ".join(map(str, range(k, k + 30))) + "\n" for k in (0, 10, 20)))
     code, peak, _ = _lambda_seq_traced(p, 15)
@@ -377,7 +377,8 @@ def test_lambda_seq_oversized_coverage(capsys, tmp_path):
     assert peak < 2**20
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: counting 15-subsets of 3 block(s) of size 30 ")
+    assert out.err == ("error: the 15-subset walk passed its work budget of 1,000,000,000 units "
+                       "after 2,493,767 steps of 401 units\n")
     assert "Traceback" not in out.err
 
 

@@ -503,16 +503,15 @@ def test_first_uncovered_after_the_last_covered_subset(fano):
 
 
 def test_one_module_holds_the_subset_walk():
-    # _design defines the one subset walk, so no other module, the oracle's
-    # included, walks subsets by hand; the work check stays with the
-    # unbounded coverage walks of designs and analysis
+    # _design defines the one subset walk and the one work budget that stops
+    # it, so no other module, the oracle's included, walks subsets by hand
+    # or estimates a walk's work before it starts
     src = Path(sys.modules["tightrel"].__file__).parent
     for path in src.rglob("*.py"):
         text = path.read_text()
         if path.name != "_design.py":
             assert not re.search(r"def _?(walk|covered)\b", text), path.name
-        if path.name not in ("designs.py", "analysis.py"):
-            assert "_check_work" not in text, path.name
+        assert "_check_work" not in text, path.name
 
 
 # C(n, j) past 2**31 and 2**63, and strengths just below the block size,
@@ -578,15 +577,14 @@ def test_is_t_design_exits_early_without_counting_pairs(monkeypatch):
 
 
 def test_coverage_refuses_oversized_size_class(monkeypatch, fano):
-    from tightrel import designs
-
-    # Fano at j = 2: 7 blocks x C(3,2) = 21 ranks
-    monkeypatch.setattr(designs, "MAX_RANKS", 21)
+    # Fano at j = 2: the walk takes 48 steps of one mask word, 401 units each
+    monkeypatch.setattr(_design, "_BUDGET", 48 * 401)
     assert sum(coverage_map(fano, 2).values()) == 21
-    monkeypatch.setattr(designs, "MAX_RANKS", 20)
-    with pytest.raises(ValueError, match="exceeds the coverage kernel's limit"):
+    monkeypatch.setattr(_design, "_BUDGET", 48 * 401 - 1)
+    with pytest.raises(ValueError, match="passed its work budget"):
         coverage_map(fano, 2)
-    monkeypatch.undo()
-    # one 26-block at j = 13: 10,400,600 ranks, but 13 positions for each
-    with pytest.raises(ValueError, match=r"\(10,400,600 per block\)"):
+    # one 26-block at j = 13: its 10,400,600 subsets would each be a step; at
+    # the real budget the map holds 2.5 million of them when the walk stops
+    monkeypatch.setattr(_design, "_BUDGET", 10**6)
+    with pytest.raises(ValueError, match=r"budget of 1,000,000 units after 2,496 steps of 401 units"):
         coverage_map(Design(26, (2**26 - 1,)), 13)

@@ -150,14 +150,14 @@ def test_lambda_sequence_resumes_the_paused_walk(monkeypatch):
     # histogram it gives on its own
     paley = construct_paley_hadamard(19)
     walked = _on_route(paley, 3, 2**200)[0]
-    real, seen = profiles._coverage, []
+    real, seen = profiles._walk, []
 
     def spy(*args):
         for item in real(*args):
             seen.append(item is None)
             yield item
 
-    monkeypatch.setattr(profiles, "_coverage", spy)
+    monkeypatch.setattr(profiles, "_walk", spy)
     assert lambda_sequence(paley, 3).entries == walked == _reference_lambda_sequence(paley, 3)
     assert seen.count(True) == 1
     assert 0 < seen.index(True) < len(seen) - 1
@@ -203,8 +203,8 @@ def test_lambda_sequence_checks_raise(monkeypatch):
     # the double-counting checks raise, so python -O keeps them: a kernel
     # that drops a covered t-subset trips the weighted total check.  The
     # triples of Paley(19) lie in 1, 2 or 3 blocks, so the walk counts them
-    real = profiles._coverage
-    monkeypatch.setattr(profiles, "_coverage", lambda *a: itertools.islice(real(*a), 1, None))
+    real = profiles._walk
+    monkeypatch.setattr(profiles, "_walk", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
         lambda_sequence(construct_paley_hadamard(19), 3)
 
