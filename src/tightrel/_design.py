@@ -3,9 +3,10 @@ format, its bit-sliced block columns, the one walk over subsets of them,
 and the count of block pairs by the size of their intersection, with the
 moments of the weighted coverage that it gives and the test that reads a
 verdict from them (_pair_moments, the one place where shells become pair
-counts and moments).  The walk counts its work, and pauses once it has done
-as much as that count would (_allowance); where no count is left to fall
-back on, it stops with ValueError at one work budget (_BUDGET).  Blocks are
+counts and moments).  Both are priced in one unit: the walk counts its work,
+and pauses once it has spent what that count would cost (_allowance).  A
+count that would pass the one work budget (_BUDGET) is never started, and a
+walk with no count to fall back on stops with ValueError there.  Blocks are
 int bitsets, so membership tests and complements are single integer
 operations.  This module imports only the leaf `_base` from tightrel, so a
 verb that reads design files and runs the moment oracle compiles no
@@ -135,40 +136,38 @@ def _pair_counts(blocks, others, n: int, lo: int, hi: int) -> list:
     return cnt
 
 
-# The one exchange rate between the two routes: the units of a count of
-# block pairs (see _allowance) that cost as much as one 64-bit word of the
-# block mask at a walk node.  In process a word costs 60-460 ns, as a node
-# costs about 500 ns whatever its width, and a unit 0.1-0.6 ns (2 vCPU,
-# Python 3.11.7).  At this rate the Paley pairs up to n = 23 at t = 3 walk
-# within their allowance.
-_UNITS_PER_WORD = 250
+# The one cost model of both routes, in budget units.  A walk step (one mask
+# that the walk or its caller builds) weighs _STEP units plus the 64-bit words
+# of the block mask: 0.28-1.15 us at 1-7 words and 7.8 us at 2,887 words in
+# process, 0.6-2.9 ns per unit.  A count of block pairs (_pair_counts) weighs
+# a unit per _UNIT_BYTES bytes that it adds and scans, a row as _ROW_BYTES:
+# 0.28 ns per byte and 1.9 us per row (fitted to 23 counts of 0.04-400 ms),
+# about 13 ns per unit (2 vCPU, Python 3.11.7).  So a walk pauses after a
+# fifth to a twentieth of the count's time; pausing at about that time (a unit
+# per 4 bytes) was slower on the routed benchmark calls, the Witt pair's oracle
+# at t = 5 taking 2-3 times its count.  _BUDGET bounds both routes: a walk is
+# refused within about 3 s (three overlapping 30-point blocks at t = 15 after
+# 2.5 million steps), and a count over it, about 13 s, is never started.
+_BUDGET = 10**9
+_STEP = 400
+_UNIT_BYTES = 48
+_ROW_BYTES = 6_800
 
 
-def _allowance(n: int, shells, t: int = 0) -> list:
-    """The walk's allowance, in mask words, before it pauses for one count
-    of the pairs of blocks of `shells`, a list of (r, block count), in a
-    list that the walk draws down.  The count's units are the bytes it adds
-    and scans: per ordered pair the r points of its first block and the
-    intersection sizes from t up that the two block sizes allow.  Each row,
-    one per block for its own shell and each later one, adds ten thousand,
-    as a row's own cost is about 3 us."""
-    rows = units = 0
+def _allowance(n: int, shells, t: int = 0):
+    """The cost of one count of the pairs of blocks of `shells`, a list of
+    (r, block count), as a one-item list that the walk draws down before it
+    pauses for that count; None when it passes _BUDGET.  Per ordered pair
+    the count adds r bytes, one per point of the first block, and scans a
+    byte per intersection size from t up that the two block sizes allow;
+    it makes a row per block for its own shell and each later one."""
+    rows = size = 0
     for k, (r, b) in enumerate(shells):
         rows += b * (len(shells) - k)
         for q, c in shells:
-            units += b * c * (r + min(r, q) + 1 - max(t, r + q - n))
-    return [(10_000 * rows + units) // _UNITS_PER_WORD]
-
-
-# The one work budget of a walk that has no count of block pairs to fall back
-# on, in units of about 1-3 ns: a step (one mask that the walk or its caller
-# builds) weighs _STEP units plus the 64-bit words of the block mask.  In
-# process a step costs 0.28-1.15 us at 1-7 words and 7.8 us at 2,887 words,
-# 0.7-2.9 ns per unit (2 vCPU, Python 3.11.7), so a walk is refused within
-# about 3 s: three overlapping 30-point blocks at t = 15 after 2.5 million
-# steps.
-_BUDGET = 10**9
-_STEP = 400
+            size += b * c * (r + min(r, q) + 1 - max(t, r + q - n))
+    cost = (_ROW_BYTES * rows + size) // _UNIT_BYTES
+    return None if cost > _BUDGET else [cost]
 
 
 def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: int = 0,
@@ -189,21 +188,19 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
     width, the blocks that miss at most one point of the prefix: point p
     turns m0, m1 into m0 & c_p, m1 & c_p | m0 with one AND of both.
 
-    `left` is a one-item list that holds an allowance.  The walk counts its
-    steps, the masks that it and its caller build, one per node and per
-    candidate, each weighing the 64-bit words of `mask`; where their weight
-    passes the allowance it yields None, once, and goes on when resumed.
-    A walk with no allowance, or resumed past it, has the work budget
-    _BUDGET instead, where each step weighs _STEP units more, and raises
-    ValueError past it; walks that share a budget add their units to the
-    one-item list `spent`.
+    The walk counts its steps, the masks that it and its caller build, one
+    per node and per candidate, each weighing _STEP units plus the 64-bit
+    words of `mask`.  `left` is a one-item list that holds an allowance in
+    those units: where the work passes it the walk yields None, once, and
+    goes on when resumed.  A walk with no allowance, or resumed past it,
+    raises ValueError where its work passes what is left of _BUDGET; walks
+    that share a budget add their units to the one-item list `spent`.
     """
-    words = (mask.bit_length() >> 6) + 1
+    step, spent = _STEP + (mask.bit_length() >> 6) + 1, [0] if spent is None else spent
     high = mask << width if width else 0
     reps = [c | c << width for c in cols] if width else cols
     mask |= high
-    step, spent = words + _STEP, [0] if spent is None else spent
-    work, limit = 0, (_BUDGET - spent[0]) // step if left is None else left[0] // words
+    work, limit = 0, (_BUDGET - spent[0] if left is None else left[0]) // step
 
     def paused():  # True once, where the work passes the allowance; raises past the budget
         nonlocal left, limit
@@ -212,7 +209,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
         if left is None:
             raise ValueError(f"the {j}-subset walk passed its work budget of {_BUDGET:,} units "
                              f"after {work:,} steps of {step:,} units")
-        left[0], left, limit = left[0] - work * words, None, (_BUDGET - spent[0]) // step
+        left[0], left, limit = left[0] - work * step, None, (_BUDGET - spent[0]) // step
         return True
 
     cand = list(points)
@@ -275,7 +272,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
     if left is None:
         spent[0] += work * step
     else:
-        left[0] -= work * words
+        left[0] -= work * step
 
 
 def _first_failing(cols, points, j: int, mask: int, holds, left=None, spent=None):

@@ -5,15 +5,15 @@ go through the subset walk of `_design` over bit-sliced block columns
 (point i is an int whose bit k says whether block k holds it): it visits,
 in lex order, the subsets that some block contains, and ANDs their points'
 columns to get the blocks that contain them.  is_t_design and
-lambda_sequence start on the walk with an allowance of the work of one
+lambda_sequence start on the walk with an allowance of the cost of one
 count of the ordered block pairs by the size of their intersection.  Where
 the walk spends it, they pause it and count the pairs: _design._pair_moments,
 on one shell of weight 1 (the one-shell case of the oracle's weighted
 coverage), gives the first two moments of the coverage counts, and from
 them whether the counts take only two adjacent values, and how often each.
-is_t_design never walks on past that point, so it is never refused; the
-other walks, coverage_map's and lambda_sequence's once resumed, stop with
-ValueError at the walk's one work budget (_design._BUDGET).
+A count over the walk's one work budget (_design._BUDGET) is never started,
+and the walks stop with ValueError there; is_t_design, which never walks on
+past its count, stops only when neither route fits the budget.
 The Design record, its text format, the walk and the pair count live in
 the leaf module `_design`, and the transforms and constructions in
 `constructions`; the record and format names are also importable from
@@ -78,8 +78,9 @@ def is_t_design(design: Design, t: int):
     (False, None).  Blocks must all have one size r >= t; with no blocks,
     t <= n.  Only level t is counted: with uniform blocks a t-design is a
     j-design for every j < t, with lam_j = lam_t C(n-j,t-j) / C(r-j,t-j).
-    The walk over the t-subsets answers unless it spends the work of one
-    count of the block pairs first, which then answers.
+    The walk over the t-subsets answers unless it spends the cost of one
+    count of the block pairs first, which then answers, if it fits the
+    work budget; past that budget the walk raises ValueError.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

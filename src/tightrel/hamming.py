@@ -44,8 +44,9 @@ checks balance itself.  X sums to m1 = sum_B W C(|B|, s) and X^2 to m2 =
 sum_{B,B'} W W' C(|B cap B'|, s), so one count of the block pairs by their
 shells and intersection size decides every size (_design._pair_moments);
 the walk then names the witness at the first failing size alone.  The
-oracle walks until it has done the work of that count (_design._allowance),
-so a candidate whose walk ends or fails early never counts the pairs.
+oracle walks until it has spent that count's cost (_design._allowance), so
+a candidate whose walk ends or fails sooner never counts the pairs, nor one
+whose count would pass the walk's work budget (_design._BUDGET).
 """
 
 import math
@@ -204,7 +205,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
     of the union (a failing subset is one whose blocks' weight is off the
     average), which the identities at those sizes need not imply.  Where
-    the walk spends the work of one pass over the block pairs, the weighted
+    the walk spends the cost of one pass over the block pairs, the weighted
     balance counted from those pairs decides the sizes from there on, and
     the walk, resumed or restarted at the first failing size, names the
     witness, or raises ValueError past its work budget (_design._BUDGET).
@@ -263,7 +264,7 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
             return False, found
     else:
         return True, None
-    # the walk has done the work of one pass over the block pairs: the
+    # the walk has spent the cost of one pass over the block pairs: the
     # weighted balance decides the sizes from s on
     moments = enumerate(_pair_moments(n, shells, s, t), s)
     bad = next((j for j, two in moments if two is None or two[1]), None)

@@ -1,11 +1,11 @@
 """Coverage-count histograms over all t-subsets, and detection of designs
 with different block multisets sharing a histogram.  The counts come from
 the coverage walk of designs.py, where a t-subset it does not visit counts
-0.  Where the walk spends the work of one count of block pairs, it pauses
+0.  Where the walk spends the cost of one count of block pairs, it pauses
 for that count (_design._pair_moments, which the oracle's pair route also
 uses); when the count shows that the coverage counts take two adjacent
-values a and a+1, it gives the histogram, and otherwise the walk resumes,
-under the walk's work budget (_design._BUDGET)."""
+values a and a+1, it gives the histogram, and otherwise the walk resumes.
+A count over the walk's work budget (_design._BUDGET) never starts."""
 
 import math
 from collections import Counter
@@ -45,9 +45,10 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
 
     The cost is a walk over the t-subsets that some block contains, rather
     than a scan of all C(n,t) subsets against the block list.  Where the
-    walk spends the work of one pass over the block pairs, that pass comes
+    walk spends the cost of one pass over the block pairs, that pass comes
     in, and decides the histogram when its values are a and a+1; otherwise
-    the walk resumes, and raises ValueError past its work budget.
+    the walk resumes.  Past its work budget, which bounds the pass too, the
+    walk raises ValueError.
     """
     if not design.blocks:  # every t-subset counts 0
         if not 1 <= t <= design.n:

@@ -1,11 +1,19 @@
-"""The one work budget of the subset walks that have no count of block pairs
-to fall back on (_design._BUDGET): coverage_map, lambda_sequence once its
-walk resumes, the analysis checks and the oracle's witness walk raise one
-ValueError past it, and give their usual answers within it."""
+"""The one work budget of both routes (_design._BUDGET).  The subset walks
+that have no count of block pairs to fall back on (coverage_map,
+lambda_sequence once its walk resumes, the analysis checks and the oracle's
+witness walk) raise one ValueError past it, and give their usual answers
+within it.  A count of block pairs whose cost passes it is never started:
+is_t_design, lambda_sequence and the oracle then walk under the budget
+alone, so is_t_design answers whenever one route fits the budget and is
+refused only when neither does."""
+
+from itertools import combinations
 
 import pytest
 
 from tightrel import (
+    Design,
+    RelativeCandidate,
     _design,
     complement,
     construct_paley_hadamard,
@@ -98,10 +106,81 @@ def test_prop44_walks_share_one_budget(monkeypatch):
     assert _least_budget(monkeypatch, uncovered(sets)) > alone
 
 
+def _count_spy(monkeypatch):
+    """The calls of the block-pair count that the three routed calls make."""
+    calls, count = [], _design._pair_counts
+    monkeypatch.setattr(_design, "_pair_counts", lambda *args: calls.append(args) or count(*args))
+    return calls
+
+
+def _complete(n, r):
+    return Design(n, tuple(map(_design.mask_of, combinations(range(n), r))))
+
+
 def test_is_t_design_is_never_refused(monkeypatch):
-    # the Witt design at t = 4: the walk spends its allowance, and the pair
-    # count answers; the walk never resumes, so the budget never applies
-    monkeypatch.setattr(_design, "_BUDGET", 1)
-    witt = construct_witt_23()
-    assert is_t_design(witt, 4) == (True, [253, 77, 21, 5, 1])
-    assert is_t_design(complement(witt), 4)[0]
+    # is_t_design is refused only when neither route fits the budget.  The
+    # complement of the Witt design at t = 4 spends its walk's allowance, and
+    # the pair count answers, within a budget of just the count's cost (the
+    # walk alone needs far more); one unit less, neither route fits.  The
+    # complete 5-uniform design on 10 points at t = 2 walks its 45 pairs in
+    # less than its count's cost, and answers at that budget without counting
+    calls = _count_spy(monkeypatch)
+    comp = complement(construct_witt_23())
+    (cost,) = _design._allowance(23, [(16, 253)], 4)
+    (complete_cost,) = _design._allowance(10, [(5, 252)], 2)
+    monkeypatch.setattr(_design, "_BUDGET", cost)
+    assert is_t_design(comp, 4) == (True, [253, 176, 120, 80, 52])
+    assert len(calls) == 1
+    monkeypatch.setattr(_design, "_BUDGET", cost - 1)
+    with pytest.raises(ValueError, match=REFUSAL):
+        is_t_design(comp, 4)
+    monkeypatch.setattr(_design, "_BUDGET", complete_cost - 1)
+    assert is_t_design(_complete(10, 5), 2) == (True, [252, 126, 56])
+    assert len(calls) == 1
+
+
+WITT = construct_witt_23()
+WITT_PAIR = RelativeCandidate.from_designs(WITT, complement(WITT))
+
+# each routed call with the point count, shells and strength of its count,
+# and its answer
+ROUTED = {
+    "is_t_design": (lambda: is_t_design(WITT, 4), 23, [(7, 253)], 4, (True, [253, 77, 21, 5, 1])),
+    "lambda_sequence": (lambda: lambda_sequence(WITT, 4).entries, 23, [(7, 253)], 4,
+                        ((1, 8855),)),
+    "oracle": (lambda: relative_design_oracle(WITT_PAIR, 5), 23, [(7, 253), (16, 253)], 0,
+               (True, None)),
+}
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_counts_only_within_the_budget(monkeypatch, name):
+    # one unit under the count's cost, the count is never started, and the
+    # walk alone, which needs far more than the count, is refused; at that
+    # cost and one unit above, the walk pauses and the count answers
+    call, n, shells, t, answer = ROUTED[name]
+    (cost,) = _design._allowance(n, shells, t)
+    calls = _count_spy(monkeypatch)
+    monkeypatch.setattr(_design, "_BUDGET", cost - 1)
+    assert _design._allowance(n, shells, t) is None
+    with pytest.raises(ValueError, match=REFUSAL):
+        call()
+    assert calls == []
+    for budget in (cost, cost + 1):
+        monkeypatch.setattr(_design, "_BUDGET", budget)
+        assert call() == answer
+        assert calls
+        calls.clear()
+
+
+def test_count_over_the_budget_is_never_started(monkeypatch):
+    # the complete 10-uniform design on 20 points at t = 10: counting its
+    # 1.7e10 block pairs took 114 s, far past the budget, so neither call
+    # counts, and each walk is refused at the budget, in 1-3 s
+    assert _design._allowance(20, [(10, 184_756)], 10) is None
+    calls = _count_spy(monkeypatch)
+    complete = _complete(20, 10)
+    for call in (is_t_design, lambda_sequence):
+        with pytest.raises(ValueError, match=REFUSAL):
+            call(complete, 10)
+    assert calls == []

@@ -806,18 +806,19 @@ def verb_files(tmp_path):
     [
         # bench/tracing.py wraps analysis functions and finds the module in
         # sys.modules, so this verb keeps loading analysis for tight_size;
-        # neither it nor the oracle needs the coverage kernel of designs
+        # neither it nor the oracle needs the coverage kernel of designs.
+        # Every routed row here spends its walk's allowance and counts its
+        # block pairs (a spy on _design._pair_counts in process): the
+        # oracle within hamming, the coverage verbs within designs
         (["check-relative", "pair.rel", "--tight"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.analysis",
                  "tightrel.commands.check_relative", "tightrel.hamming"])),
         (["check-relative", "pair.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
-        # verify and lambda-seq walk Paley(19) at t = 2 within their
-        # allowance, and verify at t = 3 fails the first triple; lambda-seq at
-        # t = 3 counts its block pairs, finds three values and walks on.  The
-        # Witt rows at the end take the pair route.  No route loads hamming
-        # or fractions
+        # verify and lambda-seq on Paley(19) at t = 2 and 3 count their block
+        # pairs; lambda-seq at t = 3 finds three values and walks on.  No
+        # route loads hamming or fractions
         (["verify", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
         (["lambda-seq", "paley.blk", "--t", "3"], 0,
@@ -838,7 +839,7 @@ def verb_files(tmp_path):
         (["conjecture2", "corpus", "--t", "3"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands._output",
                  "tightrel.commands.conjecture2", "tightrel.designs", "tightrel.profiles"])),
-        # a small candidate stays on the subset walk, without the pair profile
+        # a small candidate counts its block pairs too: its count is cheap
         (["check-relative", "fano.rel"], 0,
          sorted([*_COMMON, "fractions", "tightrel._design", "tightrel.commands.check_relative",
                  "tightrel.hamming"])),
@@ -848,9 +849,7 @@ def verb_files(tmp_path):
         (["lambda-seq", "paley.blk", "--t", "2"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.lambda_seq", "tightrel.designs",
                  "tightrel.profiles"])),
-        # the Witt design and pair spend their walks' allowance and count
-        # their block pairs: the coverage verbs within designs, the oracle
-        # within hamming
+        # the Witt design and pair
         (["verify", "witt.blk", "--t", "4"], 0,
          sorted([*_COMMON, "tightrel._design", "tightrel.commands.verify", "tightrel.designs"])),
         (["lambda-seq", "witt.blk", "--t", "5"], 0,

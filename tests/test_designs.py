@@ -547,16 +547,17 @@ def _pair_count_spy(monkeypatch):
 def test_coverage_routes(monkeypatch, fano):
     # is_t_design counts the block pairs only where its walk spends the
     # allowance of that count first: on the Witt design and its complement
-    # at t = 4.  At t = 5 both walks fail the first 5-subset; the Paley
-    # designs at t = 2, Fano at t = 3 and the complete 10-uniform design on
-    # 20 points (184,756 blocks, 34 billion pairs) at t = 1 and 2 finish
-    # within it
+    # at t = 4, the Paley designs at t = 2 and Fano at t = 3.  At t = 5 the
+    # Witt walks fail the first 5-subset within it.  The complete 10-uniform
+    # design on 20 points (184,756 blocks, 34 billion pairs) would pass the
+    # work budget with its count, so at t = 1 and 2 it walks, and finishes
+    # within the budget
     calls = _pair_count_spy(monkeypatch)
     witt = construct_witt_23()
     complete = Design(20, tuple(map(mask_of, itertools.combinations(range(20), 10))))
     for d, t, counted in [(witt, 4, True), (witt, 5, False), (complement(witt), 4, True),
-                          (complement(witt), 5, False), (construct_paley_hadamard(19), 2, False),
-                          (construct_paley_hadamard(47), 2, False), (fano, 3, False),
+                          (complement(witt), 5, False), (construct_paley_hadamard(19), 2, True),
+                          (construct_paley_hadamard(47), 2, True), (fano, 3, True),
                           (complete, 1, False), (complete, 2, False)]:
         calls.clear()
         assert is_t_design(d, t)[0] == (d is not fano and t < 5)

@@ -509,9 +509,12 @@ def test_pair_profile_first_failing_size(case, data):
 
 
 def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
-    # Paley(47) at t = 3: the walk spends its allowance in size 3 of the
-    # balanced pair, which the profile then decides, but unequal weights fail
-    # at (0, 1, 2), the first subset of size 3, long before that
+    # Paley(47) at t = 3: the walk spends its allowance in size 2 of the
+    # balanced pair, which the profile then decides from size 2 on.  Unequal
+    # weights fail at (0, 1, 2), the first subset of size 3: the walk pauses
+    # in size 2 as well, the profile finds size 3 unbalanced, and a walk of
+    # size 3 names the witness.  Without the first block of the smaller
+    # shell, the pair fails at (0,), long before the walk pauses
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
     profile, calls = hamming._pair_moments, []
@@ -525,7 +528,10 @@ def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     assert len(calls) == 1
     unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
     assert relative_design_oracle(unequal, 3) == (False, (3, (0, 1, 2)))
-    assert len(calls) == 1
+    assert len(calls) == 2
+    less = RelativeCandidate.from_designs(Design(47, paley.blocks[1:]), complement(paley))
+    assert relative_design_oracle(less, 3) == (False, (1, (0,)))
+    assert len(calls) == 2
 
 
 def _witt_pair():
@@ -540,14 +546,16 @@ def _paley_pair(q):
 
 @pytest.mark.parametrize(
     "pair,t,start",
-    [(_witt_pair, 5, 4), (lambda: _paley_pair(43), 3, 3), (lambda: _paley_pair(47), 3, 3),
-     (lambda: _paley_pair(23), 3, None)],
+    [(_witt_pair, 5, 3), (lambda: _paley_pair(43), 3, 2), (lambda: _paley_pair(47), 3, 2),
+     (lambda: _paley_pair(23), 3, 2),
+     (lambda: RelativeCandidate.from_designs(_complete(14, 6), _complete(14, 7)), 3, None)],
 )
 def test_oracle_routes(monkeypatch, pair, t, start):
     # the walk spends the allowance of one pass over the block pairs in size
-    # 4 of the Witt pair at t = 5 and in size 3 of the Paley(43) and
-    # Paley(47) pairs at t = 3, and leaves the sizes from there to the pair
-    # profile; the Paley(23) pair at t = 3 walks every size within it
+    # 3 of the Witt pair at t = 5 and in size 2 of the Paley(23), Paley(43)
+    # and Paley(47) pairs at t = 3, and leaves the sizes from there to the
+    # pair profile; the complete 6- and 7-shells on 14 points at t = 3 walk
+    # their 469 subsets within the allowance of 41 million block pairs
     profile, starts = hamming._pair_moments, []
 
     def spy(n, shells, lo, hi):

@@ -144,13 +144,15 @@ def test_pair_route_matches_walk(case):
 
 
 def test_lambda_sequence_resumes_the_paused_walk(monkeypatch):
-    # Paley(19) at t = 3: the walk spends the allowance of one pair count
-    # partway through the triples, and the count finds that they lie in 1,
-    # 2 or 3 blocks; so the walk resumes where it paused, and gives the
-    # histogram it gives on its own
+    # Paley(19) at t = 3, with an allowance of 100 steps past the walk's
+    # setup of 19 * 4 steps (one pair count's own cost is less than that
+    # setup): the walk spends it partway through the triples, and the count
+    # finds that they lie in 1, 2 or 3 blocks; so the walk resumes where it
+    # paused, and gives the histogram it gives on its own
     paley = construct_paley_hadamard(19)
     walked = _on_route(paley, 3, 2**200)[0]
     real, seen = profiles._walk, []
+    monkeypatch.setattr(profiles, "_allowance", lambda *args: [(19 * 4 + 100) * 401])
 
     def spy(*args):
         for item in real(*args):
@@ -202,7 +204,9 @@ def test_lambda_sequence_beyond_int64():
 def test_lambda_sequence_checks_raise(monkeypatch):
     # the double-counting checks raise, so python -O keeps them: a kernel
     # that drops a covered t-subset trips the weighted total check.  The
-    # triples of Paley(19) lie in 1, 2 or 3 blocks, so the walk counts them
+    # walk counts the triples of Paley(19) alone, with no pair count to
+    # pause for, so the item it drops is a covered one
+    monkeypatch.setattr(profiles, "_allowance", lambda *args: None)
     real = profiles._walk
     monkeypatch.setattr(profiles, "_walk", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
