@@ -6,16 +6,18 @@ verdict from them (_pair_moments, the one place where shells become pair
 counts and moments).  Both are priced in one unit: the walk counts its work,
 and pauses once it has spent what that count would cost (_allowance).  A
 count that would pass the one work budget (_BUDGET) is never started, and a
-walk with no count to fall back on stops with ValueError there.  Blocks are
-int bitsets, so membership tests and complements are single integer
-operations.  This module imports only the leaf `_base` from tightrel, so a
-verb that reads design files and runs the moment oracle compiles no
-coverage kernel, and the coverage questions count block pairs without the
-oracle's modules.
+walk with no count to fall back on stops with ValueError there.  Only this
+module chooses between the two: _unbalanced_size for a balance verdict
+(is_t_design and the oracle), _coverage_histogram for a histogram
+(lambda_sequence).  Blocks are int bitsets, so membership tests and
+complements are single integer operations.  This module imports only the
+leaf `_base` from tightrel, so the oracle runs without the coverage
+modules, and the coverage questions without the oracle's.
 """
 
 import math
 import re
+from collections import Counter
 from functools import reduce
 from itertools import combinations, compress
 from operator import and_
@@ -154,7 +156,7 @@ _UNIT_BYTES = 48
 _ROW_BYTES = 6_800
 
 
-def _allowance(n: int, shells, t: int = 0):
+def _allowance(n: int, shells, t: int):
     """The cost of one count of the pairs of blocks of `shells`, a list of
     (r, block count), as a one-item list that the walk draws down before it
     pauses for that count; None when it passes _BUDGET.  Per ordered pair
@@ -170,8 +172,7 @@ def _allowance(n: int, shells, t: int = 0):
     return None if cost > _BUDGET else [cost]
 
 
-def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: int = 0,
-          spent=None):
+def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=None):
     """The one subset walk: the j-subsets of `points` (ascending), j >= 1, in
     lex order, as one (prefix, m, later) per prefix of j - 1 points.  m masks
     the blocks of `mask` that contain the prefix, and `later` lists the
@@ -184,9 +185,6 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
     have enough points after it to reach size j, and as candidates their
     later points; when every candidate lies in every such block, its
     extensions are combinations.  Without skip it visits every j-subset.
-    With a width (the block count, and no skip), m also holds, shifted up by
-    width, the blocks that miss at most one point of the prefix: point p
-    turns m0, m1 into m0 & c_p, m1 & c_p | m0 with one AND of both.
 
     The walk counts its steps, the masks that it and its caller build, one
     per node and per candidate, each weighing _STEP units plus the 64-bit
@@ -197,9 +195,6 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
     that share a budget add their units to the one-item list `spent`.
     """
     step, spent = _STEP + (mask.bit_length() >> 6) + 1, [0] if spent is None else spent
-    high = mask << width if width else 0
-    reps = [c | c << width for c in cols] if width else cols
-    mask |= high
     work, limit = 0, (_BUDGET - spent[0] if left is None else left[0]) // step
 
     def paused():  # True once, where the work passes the allowance; raises past the budget
@@ -239,7 +234,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, width: 
             p = cand[k]
             k += 1
             work += 1
-            m = mask & reps[p] | mask << width & high
+            m = mask & cols[p]
             if skip and not (m := m & after[p][need - 1]):
                 continue
             if need == 2:  # a prefix of j - 1 points
@@ -282,7 +277,7 @@ def _first_failing(cols, points, j: int, mask: int, holds, left=None, spent=None
     m = 0, so the walk skips such subsets only when holds(0)."""
     if j == 0:
         return None if holds(mask) else ()
-    for item in _walk(cols, points, j, mask, holds(0), left, 0, spent):
+    for item in _walk(cols, points, j, mask, holds(0), left, spent):
         if item is None:
             return False
         prefix, m, later = item
@@ -322,6 +317,81 @@ def _pair_moments(n: int, shells, lo: int, hi: int) -> list:
         m2 += 2 * sum(ww * c * math.comb(i, j) for ww, cnt in pairs for i, c in enumerate(cnt))
         out.append(_two_values(math.comb(n, j), m1, m2))
     return out
+
+
+def _integer_weights(shells) -> list:
+    """shells, a list of (r, blocks, w) with int or Fraction w, with every
+    w scaled by the least common multiple of their denominators to an int."""
+    scale = math.lcm(*(w.denominator for _, _, w in shells))
+    return [(r, blocks, int(w * scale)) for r, blocks, w in shells]
+
+
+def _first_unbalanced(n: int, cols, shells, j: int, left=None, spent=None):
+    """The lex-first j-subset S of range(n) whose weighted coverage
+    X(S) = sum_k W_k lambda_k(S) is not its share, the double-counting
+    total sum_B W C(|B|, j) over C(n, j); None when every j-subset has it,
+    and False when the walk spends its allowance `left` first.  shells lists
+    (r, blocks, W) with integer W, and cols are the columns of their blocks
+    in that order.  Without an allowance the walk has the work budget of
+    _walk, shared by the walks that share `spent`."""
+    per, total, low, weighted = math.comb(n, j), 0, 0, []
+    for r, blocks, w in shells:  # the mask of each shell, with its weight times C(n, j)
+        total += w * len(blocks) * math.comb(r, j)
+        weighted.append((((1 << len(blocks)) - 1) << low, w * per))
+        low += len(blocks)
+
+    def holds(m):
+        share = 0
+        for c, w in weighted:
+            share += w * (m & c).bit_count()
+        return share == total
+
+    return _first_failing(cols, range(n), j, (1 << low) - 1, holds, left, spent)
+
+
+def _unbalanced_size(n: int, shells, lo: int, hi: int):
+    """The least j in lo..hi at which the weighted coverage of `shells`, a
+    list of (r, blocks, W) with integer W, is not constant over the
+    j-subsets of range(n); None when it is constant at every such j.  The
+    walk decides size after size until it spends the cost of one count of
+    the block pairs (_allowance, priced from lo); then that count's moments
+    decide the sizes from the one it paused in.  A count that would pass
+    _BUDGET is never started: the walks of all sizes then share the budget,
+    and raise ValueError past it."""
+    cols = _columns([b for _, blocks, _ in shells for b in blocks], n)
+    left, spent = _allowance(n, [(r, len(blocks)) for r, blocks, _ in shells], lo), [0]
+    for j in range(lo, hi + 1):
+        witness = _first_unbalanced(n, cols, shells, j, left, spent)
+        if witness is False:  # the walk paused: the count decides j..hi
+            moments = enumerate(_pair_moments(n, shells, j, hi), j)
+            return next((s for s, two in moments if two is None or two[1]), None)
+        if witness is not None:
+            return j
+    return None
+
+
+def _coverage_histogram(n: int, r: int, blocks, t: int) -> tuple:
+    """The (value, count) pairs, values ascending, of the coverage counts of
+    the C(n, t) t-subsets of range(n) by `blocks`, all of size r, a subset
+    that the walk does not visit counting 0.  The walk pauses where it
+    spends the cost of one count of the block pairs, whose moments give the
+    histogram when its values are a and a+1; otherwise the walk resumes,
+    and raises ValueError past _BUDGET."""
+    total, counts = math.comb(n, t), Counter()
+    cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
+    for item in _walk(cols, range(n), t, full, True, _allowance(n, [(r, len(blocks))], t)):
+        if item is None:  # the walk paused: one count of the block pairs
+            if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
+                a, h = two
+                return tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
+            continue  # three or more values: the walk resumes
+        # only the counts: the covered subsets are never built
+        prefix, m, later = item
+        counts.update([c for q in later if (c := (m & cols[q]).bit_count())])
+    entries = tuple(sorted(counts.items()))
+    if zeros := total - counts.total():
+        entries = ((0, zeros),) + entries
+    return entries
 
 
 # ---------------------------------------------------------------------------

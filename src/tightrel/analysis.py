@@ -9,10 +9,10 @@ import math
 from fractions import Fraction
 
 from ._base import _Record, tight_size
-from ._design import Design, _columns, _first_failing, bits_of
+from ._design import Design, _columns, _first_failing, _first_unbalanced, _integer_weights, bits_of
 
-# The coverage kernel of designs loads inside the functions that count, so
-# that check-relative --tight, which needs only tight_size, does not compile it.
+# is_t_design loads inside _shell_lambdas, so that check-relative --tight,
+# which needs only tight_size, does not compile designs.
 
 __all__ = [
     "union_design",
@@ -48,8 +48,6 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
     coverage sum of every j-subset is constant for each j = 1..t; the
     balanced case returns [lam_1, ..., lam_t] as exact Fractions.
     """
-    from .designs import _first_unbalanced
-
     if t < 1:
         raise ValueError("t must be >= 1")
     wmap = {}
@@ -60,18 +58,19 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
         if w <= 0:
             raise ValueError("weights must be positive")
         wmap[s] = w
-    sizes = [b.bit_count() for b in design.blocks]
-    count = {r: sizes.count(r) for r in wmap}
-    lams, spent = [], [0]
+    n = design.n
+    shells = [(r, [b for b in design.blocks if b.bit_count() == r], w) for r, w in wmap.items()]
+    cols = _columns([b for _, blocks, _ in shells for b in blocks], n)
+    integral, lams, spent = _integer_weights(shells), [], [0]
     # with mixed block sizes, balance at level j does not imply balance below
     # it, so every level is checked, the walks sharing one work budget
     for j in range(1, t + 1):
-        if _first_unbalanced(design.n, design.blocks, j, wmap, None, spent) is not None:
+        if _first_unbalanced(n, cols, integral, j, None, spent) is not None:
             return False, None
         # balanced: every j-subset has the double-counting share; past j = n
         # there are no j-subsets, and the sum and C(n, j) are both 0
-        total = sum(w * count[r] * math.comb(r, j) for r, w in wmap.items())
-        lams.append(Fraction(total, math.comb(design.n, j) or 1))
+        total = sum(w * len(blocks) * math.comb(r, j) for r, blocks, w in shells)
+        lams.append(Fraction(total, math.comb(n, j) or 1))
     return True, lams
 
 
@@ -165,16 +164,15 @@ def check_via_thm34(cand: "RelativeCandidate", t: int):
     not 2m for any m <= t, which is why on n = 2m the oracle checks the
     weighted balance at sizes m..t instead.
     """
-    from .designs import _first_unbalanced
-
     if not 1 <= t <= cand.n:
         raise ValueError("need 1 <= t <= n")
     if any(_shell_lambdas(design, t) is None for _, design, _ in cand.shells()):
         return False, None
     # the right side is the double-counting share of a t-subset:
     # prod_{j<t} (r-j)/(n-j) = C(r,t)/C(n,t)
-    blocks = cand.design1.blocks + cand.design2.blocks
-    witness = _first_unbalanced(cand.n, blocks, t, weight_by_size(cand))
+    cols = _columns(cand.design1.blocks + cand.design2.blocks, cand.n)
+    shells = _integer_weights([(r, d.blocks, w) for r, d, w in cand.shells()])
+    witness = _first_unbalanced(cand.n, cols, shells, t)
     return witness is None, witness
 
 

@@ -26,27 +26,24 @@ at most one point of S.  Where both shells are (s-1)-designs only m = s is
 left: the weighted balance of the union at S.  For n = 2m the theorem stops
 at m, and the identities at sizes s >= m need not imply a relative t-design;
 there the oracle checks that balance at every size from m on instead.
-The scan is bit-sliced over blocks (_design._columns).  It runs on the
-subset walk of _design, which carries the blocks missing at most 0 and 1
-points of the prefix as two masks stacked in one int; the oracle weighs
-their popcounts with exact integers, over the last point of each prefix.
+The scan is bit-sliced over blocks (_design._columns) and runs on the
+subset walk of _design; the oracle gets the blocks missing at most one
+point of each prefix from the prefix's points, and weighs the popcounts
+with exact integers, over the last point of each prefix.
 
-A size can also be decided at once, from the block pairs: the first size
-at which the identity fails is the first at which the weighted coverage
-X(S) = sum_k W_k lambda_k(S), with integer shell weights W, takes more than
-one value over the s-subsets S.  For an (s-1)-set U, summing delta_k(U+x)
-over the points x outside U gives (r_k-s+1) delta_k(U), so balance at s-1
-and s gives W_1 delta_1(U) + W_2 delta_2(U) = 0 and the same with the
-factors r_k-s+1; as r1 != r2 both vanish.  So balance at 1..s makes both
-shells (s-1)-designs, where the identity at S is its weighted balance; the
-theorem above gives the converse below half, and from half on the oracle
-checks balance itself.  X sums to m1 = sum_B W C(|B|, s) and X^2 to m2 =
-sum_{B,B'} W W' C(|B cap B'|, s), so one count of the block pairs by their
-shells and intersection size decides every size (_design._pair_moments);
-the walk then names the witness at the first failing size alone.  The
-oracle walks until it has spent that count's cost (_design._allowance), so
-a candidate whose walk ends or fails sooner never counts the pairs, nor one
-whose count would pass the walk's work budget (_design._BUDGET).
+The first size at which the identity fails is the first at which the
+weighted coverage X(S) = sum_k W_k lambda_k(S), with integer shell weights
+W, takes more than one value over the s-subsets S.  For an (s-1)-set U,
+summing delta_k(U+x) over the points x outside U gives (r_k-s+1)
+delta_k(U), so balance at s-1 and s gives W_1 delta_1(U) + W_2 delta_2(U)
+= 0 and the same with the factors r_k-s+1; as r1 != r2 both vanish.  So
+balance at 1..s makes both shells (s-1)-designs, where the identity at S
+is its weighted balance; the theorem above gives the converse below half,
+and from half on the oracle checks balance itself.  So the oracle takes
+its verdict, the first unbalanced size, from _design._unbalanced_size,
+which alone chooses the route that answers it (the subset walk, or one
+count of the block pairs), and walks the identity only at that size, to
+name the witness.
 """
 
 import math
@@ -54,8 +51,8 @@ import re
 from fractions import Fraction
 
 from ._base import FormatError, _Record
-from ._design import Design, _INT, _allowance, _ascii_int, _columns, _pair_moments, _walk
-from ._design import _parse_size_line, _read_lines, bits_of, parse_block_line
+from ._design import Design, _INT, _ascii_int, _columns, _integer_weights, _parse_size_line
+from ._design import _read_lines, _unbalanced_size, _walk, bits_of, parse_block_line
 
 __all__ = [
     "RelativeCandidate",
@@ -204,74 +201,51 @@ def relative_design_oracle(cand: RelativeCandidate, t: int):
     subset of the smallest failing size; an s-subset costs 4 ANDs and
     popcounts.  For n = 2m the check at sizes s >= m is the weighted balance
     of the union (a failing subset is one whose blocks' weight is off the
-    average), which the identities at those sizes need not imply.  Where
-    the walk spends the cost of one pass over the block pairs, the weighted
-    balance counted from those pairs decides the sizes from there on, and
-    the walk, resumed or restarted at the first failing size, names the
-    witness, or raises ValueError past its work budget (_design._BUDGET).
+    average), which the identities at those sizes need not imply.  The
+    smallest failing size is the first at which the union's weighted
+    coverage is not constant, which `_design` decides; the walk over that
+    size alone names the witness, and raises ValueError past its work
+    budget (_design._BUDGET).
     """
     n = cand.n
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
+    shells = _integer_weights([(r, d.blocks, w) for r, d, w in cand.shells()])
+    s = _unbalanced_size(n, shells, 1, t)
+    if s is None:
+        return True, None
     half = n // 2 if n % 2 == 0 and n >= 4 else n + 1  # n = 2m: the theorem stops at m
-    scale = math.lcm(cand.w1.denominator, cand.w2.denominator)
-    shells = [(r, d.blocks, int(w * scale)) for r, d, w in cand.shells()]  # integer weights W
-    size = cand.total_size
-    full, low = (1 << size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
+    # the terms m <= u drop out: below half both shells are (s-2)-designs by
+    # now, and from half on u = s-1 leaves the weighted balance alone
+    u = s - 1 if s >= half else max(s - 2, 0)
+    target, steps = Fraction(0), []
+    for r, blocks, w in shells:
+        terms = [(m, 4**m * (n - 2 * r - 2) ** (s - m)) for m in range(u + 1, s + 1)]
+        target += w * len(blocks) * sum(x * math.comb(s, m) * Fraction(
+            math.comb(r, m), math.comb(n, m)) for m, x in terms)
+        # e[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of a
+        # block meeting S in c points, so a shell's sum at S is e0 |M_0| + e1 |M_1|
+        # with M_v its blocks missing <= v points of S (e1 = 0 when u = s-1)
+        e = [w * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
+             for v in range(s - u)] + [0]
+        steps.append((e[0] - e[1], e[1]))
+    # block sums are integers, so a fractional target fails the first subset
+    target = target.numerator if target.denominator == 1 else target
+    (x0, x1), (y0, y1) = steps
+    full, low = (1 << cand.total_size) - 1, (1 << cand.design1.num_blocks) - 1  # low: shell 1
     high, cols = full ^ low, _columns(cand.design1.blocks + cand.design2.blocks, n)
-
-    def level(s, left):  # yields the lex-first failing s-subset, and None where the walk pauses
-        # the terms m <= u drop out: below half both shells are (s-2)-designs by
-        # now, and from half on u = s-1 leaves the weighted balance alone
-        u = s - 1 if s >= half else max(s - 2, 0)
-        target, steps = Fraction(0), []
-        for r, blocks, w in shells:
-            terms = [(m, 4**m * (n - 2 * r - 2) ** (s - m)) for m in range(u + 1, s + 1)]
-            target += w * len(blocks) * sum(x * math.comb(s, m) * Fraction(
-                math.comb(r, m), math.comb(n, m)) for m, x in terms)
-            # e[v] = phi(s-v) - phi(s-v-1), phi(c) = sum_m x_m C(c,m) the weight of a
-            # block meeting S in c points, so a shell's sum at S is e0 |M_0| + e1 |M_1|
-            # with M_v its blocks missing <= v points of S (e1 = 0 when u = s-1)
-            e = [w * sum(x * math.comb(s - v - 1, m - 1) for m, x in terms)
-                 for v in range(s - u)] + [0]
-            steps.append((e[0] - e[1], e[1]))
-        # block sums are integers, so a fractional target fails the first subset
-        target = target.numerator if target.denominator == 1 else target
-        (x0, x1), (y0, y1) = steps
-        # the walk's masks: M_0 of the prefix, and above it M_1 unless u = s-1
-        for item in _walk(cols, range(n), s, full, False, left, 0 if u == s - 1 else size):
-            if item is None:
-                yield None
-                continue
-            # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
-            prefix, ms, later = item
-            a0, a1, b0, b1 = ms & low, ms >> size & low, ms & high, ms >> size & high
-            rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
-            for i in later:
-                c = cols[i]
-                if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
-                        + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
-                    yield s, (*prefix, i)
-                    return
-
-    left = _allowance(n, [(r, len(blocks)) for r, blocks, _ in shells])
-    for s in range(1, t + 1):
-        walk = level(s, left)
-        found = next(walk, False)  # a witness, None where the walk pauses, False when s passes
-        if found is None:
-            break
-        if found:
-            return False, found
-    else:
-        return True, None
-    # the walk has spent the cost of one pass over the block pairs: the
-    # weighted balance decides the sizes from s on
-    moments = enumerate(_pair_moments(n, shells, s, t), s)
-    bad = next((j for j, two in moments if two is None or two[1]), None)
-    if bad is None:
-        return True, None
-    # the paused walk resumes at its own size, or a new one walks the failing size
-    if found := next(walk if bad == s else level(bad, None), None):
-        return False, found
-    raise RuntimeError(f"the union is unbalanced at size {bad}, but no {bad}-subset fails")
-
+    for prefix, m0, later in _walk(cols, range(n), s, full, False):
+        # M_1 of the prefix, its blocks missing at most one of its points:
+        # point p turns M_1, M_0 into M_1 & c_p | M_0, M_0 & c_p
+        m1 = z = full
+        for p in prefix:
+            m1, z = m1 & cols[p] | z, z & cols[p]
+        # S = prefix + (i,): |M_1(S)| = |M_1 & c_i| + |M_0| - |M_0 & c_i|
+        a0, a1, b0, b1 = m0 & low, m1 & low, m0 & high, m1 & high
+        rest = target - x1 * a0.bit_count() - y1 * b0.bit_count()
+        for i in later:
+            c = cols[i]
+            if (x0 * (a0 & c).bit_count() + x1 * (a1 & c).bit_count()
+                    + y0 * (b0 & c).bit_count() + y1 * (b1 & c).bit_count() != rest):
+                return False, (s, (*prefix, i))
+    raise RuntimeError(f"the union is unbalanced at size {s}, but no {s}-subset fails")

@@ -1,17 +1,15 @@
 """Coverage-count histograms over all t-subsets, and detection of designs
 with different block multisets sharing a histogram.  The counts come from
-the coverage walk of designs.py, where a t-subset it does not visit counts
-0.  Where the walk spends the cost of one count of block pairs, it pauses
-for that count (_design._pair_moments, which the oracle's pair route also
-uses); when the count shows that the coverage counts take two adjacent
-values a and a+1, it gives the histogram, and otherwise the walk resumes.
-A count over the walk's work budget (_design._BUDGET) never starts."""
+`_design`, which alone chooses the route: its coverage walk, where a
+t-subset it does not visit counts 0, or, where the walk has spent the cost
+of one count of block pairs, that count, which gives the histogram when
+the coverage counts take two adjacent values a and a+1; otherwise the walk
+resumes, up to the one work budget (_design._BUDGET)."""
 
 import math
-from collections import Counter
 
 from ._base import _Record
-from .designs import Design, _allowance, _columns, _pair_moments, _walk
+from ._design import Design, _coverage_histogram
 
 __all__ = ["LambdaSequence", "lambda_sequence", "conjecture2_scan"]
 
@@ -57,25 +55,9 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
     r = design.uniform_size()
     if not 1 <= t <= r:
         raise ValueError("need 1 <= t <= block size")
-    n, blocks, total = design.n, design.blocks, math.comb(design.n, t)
-    cols, counts, full = _columns(blocks, n), Counter(), (1 << len(blocks)) - 1
-    for item in _walk(cols, range(n), t, full, True, _allowance(n, [(r, len(blocks))], t)):
-        if item is None:  # the walk paused: one count of the block pairs
-            if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
-                a, h = two
-                entries = tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
-                break
-            continue  # three or more values: the walk resumes
-        # only the counts: the covered subsets are never built
-        prefix, m, later = item
-        counts.update([c for q in later if (c := (m & cols[q]).bit_count())])
-    else:
-        entries = tuple(sorted(counts.items()))
-        if zeros := total - counts.total():
-            entries = ((0, zeros),) + entries
-    seq = LambdaSequence(t, entries)
+    seq = LambdaSequence(t, _coverage_histogram(design.n, r, design.blocks, t))
     # the two double-counting identities are cheap, so always check them
-    if seq.total_count() != total:
+    if seq.total_count() != math.comb(design.n, t):
         raise RuntimeError("lambda sequence does not count every t-subset once")
     if seq.weighted_total() != design.num_blocks * math.comb(r, t):
         raise RuntimeError("lambda sequence does not count every block's t-subsets once")

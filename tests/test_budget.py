@@ -19,7 +19,6 @@ from tightrel import (
     construct_paley_hadamard,
     construct_witt_23,
     coverage_map,
-    hamming,
     is_regular_twise_balanced,
     is_t_design,
     lambda_sequence,
@@ -59,7 +58,7 @@ def _witness_walk():
     """The oracle on the six-point pair at t = 3, its walk paused at once:
     the pair count finds size 3 unbalanced, and a new walk names the witness."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamming, "_allowance", lambda *args: [0])
+        mp.setattr(_design, "_allowance", lambda *args: [0])
         return relative_design_oracle(six_point_pair(), 3)
 
 
@@ -148,7 +147,7 @@ ROUTED = {
     "is_t_design": (lambda: is_t_design(WITT, 4), 23, [(7, 253)], 4, (True, [253, 77, 21, 5, 1])),
     "lambda_sequence": (lambda: lambda_sequence(WITT, 4).entries, 23, [(7, 253)], 4,
                         ((1, 8855),)),
-    "oracle": (lambda: relative_design_oracle(WITT_PAIR, 5), 23, [(7, 253), (16, 253)], 0,
+    "oracle": (lambda: relative_design_oracle(WITT_PAIR, 5), 23, [(7, 253), (16, 253)], 1,
                (True, None)),
 }
 

@@ -352,7 +352,7 @@ def _lambda_seq_traced(path, t):
     return code, peak, seconds
 
 
-def test_lambda_seq_oversized_coverage(capsys, tmp_path):
+def test_lambda_seq_oversized_coverage(capsys, tmp_path, monkeypatch):
     # one 30-block has C(30,15) = 155,117,520 15-subsets, each in it once:
     # the counts take two adjacent values, which one count of block pairs
     # decides without a walk
@@ -369,7 +369,10 @@ def test_lambda_seq_oversized_coverage(capsys, tmp_path):
 
     # three overlapping 30-blocks give the 15-subsets counts 0, 1 and 2, so
     # the walk must count them: refused at its work budget, with nothing
-    # allocated but the counts, as a usage error
+    # allocated but the counts, as a usage error.  A budget of a tenth of
+    # the real one refuses the same walk in a tenth of the time, traced;
+    # test_count_over_the_budget_is_never_started refuses at the real one
+    monkeypatch.setattr(tightrel._design, "_BUDGET", 10**8)
     p.write_text("DESIGN v1\nn=128 b=3\n" + "".join(
         " ".join(map(str, range(k, k + 30))) + "\n" for k in (0, 10, 20)))
     code, peak, _ = _lambda_seq_traced(p, 15)
@@ -377,8 +380,8 @@ def test_lambda_seq_oversized_coverage(capsys, tmp_path):
     assert peak < 2**20
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: the 15-subset walk passed its work budget of 1,000,000,000 units "
-                       "after 2,493,767 steps of 401 units\n")
+    assert out.err == ("error: the 15-subset walk passed its work budget of 100,000,000 units "
+                       "after 249,386 steps of 401 units\n")
     assert "Traceback" not in out.err
 
 

@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -29,9 +31,10 @@ from tightrel import (
     save_design,
 )
 from tightrel import _design
-from tightrel._design import _pair_counts, _pair_moments
+from tightrel._design import _columns, _first_unbalanced, _integer_weights, _pair_counts
+from tightrel._design import _pair_moments, _unbalanced_size
 from tightrel.analysis import _first_uncovered
-from tightrel.designs import _first_unbalanced, bits_of, mask_of
+from tightrel.designs import bits_of, mask_of
 from tightrel.designs import parse_block_line
 
 from conftest import cheap_levels, designs, lambda_count, reference_coverage, relabel
@@ -493,7 +496,45 @@ def test_first_unbalanced_is_lex_first_failure(case, data):
     expect = next(
         (s for s in itertools.combinations(range(n), j) if sums.get(s, 0) != double), None
     )
-    assert _first_unbalanced(n, design.blocks, j, weight) == expect
+    shells = _weighted_shells(design, weight)
+    cols = _columns([b for _, blocks, _ in shells for b in blocks], n)
+    assert _first_unbalanced(n, cols, shells, j) == expect
+
+
+def _weighted_shells(design, weight):
+    """The blocks of each size r as a shell (r, blocks, W), with the
+    weights weight[r] scaled to integers W."""
+    return _integer_weights([(r, [b for b in design.blocks if b.bit_count() == r], w)
+                             for r, w in sorted(weight.items())])
+
+
+@settings(max_examples=80, deadline=None)
+@given(designs(uniform=False), st.data())
+def test_unbalanced_size_on_both_routes(design, data):
+    # the least unbalanced size, from the walk alone (an allowance it never
+    # spends) and from the pair count alone (an allowance of 0, so the walk
+    # pauses at once), is the first size whose weighted coverage sums take
+    # more than one value, an uncovered subset's 0 among them
+    n = design.n
+    weight = {s: data.draw(st.integers(1, 6) | st.fractions(Fraction(1, 6), 6), label=f"w{s}")
+              for s in sorted(design.block_sizes())}
+    # sizes up to n, as the callers ask; the walk visits every subset of a
+    # balanced size
+    levels = [j for j in cheap_levels(design, min(n, 4), prefix=True) if math.comb(n, j) <= 20_000]
+    hi = data.draw(st.sampled_from(levels), label="hi")
+    lo = data.draw(st.integers(1, hi), label="lo")
+
+    def unbalanced(j):
+        sums = reference_coverage(design, j, weight)
+        values = set(sums.values()) | ({0} if len(sums) < math.comb(n, j) else set())
+        return len(values) > 1
+
+    expect = next((j for j in range(lo, hi + 1) if unbalanced(j)), None)
+    shells = _weighted_shells(design, weight)
+    for allowance in (2**200, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_design, "_allowance", lambda *args: [allowance])
+            assert _unbalanced_size(n, shells, lo, hi) == expect, allowance
 
 
 def test_first_uncovered_after_the_last_covered_subset(fano):
@@ -505,13 +546,41 @@ def test_first_uncovered_after_the_last_covered_subset(fano):
 def test_one_module_holds_the_subset_walk():
     # _design defines the one subset walk and the one work budget that stops
     # it, so no other module, the oracle's included, walks subsets by hand
-    # or estimates a walk's work before it starts
+    # or estimates a walk's work before it starts.  It alone chooses between
+    # the walk and the count of block pairs, so no other module names the
+    # count or its price; and the walk has one mask, with no stacked mode
     src = Path(sys.modules["tightrel"].__file__).parent
     for path in src.rglob("*.py"):
         text = path.read_text()
         if path.name != "_design.py":
             assert not re.search(r"def _?(walk|covered)\b", text), path.name
+            assert not re.search(r"_allowance|_pair_moments|_pair_counts", text), path.name
         assert "_check_work" not in text, path.name
+    assert "width" not in inspect.signature(_design._walk).parameters
+
+
+def test_src_modules_use_every_name_they_import():
+    # compileall does not catch an import left behind.  An import statement
+    # marked `# noqa: F401` re-exports its names, and a name listed in a
+    # literal __all__ counts as used
+    src = Path(sys.modules["tightrel"].__file__).parent
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            names = [getattr(x, "id", None) for x in getattr(node, "targets", ())]
+            if "__all__" in names and isinstance(node.value, (ast.List, ast.Tuple)):
+                used |= {x.value for x in node.value.elts if isinstance(x, ast.Constant)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                assert name in used, f"{path.relative_to(src)}:{node.lineno} imports {name} unused"
 
 
 # C(n, j) past 2**31 and 2**63, and strengths just below the block size,

@@ -21,7 +21,7 @@ from tightrel import (
     relative_design_oracle,
     save_candidate,
 )
-from tightrel import hamming
+from tightrel import _design
 from tightrel._design import _pair_moments, _two_values
 from tightrel.analysis import union_design, weight_by_size
 from tightrel.designs import bits_of, mask_of
@@ -408,7 +408,7 @@ def test_oracle_memory_is_its_block_columns(monkeypatch):
         Design(14, tuple(mask_of(b) for b in itertools.combinations(range(14), r))) for r in (6, 7)
     ]
     cand = RelativeCandidate.from_designs(*shells)
-    monkeypatch.setattr(hamming, "_pair_moments", lambda *args: pytest.fail("profile used"))
+    monkeypatch.setattr(_design, "_pair_moments", lambda *args: pytest.fail("profile used"))
     relative_design_oracle(cand, 1)  # anything a first call sets up is not counted
     tracemalloc.start()
     try:
@@ -429,7 +429,7 @@ def _on_route(cand, t, allowance):
     at once and leaves every size to the pair profile, 2**200 every size to
     the subset walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hamming, "_allowance", lambda *args: [allowance])
+        mp.setattr(_design, "_allowance", lambda *args: [allowance])
         return relative_design_oracle(cand, t)
 
 
@@ -517,13 +517,13 @@ def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     # shell, the pair fails at (0,), long before the walk pauses
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
-    profile, calls = hamming._pair_moments, []
+    profile, calls = _design._pair_moments, []
 
     def spy(*args):
         calls.append(args)
         return profile(*args)
 
-    monkeypatch.setattr(hamming, "_pair_moments", spy)
+    monkeypatch.setattr(_design, "_pair_moments", spy)
     assert relative_design_oracle(balanced, 3) == (True, None)
     assert len(calls) == 1
     unequal = RelativeCandidate.from_designs(paley, complement(paley), 1, 2)
@@ -556,13 +556,13 @@ def test_oracle_routes(monkeypatch, pair, t, start):
     # and Paley(47) pairs at t = 3, and leaves the sizes from there to the
     # pair profile; the complete 6- and 7-shells on 14 points at t = 3 walk
     # their 469 subsets within the allowance of 41 million block pairs
-    profile, starts = hamming._pair_moments, []
+    profile, starts = _design._pair_moments, []
 
     def spy(n, shells, lo, hi):
         starts.append(lo)
         return profile(n, shells, lo, hi)
 
-    monkeypatch.setattr(hamming, "_pair_moments", spy)
+    monkeypatch.setattr(_design, "_pair_moments", spy)
     assert relative_design_oracle(pair(), t) == (True, None)
     assert starts == ([] if start is None else [start])
 

@@ -15,7 +15,7 @@ from tightrel import (
     construct_paley_hadamard,
     lambda_sequence,
 )
-from tightrel import _design, designs as designs_module, profiles
+from tightrel import _design
 from tightrel._design import _pair_moments, _two_values
 from tightrel.designs import coverage_map, is_t_design, mask_of
 
@@ -107,8 +107,7 @@ def _on_route(design, t, allowance):
         return count(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (designs_module, profiles):
-            mp.setattr(module, "_allowance", lambda *args: [allowance])
+        mp.setattr(_design, "_allowance", lambda *args: [allowance])
         mp.setattr(_design, "_pair_counts", spy)
         return lambda_sequence(design, t).entries, is_t_design(design, t), len(calls)
 
@@ -151,15 +150,15 @@ def test_lambda_sequence_resumes_the_paused_walk(monkeypatch):
     # paused, and gives the histogram it gives on its own
     paley = construct_paley_hadamard(19)
     walked = _on_route(paley, 3, 2**200)[0]
-    real, seen = profiles._walk, []
-    monkeypatch.setattr(profiles, "_allowance", lambda *args: [(19 * 4 + 100) * 401])
+    real, seen = _design._walk, []
+    monkeypatch.setattr(_design, "_allowance", lambda *args: [(19 * 4 + 100) * 401])
 
     def spy(*args):
         for item in real(*args):
             seen.append(item is None)
             yield item
 
-    monkeypatch.setattr(profiles, "_walk", spy)
+    monkeypatch.setattr(_design, "_walk", spy)
     assert lambda_sequence(paley, 3).entries == walked == _reference_lambda_sequence(paley, 3)
     assert seen.count(True) == 1
     assert 0 < seen.index(True) < len(seen) - 1
@@ -206,9 +205,9 @@ def test_lambda_sequence_checks_raise(monkeypatch):
     # that drops a covered t-subset trips the weighted total check.  The
     # walk counts the triples of Paley(19) alone, with no pair count to
     # pause for, so the item it drops is a covered one
-    monkeypatch.setattr(profiles, "_allowance", lambda *args: None)
-    real = profiles._walk
-    monkeypatch.setattr(profiles, "_walk", lambda *a: itertools.islice(real(*a), 1, None))
+    monkeypatch.setattr(_design, "_allowance", lambda *args: None)
+    real = _design._walk
+    monkeypatch.setattr(_design, "_walk", lambda *a: itertools.islice(real(*a), 1, None))
     with pytest.raises(RuntimeError, match="t-subsets once"):
         lambda_sequence(construct_paley_hadamard(19), 3)
 
