@@ -3,13 +3,14 @@ format, its bit-sliced block columns, the one walk over subsets of them,
 and the count of block pairs by the size of their intersection, with the
 moments of the weighted coverage that it gives and the test that reads a
 verdict from them (_pair_moments, the one place where shells become pair
-counts and moments).  Both are priced in one unit: the walk counts its work,
-and pauses once it has spent what that count would cost (_allowance).  A
-count that would pass the one work budget (_BUDGET) is never started, and a
-walk with no count to fall back on stops with ValueError there.  Only this
-module chooses between the two: _unbalanced_size for a balance verdict
-(is_t_design and the oracle), _coverage_histogram for a histogram
-(lambda_sequence).  Blocks are int bitsets, so membership tests and
+counts and moments).  Both are priced in one unit: the walk counts its work
+against one limit and stops with ValueError where it passes it.  With the
+count to fall back on, that limit is what the count would cost
+(_allowance).  A count that would pass the one work budget (_BUDGET) is
+never started, and a walk with no count to fall back on stops at that
+budget.  Only this module chooses between the two: _unbalanced_size for a
+balance verdict (is_t_design and the oracle), _coverage_histogram for a
+histogram (lambda_sequence).  Blocks are int bitsets, so membership tests and
 complements are single integer operations.  This module imports only the
 leaf `_base` from tightrel, so the oracle runs without the coverage
 modules, and the coverage questions without the oracle's.
@@ -144,8 +145,8 @@ def _pair_counts(blocks, others, n: int, lo: int, hi: int) -> list:
 # process, 0.6-2.9 ns per unit.  A count of block pairs (_pair_counts) weighs
 # a unit per _UNIT_BYTES bytes that it adds and scans, a row as _ROW_BYTES:
 # 0.28 ns per byte and 1.9 us per row (fitted to 23 counts of 0.04-400 ms),
-# about 13 ns per unit (2 vCPU, Python 3.11.7).  So a walk pauses after a
-# fifth to a twentieth of the count's time; pausing at about that time (a unit
+# about 13 ns per unit (2 vCPU, Python 3.11.7).  So a walk stops after a
+# fifth to a twentieth of the count's time; stopping at about that time (a unit
 # per 4 bytes) was slower on the routed benchmark calls, the Witt pair's oracle
 # at t = 5 taking 2-3 times its count.  _BUDGET bounds both routes: a walk is
 # refused within about 3 s (three overlapping 30-point blocks at t = 15 after
@@ -159,7 +160,7 @@ _ROW_BYTES = 6_800
 def _allowance(n: int, shells, t: int):
     """The cost of one count of the pairs of blocks of `shells`, a list of
     (r, block count), as a one-item list that the walk draws down before it
-    pauses for that count; None when it passes _BUDGET.  Per ordered pair
+    stops for that count; None when it passes _BUDGET.  Per ordered pair
     the count adds r bytes, one per point of the first block, and scans a
     byte per intersection size from t up that the two block sizes allow;
     it makes a row per block for its own shell and each later one."""
@@ -172,7 +173,11 @@ def _allowance(n: int, shells, t: int):
     return None if cost > _BUDGET else [cost]
 
 
-def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=None):
+class _Refused(ValueError):
+    """A subset walk that passed its limit."""
+
+
+def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None):
     """The one subset walk: the j-subsets of `points` (ascending), j >= 1, in
     lex order, as one (prefix, m, later) per prefix of j - 1 points.  m masks
     the blocks of `mask` that contain the prefix, and `later` lists the
@@ -188,24 +193,17 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=N
 
     The walk counts its steps, the masks that it and its caller build, one
     per node and per candidate, each weighing _STEP units plus the 64-bit
-    words of `mask`.  `left` is a one-item list that holds an allowance in
-    those units: where the work passes it the walk yields None, once, and
-    goes on when resumed.  A walk with no allowance, or resumed past it,
-    raises ValueError where its work passes what is left of _BUDGET; walks
-    that share a budget add their units to the one-item list `spent`.
+    words of `mask`.  It draws them from `left`, a one-item list of units
+    (a fresh [_BUDGET] by default), which walks that share it draw down in
+    turn, and raises _Refused, a ValueError, where its work passes it.
     """
-    step, spent = _STEP + (mask.bit_length() >> 6) + 1, [0] if spent is None else spent
-    work, limit = 0, (_BUDGET - spent[0] if left is None else left[0]) // step
+    step, left = _STEP + (mask.bit_length() >> 6) + 1, [_BUDGET] if left is None else left
+    work, limit = 0, left[0] // step
 
-    def paused():  # True once, where the work passes the allowance; raises past the budget
-        nonlocal left, limit
-        if work <= limit:
-            return False
-        if left is None:
-            raise ValueError(f"the {j}-subset walk passed its work budget of {_BUDGET:,} units "
-                             f"after {work:,} steps of {step:,} units")
-        left[0], left, limit = left[0] - work * step, None, (_BUDGET - spent[0]) // step
-        return True
+    def check():  # raises where the work passes the limit
+        if work > limit:
+            raise _Refused(f"the {j}-subset walk passed its work budget of {_BUDGET:,} units "
+                           f"after {work:,} steps of {step:,} units")
 
     cand = list(points)
     if skip:
@@ -226,8 +224,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=N
             for pos in combinations(range(len(cand) - 1), need - 1):
                 later = cand[pos[-1] + 1 :]
                 work += len(later)
-                if paused():
-                    yield None
+                check()
                 yield (*prefix, *map(cand.__getitem__, pos)), mask, later
             k = len(cand)
         while k <= len(cand) - need:
@@ -239,8 +236,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=N
                 continue
             if need == 2:  # a prefix of j - 1 points
                 work += len(cand) - k
-                if paused():
-                    yield None
+                check()
                 yield (*prefix, p), m, cand[k:]
             else:
                 stack.append((mask, cand, k))
@@ -249,8 +245,7 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=N
                 if fresh:
                     work += len(cand) - k
                     cand, k = [q for q in cand[k:] if cols[q] & m], 0
-                if paused():
-                    yield None
+                check()
                 break
         else:
             if not stack:
@@ -261,26 +256,19 @@ def _walk(cols, points, j: int, mask: int, skip: bool = True, left=None, spent=N
     else:  # j = 1: the empty prefix
         work += len(cand)
         if cand:
-            if paused():
-                yield None
+            check()
             yield (), mask, cand
-    if left is None:
-        spent[0] += work * step
-    else:
-        left[0] -= work * step
+    left[0] -= work * step
 
 
-def _first_failing(cols, points, j: int, mask: int, holds, left=None, spent=None):
+def _first_failing(cols, points, j: int, mask: int, holds, left=None):
     """The lex-first j-subset of `points` (ascending) whose mask m of the
-    blocks of `mask` that contain it fails holds(m), or None; False when the
-    walk pauses at its allowance `left` first.  An uncovered subset has
-    m = 0, so the walk skips such subsets only when holds(0)."""
+    blocks of `mask` that contain it fails holds(m), or None; the walk
+    draws on `left` as _walk does.  An uncovered subset has m = 0, so the
+    walk skips such subsets only when holds(0)."""
     if j == 0:
         return None if holds(mask) else ()
-    for item in _walk(cols, points, j, mask, holds(0), left, spent):
-        if item is None:
-            return False
-        prefix, m, later = item
+    for prefix, m, later in _walk(cols, points, j, mask, holds(0), left):
         for q in later:
             if not holds(m & cols[q]):
                 return (*prefix, q)
@@ -326,14 +314,12 @@ def _integer_weights(shells) -> list:
     return [(r, blocks, int(w * scale)) for r, blocks, w in shells]
 
 
-def _first_unbalanced(n: int, cols, shells, j: int, left=None, spent=None):
+def _first_unbalanced(n: int, cols, shells, j: int, left=None):
     """The lex-first j-subset S of range(n) whose weighted coverage
     X(S) = sum_k W_k lambda_k(S) is not its share, the double-counting
-    total sum_B W C(|B|, j) over C(n, j); None when every j-subset has it,
-    and False when the walk spends its allowance `left` first.  shells lists
-    (r, blocks, W) with integer W, and cols are the columns of their blocks
-    in that order.  Without an allowance the walk has the work budget of
-    _walk, shared by the walks that share `spent`."""
+    total sum_B W C(|B|, j) over C(n, j); None when every j-subset has it.
+    shells lists (r, blocks, W) with integer W, and cols are the columns of
+    their blocks in that order.  The walk draws on `left` as _walk does."""
     per, total, low, weighted = math.comb(n, j), 0, 0, []
     for r, blocks, w in shells:  # the mask of each shell, with its weight times C(n, j)
         total += w * len(blocks) * math.comb(r, j)
@@ -346,24 +332,28 @@ def _first_unbalanced(n: int, cols, shells, j: int, left=None, spent=None):
             share += w * (m & c).bit_count()
         return share == total
 
-    return _first_failing(cols, range(n), j, (1 << low) - 1, holds, left, spent)
+    return _first_failing(cols, range(n), j, (1 << low) - 1, holds, left)
 
 
 def _unbalanced_size(n: int, shells, lo: int, hi: int):
     """The least j in lo..hi at which the weighted coverage of `shells`, a
     list of (r, blocks, W) with integer W, is not constant over the
     j-subsets of range(n); None when it is constant at every such j.  The
-    walk decides size after size until it spends the cost of one count of
-    the block pairs (_allowance, priced from lo); then that count's moments
-    decide the sizes from the one it paused in.  A count that would pass
-    _BUDGET is never started: the walks of all sizes then share the budget,
-    and raise ValueError past it."""
+    walks decide size after size, drawing on the cost of one count of the
+    block pairs (_allowance, priced from lo); where they pass it, that
+    count's moments decide the sizes from the one the walk reached.  A count
+    that would pass _BUDGET is never started: the walks of all sizes then
+    share the budget, and raise ValueError past it."""
     cols = _columns([b for _, blocks, _ in shells for b in blocks], n)
-    left, spent = _allowance(n, [(r, len(blocks)) for r, blocks, _ in shells], lo), [0]
+    allowance = _allowance(n, [(r, len(blocks)) for r, blocks, _ in shells], lo)
+    left = allowance or [_BUDGET]
     for j in range(lo, hi + 1):
-        witness = _first_unbalanced(n, cols, shells, j, left, spent)
-        if witness is False:  # the walk paused: the count decides j..hi
-            moments = enumerate(_pair_moments(n, shells, j, hi), j)
+        try:
+            witness = _first_unbalanced(n, cols, shells, j, left)
+        except _Refused:
+            if allowance is None:
+                raise
+            moments = enumerate(_pair_moments(n, shells, j, hi), j)  # the count decides j..hi
             return next((s for s, two in moments if two is None or two[1]), None)
         if witness is not None:
             return j
@@ -373,21 +363,28 @@ def _unbalanced_size(n: int, shells, lo: int, hi: int):
 def _coverage_histogram(n: int, r: int, blocks, t: int) -> tuple:
     """The (value, count) pairs, values ascending, of the coverage counts of
     the C(n, t) t-subsets of range(n) by `blocks`, all of size r, a subset
-    that the walk does not visit counting 0.  The walk pauses where it
-    spends the cost of one count of the block pairs, whose moments give the
-    histogram when its values are a and a+1; otherwise the walk resumes,
-    and raises ValueError past _BUDGET."""
-    total, counts = math.comb(n, t), Counter()
-    cols, full = _columns(blocks, n), (1 << len(blocks)) - 1
-    for item in _walk(cols, range(n), t, full, True, _allowance(n, [(r, len(blocks))], t)):
-        if item is None:  # the walk paused: one count of the block pairs
-            if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
-                a, h = two
-                return tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
-            continue  # three or more values: the walk resumes
-        # only the counts: the covered subsets are never built
-        prefix, m, later = item
-        counts.update([c for q in later if (c := (m & cols[q]).bit_count())])
+    that the walk does not visit counting 0.  Where the walk passes the cost
+    of one count of the block pairs, that count's moments give the histogram
+    when its values are a and a+1; otherwise the walk runs again, and raises
+    ValueError past _BUDGET."""
+    total, cols, full = math.comb(n, t), _columns(blocks, n), (1 << len(blocks)) - 1
+
+    def counted(left=None):  # only the counts: the covered subsets are never built
+        counts = Counter()
+        for prefix, m, later in _walk(cols, range(n), t, full, True, left):
+            counts.update([c for q in later if (c := (m & cols[q]).bit_count())])
+        return counts
+
+    allowance = _allowance(n, [(r, len(blocks))], t)
+    try:
+        counts = counted(allowance)
+    except _Refused:
+        if allowance is None:
+            raise
+        if two := _pair_moments(n, [(r, blocks, 1)], t, t)[0]:
+            a, h = two
+            return tuple((v, c) for v, c in ((a, total - h), (a + 1, h)) if c)
+        counts = counted()  # three or more values: the walk runs again under _BUDGET
     entries = tuple(sorted(counts.items()))
     if zeros := total - counts.total():
         entries = ((0, zeros),) + entries

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 from ._base import _Record, tight_size
+from . import _design
 from ._design import Design, _columns, _first_failing, _first_unbalanced, _integer_weights, bits_of
 
 # is_t_design loads inside _shell_lambdas, so that check-relative --tight,
@@ -61,11 +62,11 @@ def is_regular_twise_balanced(design: Design, weights, t: int):
     n = design.n
     shells = [(r, [b for b in design.blocks if b.bit_count() == r], w) for r, w in wmap.items()]
     cols = _columns([b for _, blocks, _ in shells for b in blocks], n)
-    integral, lams, spent = _integer_weights(shells), [], [0]
+    integral, lams, left = _integer_weights(shells), [], [_design._BUDGET]
     # with mixed block sizes, balance at level j does not imply balance below
     # it, so every level is checked, the walks sharing one work budget
     for j in range(1, t + 1):
-        if _first_unbalanced(n, cols, integral, j, None, spent) is not None:
+        if _first_unbalanced(n, cols, integral, j, left) is not None:
             return False, None
         # balanced: every j-subset has the double-counting share; past j = n
         # there are no j-subsets, and the sum and C(n, j) are both 0
@@ -280,8 +281,8 @@ def _first_uncovered(n: int, blocks, sets, j: int):
     """(i, s) for the first of `sets` that holds a j-subset s inside no
     block, with s its lex-first such subset; None when there is none.  The
     walks of all sets share one work budget."""
-    cols, full, spent = _columns(blocks, n), (1 << len(blocks)) - 1, [0]
+    cols, full, left = _columns(blocks, n), (1 << len(blocks)) - 1, [_design._BUDGET]
     for i, s in enumerate(sets):
-        if (u := _first_failing(cols, bits_of(s), j, full, bool, None, spent)) is not None:
+        if (u := _first_failing(cols, bits_of(s), j, full, bool, left)) is not None:
             return i, u
     return None

@@ -4,7 +4,7 @@ with different block multisets sharing a histogram.  The counts come from
 t-subset it does not visit counts 0, or, where the walk has spent the cost
 of one count of block pairs, that count, which gives the histogram when
 the coverage counts take two adjacent values a and a+1; otherwise the walk
-resumes, up to the one work budget (_design._BUDGET)."""
+runs again, up to the one work budget (_design._BUDGET)."""
 
 import math
 
@@ -43,10 +43,10 @@ def lambda_sequence(design: Design, t: int) -> LambdaSequence:
 
     The cost is a walk over the t-subsets that some block contains, rather
     than a scan of all C(n,t) subsets against the block list.  Where the
-    walk spends the cost of one pass over the block pairs, that pass comes
-    in, and decides the histogram when its values are a and a+1; otherwise
-    the walk resumes.  Past its work budget, which bounds the pass too, the
-    walk raises ValueError.
+    walk passes the cost of one pass over the block pairs, it stops, and
+    that pass decides the histogram when its values are a and a+1;
+    otherwise the walk runs again.  Past its work budget, which bounds the
+    pass too, the walk raises ValueError.
     """
     if not design.blocks:  # every t-subset counts 0
         if not 1 <= t <= design.n:

@@ -135,6 +135,18 @@ def reference_coverage(design: Design, j: int, weight=None) -> dict:
     return counts
 
 
+def reference_lambda_sequence(design: Design, t: int) -> tuple:
+    """The (value, count) pairs, values ascending, of the coverage counts of
+    all C(n, t) t-subsets, from reference_coverage."""
+    hist = {}
+    for v in reference_coverage(design, t).values():
+        hist[v] = hist.get(v, 0) + 1
+    zeros = math.comb(design.n, t) - sum(hist.values())
+    if zeros:
+        hist[0] = zeros
+    return tuple(sorted(hist.items()))
+
+
 # the most j-subsets of one block that the dict-of-tuples reference is
 # asked to enumerate in a property test
 REFERENCE_LIMIT = 10_000

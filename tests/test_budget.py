@@ -1,6 +1,6 @@
 """The one work budget of both routes (_design._BUDGET).  The subset walks
 that have no count of block pairs to fall back on (coverage_map,
-lambda_sequence once its walk resumes, the analysis checks and the oracle's
+lambda_sequence when its walk runs again, the analysis checks and the oracle's
 witness walk) raise one ValueError past it, and give their usual answers
 within it.  A count of block pairs whose cost passes it is never started:
 is_t_design, lambda_sequence and the oracle then walk under the budget
@@ -55,7 +55,7 @@ def _least_budget(monkeypatch, call):
 
 
 def _witness_walk():
-    """The oracle on the six-point pair at t = 3, its walk paused at once:
+    """The oracle on the six-point pair at t = 3, its walk stopped at once:
     the pair count finds size 3 unbalanced, and a new walk names the witness."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_design, "_allowance", lambda *args: [0])
@@ -67,7 +67,7 @@ PAIR11 = complementary_pair(construct_paley_hadamard(11))
 # each call with the answer it gives at the default budget
 CALLS = {
     "coverage_map": lambda: coverage_map(construct_paley_hadamard(7), 2),
-    # the walk spends its allowance, the count finds three values, and it resumes
+    # the walk passes its allowance, the count finds three values, and it walks again
     "lambda_sequence": lambda: lambda_sequence(construct_paley_hadamard(19), 3),
     "check_via_thm34": lambda: check_via_thm34(PAIR11, 3),
     "is_regular_twise_balanced": lambda: is_regular_twise_balanced(
@@ -156,7 +156,7 @@ ROUTED = {
 def test_counts_only_within_the_budget(monkeypatch, name):
     # one unit under the count's cost, the count is never started, and the
     # walk alone, which needs far more than the count, is refused; at that
-    # cost and one unit above, the walk pauses and the count answers
+    # cost and one unit above, the walk stops and the count answers
     call, n, shells, t, answer = ROUTED[name]
     (cost,) = _design._allowance(n, shells, t)
     calls = _count_spy(monkeypatch)

@@ -26,6 +26,7 @@ from tightrel import (
     extend_pair,
     is_regular_twise_balanced,
     is_t_design,
+    lambda_sequence,
     load_design,
     residual,
     save_design,
@@ -38,6 +39,7 @@ from tightrel.designs import bits_of, mask_of
 from tightrel.designs import parse_block_line
 
 from conftest import cheap_levels, designs, lambda_count, reference_coverage, relabel
+from conftest import reference_lambda_sequence
 
 
 def test_bits_mask_round_trip():
@@ -513,7 +515,7 @@ def _weighted_shells(design, weight):
 def test_unbalanced_size_on_both_routes(design, data):
     # the least unbalanced size, from the walk alone (an allowance it never
     # spends) and from the pair count alone (an allowance of 0, so the walk
-    # pauses at once), is the first size whose weighted coverage sums take
+    # stops at once), is the first size whose weighted coverage sums take
     # more than one value, an uncovered subset's 0 among them
     n = design.n
     weight = {s: data.draw(st.integers(1, 6) | st.fractions(Fraction(1, 6), 6), label=f"w{s}")
@@ -548,7 +550,8 @@ def test_one_module_holds_the_subset_walk():
     # it, so no other module, the oracle's included, walks subsets by hand
     # or estimates a walk's work before it starts.  It alone chooses between
     # the walk and the count of block pairs, so no other module names the
-    # count or its price; and the walk has one mask, with no stacked mode
+    # count or its price; and the walk has one mask, with no stacked mode,
+    # and one limit, with no second budget and no pause sentinel
     src = Path(sys.modules["tightrel"].__file__).parent
     for path in src.rglob("*.py"):
         text = path.read_text()
@@ -557,6 +560,8 @@ def test_one_module_holds_the_subset_walk():
             assert not re.search(r"_allowance|_pair_moments|_pair_counts", text), path.name
         assert "_check_work" not in text, path.name
     assert "width" not in inspect.signature(_design._walk).parameters
+    assert "spent" not in inspect.signature(_design._walk).parameters
+    assert "yield None" not in Path(_design.__file__).read_text()
 
 
 def test_src_modules_use_every_name_they_import():
@@ -593,6 +598,7 @@ def test_coverage_at_large_ranks(n, size, j):
     block = Design(n, (mask_of(range(n - size - 1, n - 1)),) * 2)
     assert coverage_map(block, j) == reference_coverage(block, j)
     assert is_t_design(block, j) == (False, None)
+    assert lambda_sequence(block, j).entries == reference_lambda_sequence(block, j)
 
 
 @pytest.mark.parametrize("n, t", [(37, 35), (40, 38), (128, 126)])

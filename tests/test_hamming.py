@@ -425,7 +425,7 @@ def test_oracle_validates_t(fano_pair):
 
 
 def _on_route(cand, t, allowance):
-    """The oracle's answer with its walk's allowance set: 0 pauses the walk
+    """The oracle's answer with its walk's allowance set: 0 stops the walk
     at once and leaves every size to the pair profile, 2**200 every size to
     the subset walk."""
     with pytest.MonkeyPatch.context() as mp:
@@ -511,10 +511,10 @@ def test_pair_profile_first_failing_size(case, data):
 def test_oracle_early_witness_needs_no_pair_profile(monkeypatch):
     # Paley(47) at t = 3: the walk spends its allowance in size 2 of the
     # balanced pair, which the profile then decides from size 2 on.  Unequal
-    # weights fail at (0, 1, 2), the first subset of size 3: the walk pauses
+    # weights fail at (0, 1, 2), the first subset of size 3: the walk stops
     # in size 2 as well, the profile finds size 3 unbalanced, and a walk of
     # size 3 names the witness.  Without the first block of the smaller
-    # shell, the pair fails at (0,), long before the walk pauses
+    # shell, the pair fails at (0,), long before the walk stops
     paley = construct_paley_hadamard(47)
     balanced = RelativeCandidate.from_designs(paley, complement(paley))
     profile, calls = _design._pair_moments, []

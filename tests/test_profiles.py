@@ -19,7 +19,7 @@ from tightrel import _design
 from tightrel._design import _pair_moments, _two_values
 from tightrel.designs import coverage_map, is_t_design, mask_of
 
-from conftest import cheap_levels, designs, reference_coverage, relabel
+from conftest import cheap_levels, designs, reference_coverage, reference_lambda_sequence, relabel
 
 
 def test_lambda_sequence_fano(fano):
@@ -48,24 +48,28 @@ def test_lambda_sequence_validates_t(fano):
         lambda_sequence(fano, 4)
 
 
-def _reference_lambda_sequence(design, t):
-    hist = {}
-    for v in reference_coverage(design, t).values():
-        hist[v] = hist.get(v, 0) + 1
-    zeros = math.comb(design.n, t) - sum(hist.values())
-    if zeros:
-        hist[0] = zeros
-    return tuple(sorted(hist.items()))
+# 28 blocks of 124 points on 128, ten of them repeated: at t = 122 most
+# prefixes lie in every block that contains their candidates, and the walk
+# answers within its budget only by taking their extensions as combinations
+# (2.4 of 2.5 million steps; 5.1 million node by node)
+_NEAR_FULL = Design(128, tuple(
+    ((1 << 128) - 1) ^ mask_of(gaps)
+    for gaps, copies in [((17, 33, 104, 119), 6), ((34, 54, 107, 111), 4), ((12, 72, 88, 94), 4),
+                         ((74, 87, 99, 113), 2), ((68, 71, 74, 95), 2), ((36, 103, 116, 122), 2),
+                         ((36, 86, 88, 104), 2), ((11, 13, 50, 91), 2), ((8, 20, 38, 82), 2),
+                         ((0, 78, 84, 118), 2)]
+    for _ in range(copies)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(designs())
+@example(_NEAR_FULL)
 def test_lambda_sequence_matches_reference(design):
     if not design.num_blocks:
         return
     r = design.uniform_size()
     for t in cheap_levels(design, r):
-        assert lambda_sequence(design, t).entries == _reference_lambda_sequence(design, t)
+        assert lambda_sequence(design, t).entries == reference_lambda_sequence(design, t)
     if 3 <= r <= 11 and design.n <= 65:
         assert coverage_map(design, 3) == reference_coverage(design, 3)
 
@@ -96,8 +100,8 @@ def _uniform_designs(draw):
 
 def _on_route(design, t, allowance):
     """lambda_sequence's entries, is_t_design's answer and the number of
-    block-pair counts the two make, with the walks' allowance set: 0 pauses
-    each walk at once for the pair count (lambda_sequence resumes it when
+    block-pair counts the two make, with the walks' allowance set: 0 stops
+    each walk at once for the pair count (lambda_sequence walks again when
     the counts take other values than a and a+1), 2**200 leaves everything
     to the walk, which counts no pairs."""
     count, calls = _design._pair_counts, []
@@ -130,7 +134,7 @@ def test_pair_route_matches_walk(case):
     design, t = case
     walked, verdict, counted = _on_route(design, t, 2**200)
     assert counted == 0
-    assert walked == _reference_lambda_sequence(design, t)
+    assert walked == reference_lambda_sequence(design, t)
     values = [v for v, _ in walked]
     if values[-1] - values[0] <= 1:
         expect = (values[0], walked[1][1] if len(walked) == 2 else 0)
@@ -142,26 +146,30 @@ def test_pair_route_matches_walk(case):
     assert _on_route(design, t, 0) == (walked, verdict, 2)
 
 
-def test_lambda_sequence_resumes_the_paused_walk(monkeypatch):
+def test_lambda_sequence_walks_again_after_an_undecided_count(monkeypatch):
     # Paley(19) at t = 3, with an allowance of 100 steps past the walk's
     # setup of 19 * 4 steps (one pair count's own cost is less than that
-    # setup): the walk spends it partway through the triples, and the count
-    # finds that they lie in 1, 2 or 3 blocks; so the walk resumes where it
-    # paused, and gives the histogram it gives on its own
+    # setup): the first walk passes it partway through the triples, and the
+    # one count finds that they lie in 1, 2 or 3 blocks; so the walk runs
+    # again under the budget, and gives the histogram it gives on its own
     paley = construct_paley_hadamard(19)
     walked = _on_route(paley, 3, 2**200)[0]
-    real, seen = _design._walk, []
+    real, walks = _design._walk, []
+    count, counts = _design._pair_counts, []
     monkeypatch.setattr(_design, "_allowance", lambda *args: [(19 * 4 + 100) * 401])
+    monkeypatch.setattr(_design, "_pair_counts", lambda *args: counts.append(args) or count(*args))
 
-    def spy(*args):
+    def spy(*args):  # the items of each walk
+        walks.append(0)
         for item in real(*args):
-            seen.append(item is None)
+            walks[-1] += 1
             yield item
 
     monkeypatch.setattr(_design, "_walk", spy)
-    assert lambda_sequence(paley, 3).entries == walked == _reference_lambda_sequence(paley, 3)
-    assert seen.count(True) == 1
-    assert 0 < seen.index(True) < len(seen) - 1
+    assert lambda_sequence(paley, 3).entries == walked == reference_lambda_sequence(paley, 3)
+    assert len(counts) == 1
+    assert len(walks) == 2
+    assert 0 < walks[0] < walks[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +197,7 @@ def test_lambda_sequence_near_block_size(biplane37):
     # the 27-subsets of 37 blocks of size 28, any two of which share 21
     # points: deep prefixes that several blocks contain
     comp = complement(biplane37)
-    assert lambda_sequence(comp, 27).entries == _reference_lambda_sequence(comp, 27)
+    assert lambda_sequence(comp, 27).entries == reference_lambda_sequence(comp, 27)
 
 
 def test_lambda_sequence_beyond_int64():
@@ -197,14 +205,14 @@ def test_lambda_sequence_beyond_int64():
     block = Design(128, (mask_of(range(3, 23)),))
     seq = lambda_sequence(block, 19)
     assert seq.entries == ((0, 21955357473882018031980), (1, 20))
-    assert seq.entries == _reference_lambda_sequence(block, 19)
+    assert seq.entries == reference_lambda_sequence(block, 19)
 
 
 def test_lambda_sequence_checks_raise(monkeypatch):
     # the double-counting checks raise, so python -O keeps them: a kernel
     # that drops a covered t-subset trips the weighted total check.  The
     # walk counts the triples of Paley(19) alone, with no pair count to
-    # pause for, so the item it drops is a covered one
+    # stop for, so the item it drops is a covered one
     monkeypatch.setattr(_design, "_allowance", lambda *args: None)
     real = _design._walk
     monkeypatch.setattr(_design, "_walk", lambda *a: itertools.islice(real(*a), 1, None))
